@@ -149,6 +149,41 @@ func CheckSliceBlocked[S Unsigned](c *Code, src []S, errs []uint64) []uint64 {
 	return errs
 }
 
+// CheckDecodeSliceBlocked is the blocked flavor of CheckDecodeSlice: every
+// block is decoded and stored branch-free while the out-of-domain bits
+// accumulate into a summary; only a block whose summary is non-zero
+// re-scans to resolve positions, so the clean path costs one multiply,
+// one mask and one store per word.
+func CheckDecodeSliceBlocked[S, D Unsigned](c *Code, src []S, dst []D, errs []uint64) []uint64 {
+	inv := S(c.aInv)
+	mask := S(c.codeMask)
+	max := S(c.dMaxU)
+	n := len(src) &^ (Block - 1)
+	for i := 0; i < n; i += Block {
+		s := src[i : i+Block : i+Block]
+		d := dst[i : i+Block : i+Block]
+		d0, d1, d2, d3 := s[0]*inv&mask, s[1]*inv&mask, s[2]*inv&mask, s[3]*inv&mask
+		d4, d5, d6, d7 := s[4]*inv&mask, s[5]*inv&mask, s[6]*inv&mask, s[7]*inv&mask
+		d[0], d[1], d[2], d[3] = D(d0), D(d1), D(d2), D(d3)
+		d[4], d[5], d[6], d[7] = D(d4), D(d5), D(d6), D(d7)
+		if (d0|d1|d2|d3|d4|d5|d6|d7)&^max != 0 {
+			for j, v := range s {
+				if v*inv&mask > max {
+					errs = append(errs, uint64(i+j))
+				}
+			}
+		}
+	}
+	for i := n; i < len(src); i++ {
+		v := src[i] * inv & mask
+		if v > max {
+			errs = append(errs, uint64(i))
+		}
+		dst[i] = D(v)
+	}
+	return errs
+}
+
 // ReencodeSlice re-hardens a whole column from code c1 to code c2 with one
 // multiplication per value (Eq. 10). S must be wide enough for the wider of
 // the two codes.

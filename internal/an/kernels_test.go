@@ -123,5 +123,25 @@ func TestBlockedKernelsHandleShortSlices(t *testing.T) {
 		if errs := CheckSliceBlocked(c, enc, nil); len(errs) != 0 {
 			t.Fatalf("n=%d: clean column flagged", n)
 		}
+		// One flip per position in turn: the blocked Δ must decode and
+		// report exactly as the scalar Δ does, wherever the flip sits
+		// relative to the block edges and the ragged tail.
+		for bad := -1; bad < n; bad++ {
+			if bad >= 0 {
+				enc[bad] ^= 1 << 5
+			}
+			wantDec, gotDec := make([]uint8, n), make([]uint8, n)
+			want := CheckDecodeSlice(c, enc, wantDec, nil)
+			got := CheckDecodeSliceBlocked(c, enc, gotDec, nil)
+			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotDec, wantDec) {
+				t.Fatalf("n=%d flip@%d: blocked Δ %v %v, scalar Δ %v %v", n, bad, got, gotDec, want, wantDec)
+			}
+			if bad >= 0 {
+				if len(got) != 1 || got[0] != uint64(bad) {
+					t.Fatalf("n=%d flip@%d: reported %v", n, bad, got)
+				}
+				enc[bad] ^= 1 << 5
+			}
+		}
 	}
 }

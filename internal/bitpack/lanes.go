@@ -159,6 +159,29 @@ func (l *Lanes) Append(raw uint64) {
 	l.n++
 }
 
+// AppendSlice appends raw values from a typed array: whole words are
+// assembled in a register, K lanes per store, instead of one
+// index-split read-modify-write per value.
+func AppendSlice[T an.Unsigned](l *Lanes, src []T) {
+	l.Grow(len(src))
+	for len(src) > 0 && l.n%l.k != 0 {
+		l.Append(uint64(src[0]))
+		src = src[1:]
+	}
+	k, field, lmask := l.k, l.field, l.lmask
+	for ; len(src) >= k; src = src[k:] {
+		var word uint64
+		for j := k - 1; j >= 0; j-- {
+			word = word<<field | uint64(src[j])&lmask
+		}
+		l.words = append(l.words, word)
+		l.n += k
+	}
+	for _, v := range src {
+		l.Append(uint64(v))
+	}
+}
+
 // AppendValue hardens d first when the lanes carry a code.
 func (l *Lanes) AppendValue(d uint64) {
 	if l.code != nil {

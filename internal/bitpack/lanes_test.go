@@ -295,3 +295,37 @@ func TestLanesCorruptConfinedToPayload(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendSliceMatchesAppend: the word-at-a-time bulk fill lays lanes
+// out exactly as one Append per value does - from an empty vector, from
+// one that ends mid-word, masked to the payload, for both layouts.
+func TestAppendSliceMatchesAppend(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, bits := range []uint{1, 7, 8, 13, 16, 20, 31} {
+		for _, head := range []int{0, 1, 3, 64} {
+			for _, n := range []int{0, 1, 2, 7, 8, 9, 63, 64, 65, 1000} {
+				want, _ := NewLanes(bits)
+				got, _ := NewLanes(bits)
+				for i := 0; i < head; i++ {
+					v := rng.Uint64()
+					want.Append(v)
+					got.Append(v)
+				}
+				src := make([]uint32, n)
+				for i := range src {
+					src[i] = rng.Uint32() // wider than the payload: must be masked
+					want.Append(uint64(src[i]))
+				}
+				AppendSlice(got, src)
+				if got.Len() != want.Len() || len(got.words) != len(want.words) {
+					t.Fatalf("bits=%d head=%d n=%d: %d lanes in %d words, want %d in %d", bits, head, n, got.Len(), len(got.words), want.Len(), len(want.words))
+				}
+				for w := range want.words {
+					if got.words[w] != want.words[w] {
+						t.Fatalf("bits=%d head=%d n=%d: word %d = %#x, want %#x", bits, head, n, w, got.words[w], want.words[w])
+					}
+				}
+			}
+		}
+	}
+}

@@ -589,6 +589,7 @@ func Run(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc, opts ...RunOption) (
 		return voteTMR(results, log)
 	default:
 		q := &Query{db: db, mode: m, flavor: flavor, log: log, pool: pool, noFuse: cfg.noFuse, noPacked: cfg.noPacked, ctx: cfg.ctx, capture: cfg.capture}
+		defer q.releaseDeltas()
 		r, err := plan(q)
 		return r, log, err
 	}
@@ -652,12 +653,18 @@ type Query struct {
 	flavor     ops.Flavor
 	log        *ops.ErrorLog
 	replicaIdx int // 0 = primary, 1/2 = DMR/TMR replicas
-	deltaCache map[string]*storage.Column
-	pool       *Pool
-	noFuse     bool
-	noPacked   bool
-	ctx        context.Context
-	capture    *Capture
+	// deltaCache holds the Δ-softened columns of an Early run, one per
+	// touched base column, and deltaRelease the arena borrows behind
+	// them. Both live exactly as long as the run (Run releases on every
+	// exit) and are never shared across queries.
+	deltaCache   map[string]*storage.Column
+	deltaRelease []func()
+
+	pool     *Pool
+	noFuse   bool
+	noPacked bool
+	ctx      context.Context
+	capture  *Capture
 }
 
 // Mode returns the execution mode.
@@ -740,20 +747,12 @@ func (q *Query) col(table, column string) (*storage.Column, error) {
 			return nil, err
 		}
 		plain := hc
-		if hc.Code() != nil {
-			if plain, err = ops.Delta(hc, q.log); err != nil {
+		if hc.Code() != nil || hc.IsResidueHardened() {
+			var release func()
+			if plain, release, err = ops.Delta(hc, q.Opts()); err != nil {
 				return nil, err
 			}
-		} else if hc.IsResidueHardened() {
-			// Residue columns are already plain; the Early Δ degrades to
-			// a sidecar verification on first touch.
-			bad, err := hc.ResidueCheckAll()
-			if err != nil {
-				return nil, err
-			}
-			for _, pos := range bad {
-				q.log.Record(column, pos)
-			}
+			q.deltaRelease = append(q.deltaRelease, release)
 		}
 		if q.deltaCache == nil {
 			q.deltaCache = make(map[string]*storage.Column)
@@ -763,6 +762,15 @@ func (q *Query) col(table, column string) (*storage.Column, error) {
 	default:
 		return q.db.hardened[table].Column(column)
 	}
+}
+
+// releaseDeltas returns the Δ buffers of an Early run to the arena. The
+// columns handed out by Col are dead afterwards.
+func (q *Query) releaseDeltas() {
+	for _, release := range q.deltaRelease {
+		release()
+	}
+	q.deltaRelease, q.deltaCache = nil, nil
 }
 
 // MustCol is Col but panics on schema errors (plans have static schemas).

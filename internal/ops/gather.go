@@ -107,24 +107,3 @@ func gatherAtRange(col *storage.Column, positions []uint32, o *Opts, log *ErrorL
 	*buf = out
 	return buf, nil
 }
-
-// Delta is the Δ detect-and-decode operator of Section 5.1: it verifies
-// and softens a whole hardened base column into an unprotected column.
-// Early-onetime detection runs it over every touched base column before
-// any other operator; corrupted positions land in the log and decode to
-// whatever the corrupted word softens to (recovery is the DBMS's job).
-func Delta(col *storage.Column, log *ErrorLog) (*storage.Column, error) {
-	if col.Code() == nil {
-		return nil, fmt.Errorf("ops: Δ needs a hardened column, got %q", col.Name())
-	}
-	errs, err := col.CheckAll()
-	if err != nil {
-		return nil, err
-	}
-	if log != nil {
-		for _, pos := range errs {
-			log.Record(col.Name(), pos)
-		}
-	}
-	return col.Soften()
-}

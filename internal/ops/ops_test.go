@@ -630,26 +630,3 @@ func TestErrorLogHardening(t *testing.T) {
 		t.Fatal("reset")
 	}
 }
-
-func TestDelta(t *testing.T) {
-	col := tinyColumn(t, "v", []uint64{1, 2, 3, 4})
-	h := harden(t, col, code8)
-	h.Corrupt(2, 1<<1)
-	log := NewErrorLog()
-	plain, err := Delta(h, log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.IsHardened() {
-		t.Fatal("Δ output must be plain")
-	}
-	if log.Count() != 1 {
-		t.Fatalf("Δ logged %d", log.Count())
-	}
-	if plain.Get(0) != 1 || plain.Get(3) != 4 {
-		t.Fatal("Δ must decode clean values")
-	}
-	if _, err := Delta(col, log); err == nil {
-		t.Fatal("Δ on plain column must error")
-	}
-}

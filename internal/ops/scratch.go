@@ -27,6 +27,9 @@ import (
 //     borrowed contents into exact-size owned slices (ownU64, concatOwned
 //     and the u32 twins) and release the scratch; borrowed memory never
 //     escapes into a Sel, Vec or Result.
+//   - The one borrow that outlives its operator call is Delta's softened
+//     column: it is returned together with its release func, and the
+//     query that asked for it (exec.Run) releases it on every exit.
 //   - Error logs follow the same discipline: runMorsels borrows one
 //     private log per morsel, merges them into the caller's log in morsel
 //     order, and releases them. A released log's entries have always been

@@ -202,11 +202,7 @@ func (c *Column) initPacked() {
 	if err != nil {
 		return
 	}
-	n := c.Len()
-	l.Grow(n)
-	for i := 0; i < n; i++ {
-		l.Append(c.Get(i))
-	}
+	c.bulk(nil, bulkOp{kind: bulkPack, lanes: l})
 	c.packed = l
 }
 
@@ -304,11 +300,8 @@ func (c *Column) Harden(code *an.Code) (*Column, error) {
 		}
 	}
 	out := &Column{name: c.name, kind: kind, width: width, code: code, dict: c.dict, heap: c.heap}
-	n := c.Len()
-	out.grow(n)
-	for i := 0; i < n; i++ {
-		out.setU64(i, code.Encode(c.Get(i)))
-	}
+	out.grow(c.Len())
+	c.bulk(out, bulkOp{kind: bulkMulMask, pre: code.MaxData(), mul: code.A(), post: code.CodeMask()})
 	out.initPacked()
 	return out, nil
 }
@@ -316,6 +309,18 @@ func (c *Column) Harden(code *an.Code) (*Column, error) {
 // Soften returns an unprotected copy of a hardened column, decoding every
 // value without corruption checks (the plain softening of Section 3).
 func (c *Column) Soften() (*Column, error) {
+	out, err := c.softened()
+	if err != nil {
+		return nil, err
+	}
+	out.grow(c.Len())
+	c.bulk(out, bulkOp{kind: bulkMulMask, pre: ^uint64(0), mul: c.code.AInv(), post: c.code.CodeMask()})
+	return out, nil
+}
+
+// softened returns the empty unprotected counterpart of a hardened
+// column: softened kind, data-domain width, shared dictionary and heap.
+func (c *Column) softened() (*Column, error) {
 	if c.code == nil {
 		return nil, fmt.Errorf("storage: column %q is not hardened", c.name)
 	}
@@ -331,13 +336,56 @@ func (c *Column) Soften() (*Column, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Column{name: c.name, kind: kind, width: width, dict: c.dict, heap: c.heap}
-	n := c.Len()
-	out.grow(n)
-	for i := 0; i < n; i++ {
-		out.setU64(i, c.code.Decode(c.Get(i)))
+	return &Column{name: c.name, kind: kind, width: width, dict: c.dict, heap: c.heap}, nil
+}
+
+// SoftenedWidth returns the bytes per value Soften produces, 0 for a
+// column that is not AN-hardened.
+func (c *Column) SoftenedWidth() int {
+	if c.code == nil {
+		return 0
+	}
+	w, _ := widthForBits(c.code.DataBits())
+	return w
+}
+
+// SoftenedOver returns the unprotected counterpart of hardened column c
+// as a header over caller-owned memory: buf must hold c.Len() values of
+// SoftenedWidth bytes each. Nothing is decoded here - CheckDecodeInto
+// fills it - and the column is only valid while the caller keeps buf;
+// this is how the Δ operator softens into arena memory instead of a
+// fresh allocation per query.
+func SoftenedOver[T an.Unsigned](c *Column, buf []T) (*Column, error) {
+	out, err := c.softened()
+	if err != nil {
+		return nil, err
+	}
+	switch b := any(buf).(type) {
+	case []uint8:
+		out.u8 = b
+	case []uint16:
+		out.u16 = b
+	case []uint32:
+		out.u32 = b
+	case []uint64:
+		out.u64 = b
+	}
+	// Len reads the array of out's width: a buffer of another width
+	// leaves it empty, so one comparison covers width and count.
+	if out.Len() != c.Len() {
+		return nil, fmt.Errorf("storage: Δ buffer for %q must hold %d values of %d bytes, got %d of %T",
+			c.name, c.Len(), out.width, len(buf), buf)
 	}
 	return out, nil
+}
+
+// CheckDecodeInto is the Δ kernel over rows [start, end): one pass that
+// verifies every code word and writes its decoded value to the same
+// position of dst (from Soften or SoftenedOver). It returns the
+// corrupted positions in ascending order; those decode to whatever the
+// corrupted word softens to. Disjoint ranges may run concurrently.
+func (c *Column) CheckDecodeInto(dst *Column, start, end int, blocked bool) []uint64 {
+	return c.bulk(dst, bulkOp{kind: bulkCheckDecode, code: c.code, blocked: blocked, start: start, end: end})
 }
 
 // CheckAll verifies every code word of a hardened column and returns the
@@ -347,16 +395,16 @@ func (c *Column) CheckAll() ([]uint64, error) {
 	if c.code == nil {
 		return nil, fmt.Errorf("storage: column %q is not hardened", c.name)
 	}
-	switch c.width {
-	case 1:
-		return an.CheckSlice(c.code, c.u8, nil), nil
-	case 2:
-		return an.CheckSlice(c.code, c.u16, nil), nil
-	case 4:
-		return an.CheckSlice(c.code, c.u32, nil), nil
-	default:
-		return an.CheckSlice(c.code, c.u64, nil), nil
+	return c.checkRange(0, c.Len()), nil
+}
+
+// checkRange AN-validates rows [start, end) and returns the corrupted
+// positions; unprotected columns pass vacuously.
+func (c *Column) checkRange(start, end int) []uint64 {
+	if c.code == nil {
+		return nil
 	}
+	return c.bulk(nil, bulkOp{kind: bulkCheck, code: c.code, start: start, end: end})
 }
 
 // Reencode re-hardens the column in place from its current code to next
@@ -370,30 +418,17 @@ func (c *Column) Reencode(next *an.Code) (*Column, error) {
 	if err != nil {
 		return nil, err
 	}
-	if width == c.width {
-		switch c.width {
-		case 1:
-			err = an.ReencodeSlice(c.code, next, c.u8)
-		case 2:
-			err = an.ReencodeSlice(c.code, next, c.u16)
-		case 4:
-			err = an.ReencodeSlice(c.code, next, c.u32)
-		default:
-			err = an.ReencodeSlice(c.code, next, c.u64)
-		}
-		if err != nil {
-			return nil, err
-		}
-		c.code = next
-		c.initPacked()
-		return c, nil
+	factor, _, err := c.code.ReencodeFactor(next)
+	if err != nil {
+		return nil, err
 	}
-	out := &Column{name: c.name, kind: c.kind, width: width, code: next, dict: c.dict, heap: c.heap}
-	n := c.Len()
-	out.grow(n)
-	for i := 0; i < n; i++ {
-		out.setU64(i, c.code.Reencode(c.Get(i), next))
+	out := c
+	if width != c.width {
+		out = &Column{name: c.name, kind: c.kind, width: width, dict: c.dict, heap: c.heap}
+		out.grow(c.Len())
 	}
+	c.bulk(out, bulkOp{kind: bulkMulMask, pre: ^uint64(0), mul: factor, post: next.CodeMask()})
+	out.code = next
 	out.initPacked()
 	return out, nil
 }
@@ -419,13 +454,9 @@ func (c *Column) HardenResidue(checkBits uint) (*Column, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Column{name: c.name, kind: c.kind, width: c.width, dict: c.dict, heap: c.heap, resCode: rc}
-	n := c.Len()
-	out.resCheck = make([]uint16, n)
-	out.grow(n)
-	for i := 0; i < n; i++ {
-		out.setU64(i, c.Get(i))
-	}
+	out := c.cloneData()
+	out.resCode, out.resCheck = rc, make([]uint16, c.Len())
+	out.bulk(nil, bulkOp{kind: bulkResidueFill, res: rc, checks: out.resCheck})
 	return out, nil
 }
 
@@ -444,14 +475,13 @@ func (c *Column) ResidueCheckAll() ([]uint64, error) {
 	if c.resCheck == nil {
 		return nil, fmt.Errorf("storage: column %q is not residue-hardened", c.name)
 	}
-	var bad []uint64
-	n := c.Len()
-	for i := 0; i < n; i++ {
-		if c.resCode.Residue(c.Get(i)) != uint64(c.resCheck[i]) {
-			bad = append(bad, uint64(i))
-		}
-	}
-	return bad, nil
+	return c.ResidueCheckRange(0, c.Len()), nil
+}
+
+// ResidueCheckRange is ResidueCheckAll over rows [start, end) of a
+// residue-hardened column (the morsel unit of the Early Δ).
+func (c *Column) ResidueCheckRange(start, end int) []uint64 {
+	return c.bulk(nil, bulkOp{kind: bulkResidueCheck, res: c.resCode, checks: c.resCheck, start: start, end: end})
 }
 
 // DropResidue returns an unprotected copy of a residue-hardened column
@@ -460,11 +490,18 @@ func (c *Column) DropResidue() (*Column, error) {
 	if c.resCheck == nil {
 		return nil, fmt.Errorf("storage: column %q is not residue-hardened", c.name)
 	}
-	out := &Column{name: c.name, kind: c.kind, width: c.width, dict: c.dict, heap: c.heap}
-	n := c.Len()
-	out.grow(n)
-	for i := 0; i < n; i++ {
-		out.setU64(i, c.Get(i))
+	return c.cloneData(), nil
+}
+
+// cloneData returns a column with c's header (minus code-specific
+// mirrors and sidecars, which the caller rebuilds) over a copy of its
+// physical array.
+func (c *Column) cloneData() *Column {
+	return &Column{
+		name: c.name, kind: c.kind, width: c.width, code: c.code, dict: c.dict, heap: c.heap,
+		u8:  append([]uint8(nil), c.u8...),
+		u16: append([]uint16(nil), c.u16...),
+		u32: append([]uint32(nil), c.u32...),
+		u64: append([]uint64(nil), c.u64...),
 	}
-	return out, nil
 }

@@ -383,7 +383,7 @@ func ReadColumn(r io.Reader, name string) (*Column, []uint64, error) {
 			c.setU64(start+i, v)
 		}
 		badBefore := len(bad)
-		bad = c.appendCheckRange(bad, start, rowsIn)
+		bad = append(bad, c.checkRange(start, start+rowsIn)...)
 		if binary.LittleEndian.Uint32(stored[:]) != crc {
 			if c.code == nil {
 				return nil, nil, fmt.Errorf("storage: unprotected column %q failed chunk %d's load-time CRC", name, chunk)
@@ -398,28 +398,4 @@ func ReadColumn(r io.Reader, name string) (*Column, []uint64, error) {
 	}
 	c.initPacked()
 	return c, bad, nil
-}
-
-// appendCheckRange AN-validates rows [start, start+n) of a hardened
-// column and appends the global positions of corrupted words to errs;
-// unprotected columns pass vacuously.
-func (c *Column) appendCheckRange(errs []uint64, start, n int) []uint64 {
-	if c.code == nil || n <= 0 {
-		return errs
-	}
-	before := len(errs)
-	switch c.width {
-	case 1:
-		errs = an.CheckSlice(c.code, c.u8[start:start+n], errs)
-	case 2:
-		errs = an.CheckSlice(c.code, c.u16[start:start+n], errs)
-	case 4:
-		errs = an.CheckSlice(c.code, c.u32[start:start+n], errs)
-	default:
-		errs = an.CheckSlice(c.code, c.u64[start:start+n], errs)
-	}
-	for i := before; i < len(errs); i++ {
-		errs[i] += uint64(start)
-	}
-	return errs
 }

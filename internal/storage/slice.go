@@ -11,16 +11,16 @@ import "fmt"
 // only its hash-assigned rows.
 func (t *Table) Slice(rows []int) (*Table, error) {
 	n := t.Rows()
+	for _, r := range rows {
+		if r < 0 || r >= n {
+			return nil, fmt.Errorf("storage: slice row %d beyond table %q (%d rows)", r, t.name, n)
+		}
+	}
 	out := NewTable(t.name)
 	for _, c := range t.Columns() {
 		nc := &Column{name: c.name, kind: c.kind, width: c.width, code: c.code, dict: c.dict, heap: c.heap}
 		nc.grow(len(rows))
-		for i, r := range rows {
-			if r < 0 || r >= n {
-				return nil, fmt.Errorf("storage: slice row %d beyond table %q (%d rows)", r, t.name, n)
-			}
-			nc.setU64(i, c.Get(r))
-		}
+		c.bulk(nc, bulkOp{kind: bulkGather, rows: rows})
 		nc.initPacked()
 		if err := out.AddColumn(nc); err != nil {
 			return nil, err

@@ -217,11 +217,7 @@ func (t *Table) Harden(choose CodeChooser) (*Table, error) {
 func (t *Table) Replicate() (*Table, error) {
 	out := NewTable(t.name)
 	for _, c := range t.Columns() {
-		cp := &Column{name: c.name, kind: c.kind, width: c.width, code: c.code, dict: c.dict, heap: c.heap}
-		cp.u8 = append([]uint8(nil), c.u8...)
-		cp.u16 = append([]uint16(nil), c.u16...)
-		cp.u32 = append([]uint32(nil), c.u32...)
-		cp.u64 = append([]uint64(nil), c.u64...)
+		cp := c.cloneData()
 		cp.resCode = c.resCode
 		cp.resCheck = append([]uint16(nil), c.resCheck...)
 		cp.initPacked()
