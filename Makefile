@@ -3,11 +3,7 @@
 
 GO ?= go
 
-# Knobs of the benchmark-regression harness (make bench-json).
-BENCH_SF ?= 0.1
-BENCH_TOLERANCE ?= 0.20
-
-.PHONY: all build test race lint bench-smoke bench-json serve-smoke cluster-smoke adapt-soak clean
+.PHONY: all build test race lint reachable bench-smoke bench-compare serve-smoke cluster-smoke adapt-soak clean
 
 all: build test
 
@@ -26,6 +22,18 @@ lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needs to run on:" >&2; echo "$$out" >&2; exit 1; fi
 
+# Every internal package must be imported by at least one non-test file
+# outside itself: code no binary, benchmark or other package reaches is
+# code no ledger row measures (internal/vat sat unseen for ten PRs).
+# .Imports lists non-test imports only, so a package kept alive by a
+# _test.go file alone fails here.
+reachable:
+	@imports=$$($(GO) list -f '{{.ImportPath}}: {{.Imports}}' ./...); status=0; \
+	for pkg in $$($(GO) list ./internal/...); do \
+		if ! echo "$$imports" | grep -v "^$$pkg: " | grep -Eq "[[ ]$$pkg[] ]"; then \
+			echo "unreachable: $$pkg is imported by no non-test file outside itself" >&2; status=1; fi; \
+	done; exit $$status
+
 # One iteration of every benchmark, plus the serial-vs-parallel SSB
 # comparison that asserts bit-identical results and error logs.
 bench-smoke:
@@ -33,15 +41,14 @@ bench-smoke:
 	$(GO) run ./cmd/ahead-ssb -sf 0.01 -runs 1 -compare -parallel 0 \
 		-json ssb-timings.json
 
-# The benchmark-regression harness: kernel micro-benchmarks plus an SSB
-# subset (serial and pool-parallel, Unprotected/Early/Continuous),
-# written to BENCH_kernels.json and gated against the committed baseline
-# (median-normalized ns/op within BENCH_TOLERANCE, near-absolute
-# allocs/op). Regenerate the baseline after an intentional perf change:
-#   go run ./cmd/ahead-bench -sf 0.1 -json bench/baseline.json
-bench-json:
-	$(GO) run ./cmd/ahead-bench -sf $(BENCH_SF) -json BENCH_kernels.json \
-		-baseline bench/baseline.json -tolerance $(BENCH_TOLERANCE)
+# The benchmark-regression gate: collect a three-seed result set of the
+# repo's benchmark (benchmark/README.md) and compare it against the
+# committed seed baseline; -compare exits 1 when any workload x
+# end-to-end metric is worse than the baseline by more than its
+# BENCHMARK.json bound.
+bench-compare:
+	bash benchmark/collect.sh benchmark/out/ci-set.json 3
+	bash benchmark/run.sh -compare benchmark/results/seed-a.json benchmark/out/ci-set.json
 
 # The serving layer's acceptance gate: boot ahead-serve at SF 0.01
 # with fault injection, drive it with ahead-loadgen, check /metrics

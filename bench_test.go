@@ -18,7 +18,7 @@ package ahead_test
 //   BenchmarkAblation_AccumulatorVsPerValue - §9 block-sum detection
 //   BenchmarkAblation_BitPackedScan         - Fig 8b bit-packing, runtime
 //   BenchmarkAblation_HashVsIndexJoin       - hardened-index join cost
-//   BenchmarkEngine_ColumnVsVectorAtATime   - the two §5 processing models
+//   BenchmarkFusionPerFlight                - fused vs materializing, per query
 //
 // The cmd/ binaries print the corresponding figure-shaped tables; these
 // benches provide the `go test -bench` view of the same code paths.
@@ -37,7 +37,6 @@ import (
 	"ahead/internal/sdc"
 	"ahead/internal/ssb"
 	"ahead/internal/storage"
-	"ahead/internal/vat"
 )
 
 // benchDB caches one SSB database across benchmarks (generation itself is
@@ -63,54 +62,40 @@ func ssbDB(b *testing.B) *exec.DB {
 	return benchDB
 }
 
-// fusedBenchDB caches the larger SF 0.1 database of the fused-kernel
-// comparison (BenchmarkFilterGatherSum); the figure benchmarks above stay
-// on the small ssbDB.
-var (
-	fusedBenchOnce sync.Once
-	fusedBenchDB   *exec.DB
-)
-
-func fusedDB(b *testing.B) *exec.DB {
-	b.Helper()
-	fusedBenchOnce.Do(func() {
-		data, err := ssb.Generate(0.1, 1) // 600k lineorder rows
-		if err != nil {
-			panic(err)
-		}
-		db, err := exec.NewDB(data.Tables(), storage.LargestCodeChooser)
-		if err != nil {
-			panic(err)
-		}
-		fusedBenchDB = db
-	})
-	return fusedBenchDB
-}
-
-// BenchmarkFilterGatherSum compares the fused scan->semijoin->sum-product
-// tail of the Q1.1 flight (ops.FusedFilterSemiSumProduct, DESIGN.md
-// section 5e) against the materializing filter->gather->sum pipeline it
-// replaces, per mode at SF 0.1. The fused variant is the acceptance
-// subject of the zero-allocation layer: it should run >=1.5x faster than
-// the materializing pipeline for the Unprotected and Continuous modes.
-func BenchmarkFilterGatherSum(b *testing.B) {
-	db := fusedDB(b)
-	plans := []struct {
-		name string
-		plan exec.QueryFunc
-	}{
-		{"fused", ssb.Queries["Q1.1"]},
-		{"materialized", ssb.Q11Materialized},
+// BenchmarkFusionPerFlight times every SSB query fused (the default:
+// ops.FusedFilterSemiSumProduct for Q1.x, the ops.FusedProbeGroupSum
+// cascade for Q2-Q4) against the materializing operator-at-a-time
+// pipeline the same plan runs under exec.WithFusion(false), serial,
+// blocked kernels, at SF 0.3 - the table of DESIGN.md section 5f:
+//
+//	go test -run '^$' -bench FusionPerFlight -benchtime 10x -count 3 .
+//
+// The database (1.8 M fact rows, every mode's copy) lives only for the
+// duration of the benchmark.
+func BenchmarkFusionPerFlight(b *testing.B) {
+	data, err := ssb.Generate(0.3, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	db, err := exec.NewDB(data.Tables(), storage.LargestCodeChooser)
+	if err != nil {
+		b.Fatal(err)
 	}
 	for _, mode := range []exec.Mode{exec.Unprotected, exec.LateOnetime, exec.Continuous} {
-		for _, p := range plans {
-			b.Run(mode.String()+"/"+p.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, _, err := exec.Run(db, mode, ops.Blocked, p.plan); err != nil {
-						b.Fatal(err)
-					}
+		for _, name := range ssb.QueryNames {
+			for _, fused := range []bool{true, false} {
+				variant := "fused"
+				if !fused {
+					variant = "materializing"
 				}
-			})
+				b.Run(mode.String()+"/"+name+"/"+variant, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if _, _, err := exec.Run(db, mode, ops.Blocked, ssb.Queries[name], exec.WithFusion(fused)); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
 		}
 	}
 }
@@ -464,66 +449,6 @@ func BenchmarkAblation_HashVsIndexJoin(b *testing.B) {
 	b.Run("index-probe", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, _, err := ops.IndexProbe(fk, tree, nil, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkEngine_ColumnVsVectorAtATime compares the two processing
-// models Section 5 names on the Q1.1 flight, unprotected and with
-// continuous detection.
-func BenchmarkEngine_ColumnVsVectorAtATime(b *testing.B) {
-	db := ssbDB(b)
-	runVAT := func(lineorder, date *storage.Table, o *vat.Opts) (uint64, error) {
-		opsOpts := &ops.Opts{Detect: o.Detect, Log: o.Log}
-		yearSel, err := ops.Filter(date.MustColumn("d_year"), 1993, 1993, opsOpts)
-		if err != nil {
-			return 0, err
-		}
-		ht, err := ops.HashBuild(date.MustColumn("d_datekey"), yearSel, opsOpts)
-		if err != nil {
-			return 0, err
-		}
-		scan, err := vat.NewScan(lineorder.MustColumn("lo_discount"), 1, 3, o)
-		if err != nil {
-			return 0, err
-		}
-		filt, err := vat.NewFilter(scan, lineorder.MustColumn("lo_quantity"), 0, 24, o)
-		if err != nil {
-			return 0, err
-		}
-		join := vat.NewSemiJoin(filt, lineorder.MustColumn("lo_orderdate"), ht, o)
-		sum, _, err := vat.SumProduct(join,
-			lineorder.MustColumn("lo_extendedprice"), lineorder.MustColumn("lo_discount"), o)
-		return sum, err
-	}
-	b.Run("column-at-a-time/unprotected", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := exec.Run(db, exec.Unprotected, ops.Scalar, ssb.Queries["Q1.1"]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("column-at-a-time/continuous", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := exec.Run(db, exec.Continuous, ops.Scalar, ssb.Queries["Q1.1"]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("vector-at-a-time/unprotected", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := runVAT(db.Plain("lineorder"), db.Plain("date"), &vat.Opts{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("vector-at-a-time/continuous", func(b *testing.B) {
-		log := ops.NewErrorLog()
-		for i := 0; i < b.N; i++ {
-			log.Reset()
-			if _, err := runVAT(db.Hardened("lineorder"), db.Hardened("date"), &vat.Opts{Detect: true, Log: log}); err != nil {
 				b.Fatal(err)
 			}
 		}

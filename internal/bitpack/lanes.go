@@ -224,35 +224,6 @@ func (l *Lanes) Corrupt(i int, flip uint64) {
 	l.Set(i, l.Get(i)^(flip&l.lmask))
 }
 
-// WordsFor returns the number of 64-bit words holding n lanes of this
-// layout - the size a caller borrows for an external lane buffer.
-func (l *Lanes) WordsFor(n int) int { return (n + l.k - 1) / l.k }
-
-// PutLane writes raw into lane i of an external word buffer laid out
-// like l. The word must have been initialized (PutLane rewrites the full
-// field, so sequential fills over zeroed or register-accumulated words
-// are both safe).
-func (l *Lanes) PutLane(words []uint64, i int, raw uint64) {
-	w, sh := l.idx(i)
-	words[w] = words[w]&^(l.fmask<<sh) | (raw&l.lmask)<<sh
-}
-
-// LaneAt reads lane i of an external word buffer laid out like l.
-func (l *Lanes) LaneAt(words []uint64, i int) uint64 {
-	w, sh := l.idx(i)
-	return (words[w] >> sh) & l.lmask
-}
-
-// AppendWords appends the first n lanes of an external word buffer laid
-// out like l. Lane alignment generally differs between the buffer and
-// the destination, so lanes are re-packed one by one.
-func (l *Lanes) AppendWords(words []uint64, n int) {
-	l.Grow(n)
-	for i := 0; i < n; i++ {
-		l.Append(l.LaneAt(words, i))
-	}
-}
-
 // hmaskBelow returns the delimiter bits of lanes [0, b).
 func (l *Lanes) hmaskBelow(b int) uint64 {
 	if b >= l.k {

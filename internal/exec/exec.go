@@ -547,63 +547,66 @@ func Run(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc, opts ...RunOption) (
 	if cfg.transient {
 		defer cfg.pool.Close()
 	}
-	pool := cfg.pool
 	log := ops.NewErrorLog()
 	if cfg.ctx != nil {
 		if err := cfg.ctx.Err(); err != nil {
 			return nil, log, err
 		}
 	}
+	replicas := 1
 	switch m {
 	case DMR:
-		if pool != nil && pool.Workers() > 1 {
-			return runReplicated(db, m, flavor, plan, pool, log, 2, cfg)
-		}
-		q1 := &Query{db: db, mode: m, flavor: flavor, log: log, noFuse: cfg.noFuse, noPacked: cfg.noPacked, ctx: cfg.ctx, capture: cfg.capture}
-		r1, err := plan(q1)
-		if err != nil {
-			return nil, log, err
-		}
-		q2 := &Query{db: db, mode: m, flavor: flavor, log: log, replicaIdx: 1, noFuse: cfg.noFuse, noPacked: cfg.noPacked, ctx: cfg.ctx}
-		r2, err := plan(q2)
-		if err != nil {
-			return nil, log, err
-		}
-		if err := ops.Vote(r1, r2); err != nil {
-			return r1, log, err
-		}
-		return r1, log, nil
+		replicas = 2
 	case TMR:
-		if pool != nil && pool.Workers() > 1 {
-			return runReplicated(db, m, flavor, plan, pool, log, 3, cfg)
+		replicas = 3
+	}
+	if replicas == 1 {
+		q := cfg.newQuery(db, m, flavor, log, 0)
+		defer q.releaseDeltas()
+		r, err := plan(q)
+		return r, log, err
+	}
+	results := make([]*ops.Result, replicas)
+	if cfg.pool != nil && cfg.pool.Workers() > 1 {
+		if err := runReplicated(db, m, flavor, plan, log, results, cfg); err != nil {
+			return nil, log, err
 		}
-		results := make([]*ops.Result, 3)
+	} else {
 		for i := range results {
-			q := &Query{db: db, mode: m, flavor: flavor, log: log, replicaIdx: i, noFuse: cfg.noFuse, noPacked: cfg.noPacked, ctx: cfg.ctx, capture: cfg.capture}
-			r, err := plan(q)
+			r, err := plan(cfg.newQuery(db, m, flavor, log, i))
 			if err != nil {
 				return nil, log, err
 			}
 			results[i] = r
 		}
-		return voteTMR(results, log)
-	default:
-		q := &Query{db: db, mode: m, flavor: flavor, log: log, pool: pool, noFuse: cfg.noFuse, noPacked: cfg.noPacked, ctx: cfg.ctx, capture: cfg.capture}
-		defer q.releaseDeltas()
-		r, err := plan(q)
-		return r, log, err
 	}
+	if replicas == 2 {
+		if err := ops.Vote(results[0], results[1]); err != nil {
+			return results[0], log, err
+		}
+		return results[0], log, nil
+	}
+	return voteTMR(results, log)
 }
 
-// runReplicated executes n replica plans as independent pool jobs and
-// votes at the barrier. Every replica runs against its own data copy
-// with a private error log; the logs merge in replica order, matching
-// the serial replica-after-replica execution exactly. The replica
-// queries keep the pool, so each replica's kernels additionally run
-// morsel-parallel - the two levels share the worker set through work
+// newQuery is the one place a run's options become a Query: every
+// replica of every mode gets the same pool, fusion, packing, context and
+// capture settings and differs only in its replica index and log
+// (Finish captures from the primary replica only).
+func (cfg *runCfg) newQuery(db *DB, m Mode, flavor ops.Flavor, log *ops.ErrorLog, replicaIdx int) *Query {
+	return &Query{db: db, mode: m, flavor: flavor, log: log, replicaIdx: replicaIdx,
+		pool: cfg.pool, noFuse: cfg.noFuse, noPacked: cfg.noPacked, ctx: cfg.ctx, capture: cfg.capture}
+}
+
+// runReplicated executes the replica plans as independent pool jobs,
+// filling results for the voter. Every replica runs against its own data
+// copy with a private error log; the logs merge in replica order,
+// matching the serial replica-after-replica execution exactly. The
+// replica queries keep the pool, so each replica's kernels additionally
+// run morsel-parallel - the two levels share the worker set through work
 // stealing.
-func runReplicated(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc, pool *Pool, log *ops.ErrorLog, n int, cfg runCfg) (*ops.Result, *ops.ErrorLog, error) {
-	results := make([]*ops.Result, n)
+func runReplicated(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc, log *ops.ErrorLog, results []*ops.Result, cfg runCfg) error {
+	n := len(results)
 	errs := make([]error, n)
 	logs := make([]*ops.ErrorLog, n)
 	jobs := make([]func(), n)
@@ -611,26 +614,19 @@ func runReplicated(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc, pool *Pool
 		i := i
 		jobs[i] = func() {
 			logs[i] = ops.NewErrorLog()
-			q := &Query{db: db, mode: m, flavor: flavor, log: logs[i], replicaIdx: i, pool: pool, noFuse: cfg.noFuse, noPacked: cfg.noPacked, ctx: cfg.ctx, capture: cfg.capture}
-			results[i], errs[i] = plan(q)
+			results[i], errs[i] = plan(cfg.newQuery(db, m, flavor, logs[i], i))
 		}
 	}
-	pool.Jobs(jobs...)
+	cfg.pool.Jobs(jobs...)
 	for _, l := range logs {
 		log.Merge(l)
 	}
 	for _, err := range errs {
 		if err != nil {
-			return nil, log, err
+			return err
 		}
 	}
-	if n == 2 {
-		if err := ops.Vote(results[0], results[1]); err != nil {
-			return results[0], log, err
-		}
-		return results[0], log, nil
-	}
-	return voteTMR(results, log)
+	return nil
 }
 
 // voteTMR applies the majority vote: any two agreeing replicas mask the

@@ -2,10 +2,7 @@ package ops
 
 import (
 	"context"
-	"fmt"
-	"math/bits"
 
-	"ahead/internal/an"
 	"ahead/internal/storage"
 )
 
@@ -93,372 +90,101 @@ func (o *Opts) log() *ErrorLog {
 
 // Filter scans a whole column and returns the positions whose value lies
 // in the inclusive plain-domain range [lo, hi]. Every comparison predicate
-// of the SSB workload reduces to such a range (equality is lo == hi).
-//
-// On hardened columns without detection the bounds are hardened instead
-// and compared against raw code words - the multiplication's monotony
-// makes the comparison transfer (Eq. 6). With detection every value is
-// softened with the inverse and bounds-checked first (Eq. 12/13).
+// of the SSB workload reduces to such a range (equality is lo == hi). The
+// predicate is normalised once per call (fusedPred) and scanned per
+// morsel into a borrowed scratch buffer whose ownership transfers to the
+// entry point (see scratch.go).
 func Filter(col *storage.Column, lo, hi uint64, o *Opts) (*Sel, error) {
+	out := &Sel{Hardened: o != nil && o.HardenIDs}
 	if lo > hi {
-		return &Sel{Hardened: o != nil && o.HardenIDs}, nil
+		return out, nil
 	}
 	if err := o.ctxErr(); err != nil {
 		return nil, err
 	}
 	o.access(col.Name(), col.Len())
+	f := makeFusedPred(RangePred{Col: col, Lo: lo, Hi: hi}, o)
+	if f.empty {
+		return out, nil
+	}
 	if p := o.par(col.Len()); p != nil {
 		parts, err := runMorsels(p, col.Len(), o, o.log(), dropU64, func(log *ErrorLog, start, end int) (*[]uint64, error) {
-			return filterRange(col, lo, hi, o, log, start, end)
+			return f.scanMorsel(o, log, start, end), nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		return &Sel{Pos: concatOwned(parts), Hardened: o != nil && o.HardenIDs}, nil
+		out.Pos = concatOwned(parts)
+		return out, nil
 	}
-	pos, err := filterRange(col, lo, hi, o, o.log(), 0, col.Len())
-	if err != nil {
-		return nil, err
-	}
-	return &Sel{Pos: ownU64(pos), Hardened: o != nil && o.HardenIDs}, nil
+	out.Pos = ownU64(f.scanMorsel(o, o.log(), 0, col.Len()))
+	return out, nil
 }
 
-// filterRange is the morsel kernel of Filter: it scans rows [start, end)
-// and emits global positions into a borrowed scratch buffer whose
-// ownership transfers to the caller (see scratch.go). The buffer's
-// capacity covers end-start emissions, so the kernels below never grow
-// it.
-func filterRange(col *storage.Column, lo, hi uint64, o *Opts, log *ErrorLog, start, end int) (*[]uint64, error) {
-	if l := o.packedLanes(col); l != nil {
-		return filterPackedRange(col, l, lo, hi, o, log, start, end)
-	}
+// scanMorsel is the morsel kernel of Filter: it scans rows [start, end)
+// into a borrowed scratch buffer whose ownership transfers to the caller.
+func (f *fusedPred) scanMorsel(o *Opts, log *ErrorLog, start, end int) *[]uint64 {
 	buf := borrowU64(end - start)
-	var out []uint64
-	var err error
-	switch {
-	case col.Code() == nil:
-		out, err = filterPlain(col, lo, hi, o, start, end, *buf)
-	case o.detect():
-		out, err = filterChecked(col, lo, hi, o, log, start, end, *buf)
-	default:
-		code := col.Code()
-		if lo > code.MaxData() {
-			// A lower bound beyond the data domain selects nothing;
-			// encoding it would wrap past the comparable code range and
-			// the unsigned range trick would select everything instead.
-			out = (*buf)[:0]
-			break
-		}
-		if hi > code.MaxData() {
-			hi = code.MaxData()
-		}
-		out, err = filterHardenedRaw(col, code.Encode(lo), code.Encode(hi), o, start, end, *buf)
-	}
-	if err != nil {
-		releaseU64(buf)
-		return nil, err
-	}
-	*buf = out
-	return buf, nil
-}
-
-func filterPlain(col *storage.Column, lo, hi uint64, o *Opts, start, end int, buf []uint64) ([]uint64, error) {
-	base := uint64(start)
-	// A lower bound beyond the storage domain selects nothing - the same
-	// convention as the hardened paths. Clamping it down to the type max
-	// (as the upper bound is) would instead select the max value itself.
-	switch {
-	case col.U8() != nil:
-		if lo > 0xFF {
-			return buf[:0], nil
-		}
-		return rangeScan(col.U8()[start:end], uint8(lo), clamp8(hi), base, o.posMul(), o.flavor(), buf), nil
-	case col.U16() != nil:
-		if lo > 0xFFFF {
-			return buf[:0], nil
-		}
-		return rangeScan(col.U16()[start:end], uint16(lo), clamp16(hi), base, o.posMul(), o.flavor(), buf), nil
-	case col.U32() != nil:
-		if lo > 0xFFFFFFFF {
-			return buf[:0], nil
-		}
-		return rangeScan(col.U32()[start:end], uint32(lo), clamp32(hi), base, o.posMul(), o.flavor(), buf), nil
-	case col.U64() != nil:
-		return rangeScan(col.U64()[start:end], lo, hi, base, o.posMul(), o.flavor(), buf), nil
-	default:
-		return nil, fmt.Errorf("ops: empty column %q", col.Name())
-	}
-}
-
-// filterHardenedRaw compares raw code words against hardened bounds (the
-// Late-detection fast path: same scan as unprotected, just wider words).
-func filterHardenedRaw(col *storage.Column, loC, hiC uint64, o *Opts, start, end int, buf []uint64) ([]uint64, error) {
-	base := uint64(start)
-	switch {
-	case col.U16() != nil:
-		return rangeScan(col.U16()[start:end], uint16(loC), uint16(hiC), base, o.posMul(), o.flavor(), buf), nil
-	case col.U32() != nil:
-		return rangeScan(col.U32()[start:end], uint32(loC), uint32(hiC), base, o.posMul(), o.flavor(), buf), nil
-	case col.U64() != nil:
-		return rangeScan(col.U64()[start:end], loC, hiC, base, o.posMul(), o.flavor(), buf), nil
-	default:
-		return nil, fmt.Errorf("ops: hardened column %q has unexpected width", col.Name())
-	}
-}
-
-func filterChecked(col *storage.Column, lo, hi uint64, o *Opts, log *ErrorLog, start, end int, buf []uint64) ([]uint64, error) {
-	code := col.Code()
-	base := uint64(start)
-	switch {
-	case col.U16() != nil:
-		return rangeScanChecked(col.U16()[start:end], code, lo, hi, col.Name(), log, base, o.posMul(), o.flavor(), buf), nil
-	case col.U32() != nil:
-		return rangeScanChecked(col.U32()[start:end], code, lo, hi, col.Name(), log, base, o.posMul(), o.flavor(), buf), nil
-	case col.U64() != nil:
-		return rangeScanChecked(col.U64()[start:end], code, lo, hi, col.Name(), log, base, o.posMul(), o.flavor(), buf), nil
-	default:
-		return nil, fmt.Errorf("ops: hardened column %q has unexpected width", col.Name())
-	}
+	*buf = f.scan(start, end, o.posMul(), o.flavor(), log, *buf)
+	return buf
 }
 
 // FilterSel refines an existing selection: it keeps the positions of sel
 // whose column value lies in [lo, hi]. Hardened selection vectors pass
 // through in their hardened form, so no re-encoding is needed.
 func FilterSel(col *storage.Column, lo, hi uint64, sel *Sel, o *Opts) (*Sel, error) {
+	out := &Sel{Hardened: sel.Hardened}
 	if lo > hi {
-		return &Sel{Hardened: sel.Hardened}, nil
+		return out, nil
 	}
 	if err := o.ctxErr(); err != nil {
 		return nil, err
 	}
 	o.access(col.Name(), sel.Len())
+	f := makeFusedPred(RangePred{Col: col, Lo: lo, Hi: hi}, o)
+	if f.empty {
+		return out, nil
+	}
 	if p := o.par(sel.Len()); p != nil {
 		parts, err := runMorsels(p, sel.Len(), o, o.log(), dropU64, func(log *ErrorLog, start, end int) (*[]uint64, error) {
-			return filterSelRange(col, lo, hi, sel, o, log, start, end)
+			return f.filterSelRange(sel, log, start, end), nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		return &Sel{Pos: concatOwned(parts), Hardened: sel.Hardened}, nil
+		out.Pos = concatOwned(parts)
+		return out, nil
 	}
-	pos, err := filterSelRange(col, lo, hi, sel, o, o.log(), 0, sel.Len())
-	if err != nil {
-		return nil, err
-	}
-	return &Sel{Pos: ownU64(pos), Hardened: sel.Hardened}, nil
+	out.Pos = ownU64(f.filterSelRange(sel, o.log(), 0, sel.Len()))
+	return out, nil
 }
 
 // filterSelRange is the morsel kernel of FilterSel: it refines the
 // selection entries with global indices [start, end), emitting into a
-// borrowed scratch buffer whose ownership transfers to the caller.
-func filterSelRange(col *storage.Column, lo, hi uint64, sel *Sel, o *Opts, log *ErrorLog, start, end int) (*[]uint64, error) {
+// borrowed scratch buffer whose ownership transfers to the caller. It
+// walks the selection itself - hardened IDs verify through Sel.At - and
+// takes only its comparison operands from the predicate.
+func (f *fusedPred) filterSelRange(sel *Sel, log *ErrorLog, start, end int) *[]uint64 {
 	buf := borrowU64(end - start)
 	out := (*buf)[:0]
-	code := col.Code()
-	detect := o.detect()
-	var loC, hiC uint64 = lo, hi
-	if code != nil && !detect {
-		if loC > code.MaxData() {
-			// Same convention as filterRange: a lower bound beyond the
-			// data domain selects nothing rather than wrapping.
-			*buf = out
-			return buf, nil
-		}
-		if hiC > code.MaxData() {
-			hiC = code.MaxData()
-		}
-		loC, hiC = code.Encode(loC), code.Encode(hiC)
-	}
-	span := hiC - loC
 	for i := start; i < end; i++ {
 		pos, ok := sel.At(i, log)
 		if !ok {
 			continue
 		}
-		v := col.Get(int(pos))
-		if code != nil && detect {
-			d, ok := code.Check(v)
-			if !ok {
+		v := f.col.Get(int(pos))
+		if f.checked {
+			if v = v * f.inv & f.mask; v > f.dmax {
 				if log != nil {
-					log.Record(col.Name(), pos)
+					log.Record(f.col.Name(), pos)
 				}
 				continue
 			}
-			if d-lo <= hi-lo {
-				out = append(out, sel.Pos[i])
-			}
-			continue
 		}
-		if v-loC <= span {
+		if v-f.lo <= f.span {
 			out = append(out, sel.Pos[i])
 		}
 	}
 	*buf = out
-	return buf, nil
-}
-
-func clamp8(v uint64) uint8 {
-	if v > 0xFF {
-		return 0xFF
-	}
-	return uint8(v)
-}
-
-func clamp16(v uint64) uint16 {
-	if v > 0xFFFF {
-		return 0xFFFF
-	}
-	return uint16(v)
-}
-
-func clamp32(v uint64) uint32 {
-	if v > 0xFFFFFFFF {
-		return 0xFFFFFFFF
-	}
-	return uint32(v)
-}
-
-// rangeScan emits (base+i)*posMul for every data[i] in [lo, hi]; base is
-// the morsel's global row offset (0 for a serial whole-column scan). The
-// Blocked flavor uses predicated emission - the append index advances by
-// a comparison result instead of a taken branch - mirroring the
-// compare+movemask structure of the SIMD prototype. Emissions go into
-// buf, whose capacity must cover len(data) entries (the scratch arena
-// guarantees it), so neither flavor ever allocates.
-func rangeScan[T an.Unsigned](data []T, lo, hi T, base, posMul uint64, f Flavor, buf []uint64) []uint64 {
-	if f == Blocked {
-		return rangeScanBlocked(data, lo, hi, base, posMul, buf)
-	}
-	span := hi - lo
-	out := buf[:0]
-	for i, v := range data {
-		if v-lo <= span {
-			out = append(out, (base+uint64(i))*posMul)
-		}
-	}
-	return out
-}
-
-func rangeScanBlocked[T an.Unsigned](data []T, lo, hi T, base, posMul uint64, buf []uint64) []uint64 {
-	span := hi - lo
-	out := buf[:len(data)]
-	n := 0
-	for i, v := range data {
-		out[n] = (base + uint64(i)) * posMul
-		if v-lo <= span {
-			n++
-		}
-	}
-	return out[:n]
-}
-
-// refineBitmapRange clears the bits of a block selection bitmap whose
-// column value falls outside [lo, hi]: bit i of words[w] selects row
-// base+64w+i (see the fused kernels' blockSel). Only set bits touch the
-// column, so refining an already-sparse bitmap stays cheap. Returns the
-// surviving bit count.
-func refineBitmapRange[T an.Unsigned](data []T, lo, hi T, base int, words []uint64) int {
-	span := hi - lo
-	count := 0
-	for w := range words {
-		word := words[w]
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			if data[base+w*64+b]-lo > span {
-				words[w] &^= 1 << uint(b)
-			} else {
-				count++
-			}
-		}
-	}
-	return count
-}
-
-// refineBitmapChecked is refineBitmapRange with Algorithm 1 detection
-// folded in: soften with the inverse, verify the domain bound (logging
-// corruptions at their global row position), then compare decoded.
-func refineBitmapChecked[T an.Unsigned](data []T, code *an.Code, lo, hi uint64, name string, log *ErrorLog, base int, words []uint64) int {
-	inv := T(code.AInv())
-	mask := T(code.CodeMask())
-	dmax := T(code.MaxData())
-	tlo, thi := T(lo), T(hi)
-	if uint64(dmax) < hi {
-		thi = dmax
-	}
-	span := thi - tlo
-	count := 0
-	for w := range words {
-		word := words[w]
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			row := base + w*64 + b
-			d := data[row] * inv & mask
-			if d > dmax {
-				if log != nil {
-					log.Record(name, uint64(row))
-				}
-				words[w] &^= 1 << uint(b)
-				continue
-			}
-			if d-tlo > span {
-				words[w] &^= 1 << uint(b)
-			} else {
-				count++
-			}
-		}
-	}
-	return count
-}
-
-// rangeScanChecked is the continuous-detection scan of Algorithm 1: soften
-// with the inverse, verify the domain bound, then evaluate the predicate
-// on the in-register decoded value. Corruptions are logged at their
-// global position base+i. Like rangeScan, emissions fill buf without
-// allocating.
-func rangeScanChecked[T an.Unsigned](data []T, code *an.Code, lo, hi uint64, colName string, log *ErrorLog, base, posMul uint64, f Flavor, buf []uint64) []uint64 {
-	if lo > code.MaxData() {
-		return buf[:0]
-	}
-	inv := T(code.AInv())
-	mask := T(code.CodeMask())
-	dmax := T(code.MaxData())
-	tlo, thi := T(lo), T(hi)
-	if uint64(dmax) < hi {
-		thi = dmax
-	}
-	span := thi - tlo
-	if f == Blocked {
-		out := buf[:len(data)]
-		n := 0
-		for i, v := range data {
-			d := v * inv & mask
-			if d > dmax {
-				if log != nil {
-					log.Record(colName, base+uint64(i))
-				}
-				continue
-			}
-			out[n] = (base + uint64(i)) * posMul
-			if d-tlo <= span {
-				n++
-			}
-		}
-		return out[:n]
-	}
-	out := buf[:0]
-	for i, v := range data {
-		d := v * inv & mask
-		if d > dmax {
-			if log != nil {
-				log.Record(colName, base+uint64(i))
-			}
-			continue
-		}
-		if d-tlo <= span {
-			out = append(out, (base+uint64(i))*posMul)
-		}
-	}
-	return out
+	return buf
 }

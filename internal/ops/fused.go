@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"ahead/internal/an"
-	"ahead/internal/bitpack"
 	"ahead/internal/hashmap"
 	"ahead/internal/storage"
 )
@@ -43,74 +42,18 @@ import (
 // per stage and merge the stage logs back into row order per block
 // (mergeStageLogs), so the sequence is chunking-independent.
 //
-// Internally the row loop is blocked: each block of fusedBlockRows fact
-// rows runs the width-specialized scan kernels of the materializing
-// Filter column-at-a-time into a pooled position buffer that stays
-// cache-resident, and only the join probe and the aggregation walk rows
-// individually. This keeps the typed tight loops (the entire point of
-// the columnar layout) while never materializing a full-size
-// intermediate.
+// Internally the row loop is blocked - this is the engine's
+// vector-at-a-time processing model (DESIGN.md section 5): each block of
+// fusedBlockRows fact rows runs the predicate scan Filter runs per morsel
+// (fusedPred.scan, pred.go) column-at-a-time into a pooled position
+// buffer that stays cache-resident, and only the join probe (fkProbe,
+// join.go) and the aggregation walk rows individually. This keeps the
+// typed tight loops (the entire point of the columnar layout) while
+// never materializing a full-size intermediate.
 //
 // The ContinuousReencoding variant is deliberately not fused: its
 // defining trait is re-hardening every operator *output*, and fusion
 // removes exactly those outputs (exec.Query.FuseOperators gates it).
-
-// RangePred is an inclusive plain-domain range predicate on one column,
-// the normal form of every SSB comparison (equality is lo == hi).
-type RangePred struct {
-	Col    *storage.Column
-	Lo, Hi uint64
-}
-
-// fusedPred is a RangePred with the per-mode comparison operands
-// precomputed once per kernel invocation instead of once per row.
-type fusedPred struct {
-	col   *storage.Column
-	code  *an.Code
-	lanes *bitpack.Lanes // packed mirror for the block scan, or nil
-	lo    uint64         // comparison base (encoded for raw hardened compare)
-	span  uint64         // hi-lo in the comparison domain
-	inv   uint64
-	mask  uint64
-	dmax  uint64
-	empty bool // statically unsatisfiable range
-}
-
-func makeFusedPred(p RangePred, detect bool, o *Opts) fusedPred {
-	f := fusedPred{col: p.Col, code: p.Col.Code(), lanes: o.packedLanes(p.Col)}
-	lo, hi := p.Lo, p.Hi
-	if lo > hi {
-		f.empty = true
-		return f
-	}
-	switch {
-	case f.code == nil:
-		f.lo, f.span = lo, hi-lo
-	case detect:
-		f.inv, f.mask, f.dmax = f.code.AInv(), f.code.CodeMask(), f.code.MaxData()
-		if lo > f.dmax {
-			f.empty = true
-			return f
-		}
-		if hi > f.dmax {
-			hi = f.dmax
-		}
-		f.lo, f.span = lo, hi-lo
-	default:
-		// Raw code-word comparison: the multiplication's monotony makes
-		// the hardened bounds transfer (Eq. 6), same as filterHardenedRaw.
-		if lo > f.code.MaxData() {
-			f.empty = true
-			return f
-		}
-		if hi > f.code.MaxData() {
-			hi = f.code.MaxData()
-		}
-		f.lo = f.code.Encode(lo)
-		f.span = f.code.Encode(hi) - f.lo
-	}
-	return f
-}
 
 // fusedBlockRows is the unit of the blocked row loop: large enough to
 // amortize per-block bookkeeping, small enough that the position buffer
@@ -134,149 +77,6 @@ const bitmapSelThreshold = fusedBlockRows / 8
 // the probe/aggregate stages); the deepest SSB flight (Q4.x: four joins
 // behind the scan) uses six stages.
 const maxFusedStages = 8
-
-// scanBlock scans fact rows [bs, be) against the predicate, emitting the
-// passing global positions into buf via the same width-specialized
-// kernels the materializing Filter uses (posMul 1: fused positions never
-// materialize, so they stay plain).
-func (f *fusedPred) scanBlock(bs, be int, detect bool, flavor Flavor, log *ErrorLog, buf []uint64) []uint64 {
-	c := f.col
-	base := uint64(bs)
-	lo, hi := f.lo, f.lo+f.span
-	if f.lanes != nil {
-		// Direct-on-compressed block scan (see packed.go): SWAR over the
-		// lane mirror for the raw compare, per-lane Algorithm 1 for
-		// Continuous. Positions and log entries match the wide kernels.
-		if detect {
-			ebuf := borrowU64(be - bs)
-			out, errs := f.lanes.ScanRangeCheckedInto(lo, hi, bs, be, 1, buf[:0], (*ebuf)[:0])
-			if log != nil {
-				for _, e := range errs {
-					log.Record(c.Name(), e)
-				}
-			}
-			*ebuf = errs
-			releaseU64(ebuf)
-			return out
-		}
-		return f.lanes.ScanRangeRawInto(lo, hi, bs, be, 1, buf[:0])
-	}
-	if f.code != nil && detect {
-		switch {
-		case c.U16() != nil:
-			return rangeScanChecked(c.U16()[bs:be], f.code, lo, hi, c.Name(), log, base, 1, flavor, buf)
-		case c.U32() != nil:
-			return rangeScanChecked(c.U32()[bs:be], f.code, lo, hi, c.Name(), log, base, 1, flavor, buf)
-		default:
-			return rangeScanChecked(c.U64()[bs:be], f.code, lo, hi, c.Name(), log, base, 1, flavor, buf)
-		}
-	}
-	// Plain values, or raw code words against hardened bounds (Eq. 6):
-	// either way an unchecked typed range scan.
-	switch {
-	case c.U8() != nil:
-		return rangeScan(c.U8()[bs:be], clamp8(lo), clamp8(hi), base, 1, flavor, buf)
-	case c.U16() != nil:
-		return rangeScan(c.U16()[bs:be], clamp16(lo), clamp16(hi), base, 1, flavor, buf)
-	case c.U32() != nil:
-		return rangeScan(c.U32()[bs:be], clamp32(lo), clamp32(hi), base, 1, flavor, buf)
-	default:
-		return rangeScan(c.U64()[bs:be], lo, hi, base, 1, flavor, buf)
-	}
-}
-
-// refineBlock keeps the positions of pos whose value passes the
-// predicate, compacting in place (the FilterSel of the fused pipeline).
-func (f *fusedPred) refineBlock(detect bool, log *ErrorLog, pos []uint64) []uint64 {
-	c := f.col
-	lo, hi := f.lo, f.lo+f.span
-	if f.code != nil && detect {
-		switch {
-		case c.U16() != nil:
-			return refineChecked(c.U16(), f.code, lo, hi, c.Name(), log, pos)
-		case c.U32() != nil:
-			return refineChecked(c.U32(), f.code, lo, hi, c.Name(), log, pos)
-		default:
-			return refineChecked(c.U64(), f.code, lo, hi, c.Name(), log, pos)
-		}
-	}
-	switch {
-	case c.U8() != nil:
-		return refineRange(c.U8(), clamp8(lo), clamp8(hi), pos)
-	case c.U16() != nil:
-		return refineRange(c.U16(), clamp16(lo), clamp16(hi), pos)
-	case c.U32() != nil:
-		return refineRange(c.U32(), clamp32(lo), clamp32(hi), pos)
-	default:
-		return refineRange(c.U64(), lo, hi, pos)
-	}
-}
-
-func refineRange[T an.Unsigned](data []T, lo, hi T, pos []uint64) []uint64 {
-	span := hi - lo
-	out := pos[:0]
-	for _, p := range pos {
-		if data[p]-lo <= span {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// refineChecked is rangeScanChecked over a position list: soften, verify
-// the domain bound (Algorithm 1), then compare in the plain domain.
-func refineChecked[T an.Unsigned](data []T, code *an.Code, lo, hi uint64, name string, log *ErrorLog, pos []uint64) []uint64 {
-	inv := T(code.AInv())
-	mask := T(code.CodeMask())
-	dmax := T(code.MaxData())
-	tlo, thi := T(lo), T(hi)
-	if uint64(dmax) < hi {
-		thi = dmax
-	}
-	span := thi - tlo
-	out := pos[:0]
-	for _, p := range pos {
-		d := data[p] * inv & mask
-		if d > dmax {
-			if log != nil {
-				log.Record(name, p)
-			}
-			continue
-		}
-		if d-tlo <= span {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// refineBitmapBlock is refineBlock over a bitmap selection: it clears
-// the bits of the rows failing the predicate (bit i of words[w] selects
-// row bs+64w+i) and returns the survivor count.
-func (f *fusedPred) refineBitmapBlock(bs int, detect bool, log *ErrorLog, words []uint64) int {
-	c := f.col
-	lo, hi := f.lo, f.lo+f.span
-	if f.code != nil && detect {
-		switch {
-		case c.U16() != nil:
-			return refineBitmapChecked(c.U16(), f.code, lo, hi, c.Name(), log, bs, words)
-		case c.U32() != nil:
-			return refineBitmapChecked(c.U32(), f.code, lo, hi, c.Name(), log, bs, words)
-		default:
-			return refineBitmapChecked(c.U64(), f.code, lo, hi, c.Name(), log, bs, words)
-		}
-	}
-	switch {
-	case c.U8() != nil:
-		return refineBitmapRange(c.U8(), clamp8(lo), clamp8(hi), bs, words)
-	case c.U16() != nil:
-		return refineBitmapRange(c.U16(), clamp16(lo), clamp16(hi), bs, words)
-	case c.U32() != nil:
-		return refineBitmapRange(c.U32(), clamp32(lo), clamp32(hi), bs, words)
-	default:
-		return refineBitmapRange(c.U64(), lo, hi, bs, words)
-	}
-}
 
 // fillBitmap selects the first n rows of a block bitmap and clears the
 // rest (the no-predicate case: every row enters the join cascade).
@@ -435,6 +235,19 @@ func makeFusedCol(c *storage.Column) fusedCol {
 	return f
 }
 
+// get fetches the value at row softened into the plain domain (a plain
+// column's value as stored). A corrupted code word comes back !valid:
+// for a join key the caller reports it at the probe row (Continuous) or
+// silently drops it (Late), never matches it.
+func (c *fusedCol) get(row int) (d uint64, valid bool) {
+	d = c.col.Get(row)
+	if c.code == nil {
+		return d, true
+	}
+	d = d * c.inv & c.mask
+	return d, d <= c.dmax
+}
+
 // FusedFilterSemiSumProduct runs the whole Q1.x tail in one pass over the
 // fact table: conjunctive range predicates, a semijoin of fk against the
 // build table ht, and the sum of a*b over the surviving rows - with no
@@ -466,13 +279,13 @@ func FusedFilterSemiSumProduct(preds []RangePred, fk *storage.Column, ht *hashma
 	}
 	fps := make([]fusedPred, len(preds))
 	for i, p := range preds {
-		fps[i] = makeFusedPred(p, detect, o)
+		fps[i] = makeFusedPred(p, o)
 		if fps[i].empty {
 			return fusedSumOut(name, 0, a.Code(), detect, log)
 		}
 	}
 	flavor := o.flavor()
-	fkc := makeFusedCol(fk)
+	fkc := makeFKProbe(fk, ht, false)
 	ac, bc := makeFusedCol(a), makeFusedCol(b)
 	var invB uint64
 	if bc.code != nil {
@@ -485,7 +298,7 @@ func FusedFilterSemiSumProduct(preds []RangePred, fk *storage.Column, ht *hashma
 		// Ring addition commutes, so per-morsel partial sums merged in
 		// any order equal the serial sum exactly (Eq. 5).
 		parts, err := runMorsels(p, n, o, log, nil, func(plog *ErrorLog, start, end int) (uint64, error) {
-			return fusedQ1Range(fps, fkc, ht, ac, bc, invB, detect, flavor, plog, start, end), nil
+			return fusedQ1Range(fps, &fkc, ac, bc, invB, detect, flavor, plog, start, end), nil
 		})
 		if err != nil {
 			return nil, err
@@ -494,7 +307,7 @@ func FusedFilterSemiSumProduct(preds []RangePred, fk *storage.Column, ht *hashma
 			sum += s
 		}
 	} else {
-		sum = fusedQ1Range(fps, fkc, ht, ac, bc, invB, detect, flavor, log, 0, n)
+		sum = fusedQ1Range(fps, &fkc, ac, bc, invB, detect, flavor, log, 0, n)
 	}
 	return fusedSumOut(name, sum, a.Code(), detect, log)
 }
@@ -504,7 +317,7 @@ func FusedFilterSemiSumProduct(preds []RangePred, fk *storage.Column, ht *hashma
 // column-at-a-time into a pooled position buffer, the remaining
 // predicates compact it in place, and the survivors probe and
 // accumulate row-at-a-time.
-func fusedQ1Range(preds []fusedPred, fk fusedCol, ht *hashmap.U64, a, b fusedCol, invB uint64, detect bool, flavor Flavor, log *ErrorLog, start, end int) uint64 {
+func fusedQ1Range(preds []fusedPred, fk *fkProbe, a, b fusedCol, invB uint64, detect bool, flavor Flavor, log *ErrorLog, start, end int) uint64 {
 	buf := borrowU64(fusedBlockRows)
 	defer releaseU64(buf)
 	// One pooled log per stage, merged back into row order per block, so
@@ -535,12 +348,12 @@ func fusedQ1Range(preds []fusedPred, fk fusedCol, ht *hashmap.U64, a, b fusedCol
 				pos[i] = uint64(bs + i)
 			}
 		} else {
-			pos = preds[0].scanBlock(bs, be, detect, flavor, stages[0], *buf)
+			pos = preds[0].scan(bs, be, 1, flavor, stages[0], *buf)
 			for pi := 1; pi < len(preds); pi++ {
-				pos = preds[pi].refineBlock(detect, stages[pi], pos)
+				pos = preds[pi].refineList(stages[pi], pos)
 			}
 		}
-		sum += fusedProbeSum(fk, ht, a, b, invB, detect, stages[len(preds)], pos)
+		sum += fusedProbeSum(fk, a, b, invB, detect, stages[len(preds)], pos)
 		if log != nil {
 			mergeStageLogs(log, stages[:nStages])
 		}
@@ -550,26 +363,25 @@ func fusedQ1Range(preds []fusedPred, fk fusedCol, ht *hashmap.U64, a, b fusedCol
 
 // fusedProbeSum runs the semijoin probe and the sum-product accumulation
 // over the surviving positions of one block.
-func fusedProbeSum(fk fusedCol, ht *hashmap.U64, a, b fusedCol, invB uint64, detect bool, log *ErrorLog, pos []uint64) uint64 {
+func fusedProbeSum(fk *fkProbe, a, b fusedCol, invB uint64, detect bool, log *ErrorLog, pos []uint64) uint64 {
 	var sum uint64
+	fkc := fk.fk
 	for _, p := range pos {
 		i := int(p)
-		// Semijoin probe: soften the FK into the build table's plain
-		// key domain; a corrupted FK is reported (Continuous) or
-		// silently dropped (Late), never silently matched.
-		kv := fk.col.Get(i)
-		if fk.code != nil {
-			d := kv * fk.inv & fk.mask
-			if d > fk.dmax {
-				if detect && log != nil {
-					log.Record(fk.col.Name(), p)
-				}
+		kv, valid := fkc.get(i)
+		if !valid {
+			if detect && log != nil {
+				log.Record(fkc.col.Name(), p)
+			}
+			continue
+		}
+		if !fk.member(kv) {
+			continue
+		}
+		if fk.table {
+			if _, hit := fk.ht.Get(kv); !hit {
 				continue
 			}
-			kv = d
-		}
-		if _, ok := ht.Get(kv); !ok {
-			continue
 		}
 		av, bv := a.col.Get(i), b.col.Get(i)
 		switch {
@@ -630,202 +442,6 @@ func fusedSumOut(name string, sum uint64, code *an.Code, detect bool, log *Error
 	return out, nil
 }
 
-// FusedGatherSumGrouped fuses the gather->PreAggregate->SumGrouped tail
-// of the grouped SSB flights: it fetches the measure column at the
-// selected positions and accumulates straight into the per-group sums,
-// never materializing the gathered vector.
-func FusedGatherSumGrouped(col *storage.Column, sel *Sel, gids []uint32, numGroups int, o *Opts) (*Vec, error) {
-	if sel.Len() != len(gids) {
-		return nil, fmt.Errorf("ops: %d selected rows vs %d group ids", sel.Len(), len(gids))
-	}
-	if err := o.ctxErr(); err != nil {
-		return nil, err
-	}
-	detect := o.detect()
-	log := o.log()
-	fc := makeFusedCol(col)
-	out, acc, err := fusedGroupOut("sum("+col.Name()+")", fc.code, numGroups, detect)
-	if err != nil {
-		return nil, err
-	}
-	if p := o.par(sel.Len()); p != nil {
-		parts, err := runMorsels(p, sel.Len(), o, log, dropU64, func(plog *ErrorLog, start, end int) (*[]uint64, error) {
-			part := borrowU64Zeroed(numGroups)
-			if err := fusedGatherSumRange(fc, sel, gids, *part, numGroups, detect, plog, start, end); err != nil {
-				releaseU64(part)
-				return nil, err
-			}
-			return part, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, part := range parts {
-			for g, s := range *part {
-				out.Vals[g] += s
-			}
-			releaseU64(part)
-		}
-	} else if err := fusedGatherSumRange(fc, sel, gids, out.Vals, numGroups, detect, log, 0, sel.Len()); err != nil {
-		return nil, err
-	}
-	fusedGroupCheck(out, acc, detect, log)
-	return out, nil
-}
-
-// fusedGatherSumRange is the morsel kernel of FusedGatherSumGrouped over
-// selection entries [start, end).
-func fusedGatherSumRange(c fusedCol, sel *Sel, gids []uint32, dst []uint64, numGroups int, detect bool, log *ErrorLog, start, end int) error {
-	for i := start; i < end; i++ {
-		pos, ok := sel.At(i, log)
-		if !ok {
-			continue
-		}
-		if pos >= uint64(c.col.Len()) {
-			return fmt.Errorf("ops: position %d beyond column %q (%d rows)", pos, c.col.Name(), c.col.Len())
-		}
-		v := c.col.Get(int(pos))
-		valid := true
-		if c.code != nil {
-			d := v * c.inv & c.mask
-			if d > c.dmax {
-				valid = false
-				if log != nil {
-					if detect {
-						log.Record(c.col.Name(), pos)
-					} else {
-						log.Record(VecLogName(c.col.Name()), uint64(i))
-					}
-				}
-			}
-			if !detect {
-				// LateOnetime accumulates the softened value, corrupt
-				// or not (the Soften semantics of the PreAggregate Δ).
-				v, valid = d, true
-			}
-		}
-		g := gids[i]
-		if g == ^uint32(0) {
-			continue
-		}
-		if int(g) >= numGroups {
-			return fmt.Errorf("ops: group id %d out of range %d", g, numGroups)
-		}
-		if valid {
-			dst[g] += v
-		}
-	}
-	return nil
-}
-
-// FusedGatherSumDiffGrouped is FusedGatherSumGrouped for the Q4.x profit
-// aggregate: per selected row it fetches a and b and accumulates a-b into
-// the row's group. When the columns share one code the raw difference is
-// the code word of the difference (Eq. 5); when adaptive hardening has
-// re-encoded one side under a different A, each b word is rescaled by
-// an.DiffFactor so the accumulator stays a code word under a's code.
-func FusedGatherSumDiffGrouped(a, b *storage.Column, sel *Sel, gids []uint32, numGroups int, o *Opts) (*Vec, error) {
-	if sel.Len() != len(gids) {
-		return nil, fmt.Errorf("ops: %d selected rows vs %d group ids", sel.Len(), len(gids))
-	}
-	if (a.Code() == nil) != (b.Code() == nil) {
-		return nil, fmt.Errorf("ops: fused sum-diff needs both inputs plain or both hardened")
-	}
-	if err := o.ctxErr(); err != nil {
-		return nil, err
-	}
-	detect := o.detect()
-	log := o.log()
-	ac, bc := makeFusedCol(a), makeFusedCol(b)
-	out, acc, err := fusedGroupOut("sum("+a.Name()+"-"+b.Name()+")", ac.code, numGroups, detect)
-	if err != nil {
-		return nil, err
-	}
-	if p := o.par(sel.Len()); p != nil {
-		parts, err := runMorsels(p, sel.Len(), o, log, dropU64, func(plog *ErrorLog, start, end int) (*[]uint64, error) {
-			part := borrowU64Zeroed(numGroups)
-			if err := fusedGatherSumDiffRange(ac, bc, sel, gids, *part, numGroups, detect, plog, start, end); err != nil {
-				releaseU64(part)
-				return nil, err
-			}
-			return part, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, part := range parts {
-			for g, s := range *part {
-				out.Vals[g] += s
-			}
-			releaseU64(part)
-		}
-	} else if err := fusedGatherSumDiffRange(ac, bc, sel, gids, out.Vals, numGroups, detect, log, 0, sel.Len()); err != nil {
-		return nil, err
-	}
-	fusedGroupCheck(out, acc, detect, log)
-	return out, nil
-}
-
-// fusedGatherSumDiffRange is the morsel kernel of
-// FusedGatherSumDiffGrouped over selection entries [start, end). Under
-// Continuous the raw code words accumulate with b rescaled into a's
-// code (an.DiffFactor, 1 when the As agree); LateOnetime decodes both
-// sides in-kernel, so the plain difference needs no renormalization.
-func fusedGatherSumDiffRange(a, b fusedCol, sel *Sel, gids []uint32, dst []uint64, numGroups int, detect bool, log *ErrorLog, start, end int) error {
-	k := uint64(1)
-	if detect {
-		k = an.DiffFactor(a.code, b.code)
-	}
-	for i := start; i < end; i++ {
-		pos, ok := sel.At(i, log)
-		if !ok {
-			continue
-		}
-		if pos >= uint64(a.col.Len()) || pos >= uint64(b.col.Len()) {
-			return fmt.Errorf("ops: position %d beyond columns %q/%q", pos, a.col.Name(), b.col.Name())
-		}
-		av, bv := a.col.Get(int(pos)), b.col.Get(int(pos))
-		valid := true
-		if a.code != nil {
-			da := av * a.inv & a.mask
-			db := bv * b.inv & b.mask
-			okA, okB := da <= a.dmax, db <= b.dmax
-			if log != nil {
-				if !okA {
-					if detect {
-						log.Record(a.col.Name(), pos)
-					} else {
-						log.Record(VecLogName(a.col.Name()), uint64(i))
-					}
-				}
-				if !okB {
-					if detect {
-						log.Record(b.col.Name(), pos)
-					} else {
-						log.Record(VecLogName(b.col.Name()), uint64(i))
-					}
-				}
-			}
-			if detect {
-				valid = okA && okB
-			} else {
-				av, bv = da, db
-			}
-		}
-		g := gids[i]
-		if g == ^uint32(0) {
-			continue
-		}
-		if int(g) >= numGroups {
-			return fmt.Errorf("ops: group id %d out of range %d", g, numGroups)
-		}
-		if valid {
-			dst[g] += av - bv*k
-		}
-	}
-	return nil
-}
-
 // fusedGroupOut allocates the per-group output vector of a fused grouped
 // aggregate: hardened under the widened accumulator code for Continuous,
 // plain otherwise (Late decodes while accumulating).
@@ -863,58 +479,14 @@ type FusedJoin struct {
 	Attr *storage.Column
 }
 
-// maxKeyBitsetBits caps the dense key-membership index: a build table
-// whose largest key is at or beyond this keeps plain hash probes. At
-// 1<<22 bits the index tops out at 512 KiB - roomy for SSB's dense
-// integer surrogates, far too small to matter for pathological keys.
-const maxKeyBitsetBits = 1 << 22
-
-// fusedJoinCol is a FusedJoin with softening constants precomputed, the
-// attribute's group-key slot resolved, and - for dense key domains - a
-// bitset over the build table's key set. The bitset turns the dominant
-// cost of a selective semijoin (a cache-missing hash probe per fact row)
-// into an L1-resident bit test: pure semijoins never touch the table at
-// all, attribute joins only probe for rows the bitset already admitted.
+// fusedJoinCol is a FusedJoin prepared for the block loop: the FK probe
+// (join.go) plus the attribute's softening constants and its group-key
+// slot.
 type fusedJoinCol struct {
-	fk      fusedCol
-	ht      *hashmap.U64
-	keyBits []uint64 // dense membership index over the build keys (nil: probe the table)
-	keyMax  uint64
+	fkProbe
 	attr    fusedCol
 	hasAttr bool
 	attrIdx int
-}
-
-// BuildKeyBits exposes the dense build-key membership index to operator
-// implementations outside the package (the vectorized vat pipeline).
-// It returns the bitset and the largest key, or nil when the key domain
-// exceeds the cap and the hash table must be probed instead.
-func BuildKeyBits(ht *hashmap.U64) ([]uint64, uint64) { return buildKeyBits(ht) }
-
-// buildKeyBits constructs the dense membership bitset for a build table,
-// or nil when any key lies beyond the maxKeyBitsetBits cap.
-func buildKeyBits(ht *hashmap.U64) ([]uint64, uint64) {
-	var max uint64
-	dense := true
-	ht.Range(func(k uint64, _ uint32) bool {
-		if k >= maxKeyBitsetBits {
-			dense = false
-			return false
-		}
-		if k > max {
-			max = k
-		}
-		return true
-	})
-	if !dense {
-		return nil, 0
-	}
-	words := make([]uint64, max>>6+1)
-	ht.Range(func(k uint64, _ uint32) bool {
-		words[k>>6] |= 1 << (k & 63)
-		return true
-	})
-	return words, max
 }
 
 // probeRow probes one fact row: soften the FK into the build table's
@@ -929,28 +501,22 @@ func buildKeyBits(ht *hashmap.U64) ([]uint64, uint64) {
 // (Continuous), or logs into the vec: namespace and keeps the decoded
 // value (Late, the PreAggregate Δ folded into the pass).
 func (j *fusedJoinCol) probeRow(row, rel int, attrBuf []uint16, detect bool, kl *keyedLog) (bool, error) {
-	kv := j.fk.col.Get(row)
-	if j.fk.code != nil {
-		d := kv * j.fk.inv & j.fk.mask
-		if d > j.fk.dmax {
-			if detect {
-				kl.record(j.fk.col.Name(), uint64(row), uint64(row))
-			}
-			return false, nil
+	kv, valid := j.fk.get(row)
+	if !valid {
+		if detect {
+			kl.record(j.fk.col.Name(), uint64(row), uint64(row))
 		}
-		kv = d
-	}
-	if j.keyBits != nil {
-		if kv > j.keyMax || j.keyBits[kv>>6]&(1<<(kv&63)) == 0 {
-			return false, nil
-		}
-		if !j.hasAttr {
-			return true, nil // membership settled, no build position needed
-		}
-	}
-	bp, ok := j.ht.Get(kv)
-	if !ok {
 		return false, nil
+	}
+	if !j.member(kv) {
+		return false, nil
+	}
+	var bp uint32
+	if j.table {
+		var hit bool
+		if bp, hit = j.ht.Get(kv); !hit {
+			return false, nil
+		}
 	}
 	if !j.hasAttr {
 		return true, nil
@@ -1203,7 +769,7 @@ func fusedProbeGroupRange(preds []fusedPred, joins []fusedJoinCol, ma, mb fusedC
 			fillBitmap(words, be-bs)
 			useBitmap, count = true, be-bs
 		} else {
-			sel = preds[0].scanBlock(bs, be, detect, flavor, stageLog(0), *posBuf)
+			sel = preds[0].scan(bs, be, 1, flavor, stageLog(0), *posBuf)
 			stageAt(0).syncKeys()
 			count = len(sel)
 			if count >= bitmapSelThreshold {
@@ -1212,13 +778,13 @@ func fusedProbeGroupRange(preds []fusedPred, joins []fusedJoinCol, ma, mb fusedC
 			}
 			for pi := 1; pi < len(preds); pi++ {
 				if useBitmap {
-					count = preds[pi].refineBitmapBlock(bs, detect, stageLog(pi), words)
+					count = preds[pi].refineBitmap(bs, stageLog(pi), words)
 					if count < bitmapSelThreshold {
 						sel = bitmapToList(words, bs, (*posBuf)[:0])
 						useBitmap = false
 					}
 				} else {
-					sel = preds[pi].refineBlock(detect, stageLog(pi), sel)
+					sel = preds[pi].refineList(stageLog(pi), sel)
 					count = len(sel)
 				}
 				stageAt(pi).syncKeys()
@@ -1319,8 +885,7 @@ func fusedProbeGroup(preds []RangePred, joins []FusedJoin, a, b *storage.Column,
 		if j.FK.Len() != n {
 			return nil, nil, fmt.Errorf("ops: fused probe over unequal column lengths %d/%d", j.FK.Len(), n)
 		}
-		fjs[i] = fusedJoinCol{fk: makeFusedCol(j.FK), ht: j.HT}
-		fjs[i].keyBits, fjs[i].keyMax = buildKeyBits(j.HT)
+		fjs[i] = fusedJoinCol{fkProbe: makeFKProbe(j.FK, j.HT, j.Attr != nil)}
 		if j.Attr != nil {
 			fjs[i].attr = makeFusedCol(j.Attr)
 			fjs[i].hasAttr = true
@@ -1344,7 +909,7 @@ func fusedProbeGroup(preds []RangePred, joins []FusedJoin, a, b *storage.Column,
 
 	fps := make([]fusedPred, len(preds))
 	for i, p := range preds {
-		fps[i] = makeFusedPred(p, detect, o)
+		fps[i] = makeFusedPred(p, o)
 		if fps[i].empty {
 			out, acc, err := fusedGroupOut(name, ac.code, 0, detect)
 			if err != nil {

@@ -214,170 +214,6 @@ func TestFusedQ1SerialVsParallel(t *testing.T) {
 	}
 }
 
-// groupFixture builds a measure pair, selection and group ids for the
-// fused grouped-aggregation kernels.
-type groupFixture struct {
-	rev, cost   *storage.Column
-	revH, costH *storage.Column
-	sel         *Sel
-	selH        *Sel
-	gids        []uint32
-	numGroups   int
-}
-
-func newGroupFixture(t *testing.T, n int) *groupFixture {
-	t.Helper()
-	rev := make([]uint64, n)
-	cost := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		rev[i] = uint64(5000 + (i*17)%1000)
-		cost[i] = uint64((i * 3) % 2000)
-	}
-	f := &groupFixture{numGroups: 7}
-	f.rev = intColumn(t, "lo_revenue", rev)
-	f.cost = intColumn(t, "lo_supplycost", cost)
-	f.revH = harden(t, f.rev, code32)
-	f.costH = harden(t, f.cost, code32)
-	// Select three of every four rows, with group ids cycling over the
-	// groups and an occasional corrupted-key sentinel.
-	f.sel = &Sel{}
-	f.selH = &Sel{Hardened: true}
-	for i := 0; i < n; i++ {
-		if i%4 == 3 {
-			continue
-		}
-		f.sel.Pos = append(f.sel.Pos, uint64(i))
-		f.selH.Pos = append(f.selH.Pos, PosCode.Encode(uint64(i)))
-		g := uint32(i % f.numGroups)
-		if i%97 == 13 {
-			g = ^uint32(0) // corrupted-key row: skipped by aggregation
-		}
-		f.gids = append(f.gids, g)
-	}
-	return f
-}
-
-func TestFusedGatherSumGroupedMatchesMaterialized(t *testing.T) {
-	n := 1200
-	cases := []struct {
-		name   string
-		detect bool
-		late   bool
-		col    func(f *groupFixture) *storage.Column
-		sel    func(f *groupFixture) *Sel
-	}{
-		{"plain", false, false, func(f *groupFixture) *storage.Column { return f.rev }, func(f *groupFixture) *Sel { return f.sel }},
-		{"late", false, true, func(f *groupFixture) *storage.Column { return f.revH }, func(f *groupFixture) *Sel { return f.sel }},
-		{"continuous", true, false, func(f *groupFixture) *storage.Column { return f.revH }, func(f *groupFixture) *Sel { return f.selH }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			f := newGroupFixture(t, n)
-			col, sel := tc.col(f), tc.sel(f)
-			if tc.detect {
-				col.Corrupt(8, 1<<4) // row 8 is selected (8%4 != 3)
-			}
-			wlog, flog := NewErrorLog(), NewErrorLog()
-			wo := &Opts{Detect: tc.detect, HardenIDs: tc.detect, Log: wlog}
-			meas, err := Gather(col, sel, wo)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.late {
-				meas = meas.Soften(true, wlog)
-			}
-			want, err := SumGrouped(meas, f.gids, f.numGroups, wo)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fo := &Opts{Detect: tc.detect, HardenIDs: tc.detect, Log: flog}
-			got, err := FusedGatherSumGrouped(col, sel, f.gids, f.numGroups, fo)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got.Vals, want.Vals) {
-				t.Fatalf("fused %v != materialized %v", got.Vals, want.Vals)
-			}
-			if (got.Code == nil) != (want.Code == nil) {
-				t.Fatalf("code mismatch: fused %v, materialized %v", got.Code, want.Code)
-			}
-			if got.Name != want.Name {
-				t.Fatalf("name mismatch: %q vs %q", got.Name, want.Name)
-			}
-			if tc.detect {
-				wantPos, _ := wlog.Positions(col.Name())
-				gotPos, _ := flog.Positions(col.Name())
-				if len(wantPos) == 0 || !reflect.DeepEqual(gotPos, wantPos) {
-					t.Fatalf("positions: fused %v != materialized %v", gotPos, wantPos)
-				}
-			}
-		})
-	}
-}
-
-func TestFusedGatherSumDiffGroupedMatchesMaterialized(t *testing.T) {
-	f := newGroupFixture(t, 1200)
-	f.revH.Corrupt(16, 1<<3)
-	f.costH.Corrupt(40, 1<<5)
-	wlog, flog := NewErrorLog(), NewErrorLog()
-	wo := &Opts{Detect: true, HardenIDs: true, Log: wlog}
-	rev, err := Gather(f.revH, f.selH, wo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cost, err := Gather(f.costH, f.selH, wo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := SumDiffGrouped(rev, cost, f.gids, f.numGroups, wo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fo := &Opts{Detect: true, HardenIDs: true, Log: flog}
-	got, err := FusedGatherSumDiffGrouped(f.revH, f.costH, f.selH, f.gids, f.numGroups, fo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Vals, want.Vals) {
-		t.Fatalf("fused %v != materialized %v", got.Vals, want.Vals)
-	}
-	if got.Name != want.Name {
-		t.Fatalf("name mismatch: %q vs %q", got.Name, want.Name)
-	}
-	for _, c := range []string{"lo_revenue", "lo_supplycost"} {
-		wantPos, _ := wlog.Positions(c)
-		gotPos, _ := flog.Positions(c)
-		if len(wantPos) == 0 || !reflect.DeepEqual(gotPos, wantPos) {
-			t.Fatalf("%s positions: fused %v != materialized %v", c, gotPos, wantPos)
-		}
-	}
-}
-
-func TestFusedGroupedSerialVsParallel(t *testing.T) {
-	f := newGroupFixture(t, 4000)
-	f.revH.Corrupt(16, 1<<3)
-	slog := NewErrorLog()
-	so := &Opts{Detect: true, HardenIDs: true, Log: slog}
-	serial, err := FusedGatherSumGrouped(f.revH, f.selH, f.gids, f.numGroups, so)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, morsel := range []int{100, 777, 2000} {
-		plog := NewErrorLog()
-		po := &Opts{Detect: true, HardenIDs: true, Log: plog, Par: serialMorsels{workers: 4, morsel: morsel}}
-		par, err := FusedGatherSumGrouped(f.revH, f.selH, f.gids, f.numGroups, po)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(par.Vals, serial.Vals) {
-			t.Fatalf("morsel=%d: parallel %v != serial %v", morsel, par.Vals, serial.Vals)
-		}
-		if !plog.Equal(slog) {
-			t.Fatalf("morsel=%d: parallel log diverges from serial", morsel)
-		}
-	}
-}
-
 func TestFusedEmptyPredicate(t *testing.T) {
 	f := newQ1Fixture(t, 100)
 	rev, err := FusedFilterSemiSumProduct([]RangePred{

@@ -54,20 +54,36 @@ func HashBuild(col *storage.Column, sel *Sel, o *Opts) (*hashmap.U64, error) {
 // set they are verified first, so a flipped FK is reported instead of
 // silently dropping the row.
 func HashProbe(col *storage.Column, ht *hashmap.U64, sel *Sel, o *Opts) (*Sel, []uint32, error) {
+	// No dense index: every survivor needs its build position, and in the
+	// plans the rows probed here have already passed the semijoins.
+	return hashProbe(&fkProbe{fk: makeFusedCol(col), ht: ht, table: true}, sel, o)
+}
+
+// SemiJoin keeps only the probe rows whose FK value is present in the
+// build table, discarding the matched positions - the cheaper form used
+// when the dimension contributes no group attribute (Q1.x date filter).
+// For dense build-key domains the per-row hash probe is replaced by an
+// L1-resident bitset test over the build keys, so the build table itself
+// is never touched on the probe side; sparse domains probe the table.
+func SemiJoin(col *storage.Column, ht *hashmap.U64, sel *Sel, o *Opts) (*Sel, error) {
+	j := makeFKProbe(col, ht, false)
+	out, _, err := hashProbe(&j, sel, o)
+	return out, err
+}
+
+// hashProbe is the shared entry point of HashProbe and SemiJoin.
+func hashProbe(j *fkProbe, sel *Sel, o *Opts) (*Sel, []uint32, error) {
 	if err := o.ctxErr(); err != nil {
 		return nil, nil, err
 	}
-	total := col.Len()
+	total := j.fk.col.Len()
+	out := &Sel{Hardened: o != nil && o.HardenIDs}
 	if sel != nil {
-		total = sel.Len()
-	}
-	hardened := o != nil && o.HardenIDs
-	if sel != nil {
-		hardened = sel.Hardened
+		total, out.Hardened = sel.Len(), sel.Hardened
 	}
 	if p := o.par(total); p != nil {
 		parts, err := runMorsels(p, total, o, o.log(), dropProbePart, func(log *ErrorLog, start, end int) (probePart, error) {
-			return hashProbeRange(col, ht, sel, o, log, start, end)
+			return j.probeRange(sel, o, log, start, end)
 		})
 		if err != nil {
 			return nil, nil, err
@@ -77,205 +93,180 @@ func HashProbe(col *storage.Column, ht *hashmap.U64, sel *Sel, o *Opts) (*Sel, [
 		for m, part := range parts {
 			posParts[m], matchParts[m] = part.pos, part.matches
 		}
-		return &Sel{Pos: concatOwned(posParts), Hardened: hardened}, concatOwnedU32(matchParts), nil
+		out.Pos = concatOwned(posParts)
+		if !j.table {
+			return out, nil, nil
+		}
+		return out, concatOwnedU32(matchParts), nil
 	}
-	part, err := hashProbeRange(col, ht, sel, o, o.log(), 0, total)
+	part, err := j.probeRange(sel, o, o.log(), 0, total)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Sel{Pos: ownU64(part.pos), Hardened: hardened}, ownU32(part.matches), nil
+	out.Pos = ownU64(part.pos)
+	if !j.table {
+		return out, nil, nil
+	}
+	return out, ownU32(part.matches), nil
 }
 
 // probePart is one morsel's probe output: surviving probe-side positions
-// and, aligned with them, matched build-side positions. Both buffers are
-// borrowed from the scratch arena; ownership transfers to HashProbe,
-// which copies them into owned slices (ownU64/concatOwned and the u32
-// twins) before they become query-visible.
+// and - when the probe reads the table - aligned with them, matched
+// build-side positions. Both buffers are borrowed from the scratch
+// arena; ownership transfers to hashProbe, which copies them into owned
+// slices (ownU64/concatOwned and the u32 twins) before they become
+// query-visible.
 type probePart struct {
 	pos     *[]uint64
-	matches *[]uint32
+	matches *[]uint32 // nil when membership came from the dense index
 }
 
 // dropProbePart releases one morsel's borrowed probe output - the drop
-// callback for aborted HashProbe runs.
+// callback for aborted probe runs.
 func dropProbePart(p probePart) {
 	releaseU64(p.pos)
 	releaseU32(p.matches)
 }
 
-// hashProbeRange is the morsel kernel of HashProbe: with sel nil it
-// probes column rows [start, end), otherwise the selection entries with
-// global indices [start, end). The build table is only read, so
-// concurrent morsels share it safely.
-func hashProbeRange(col *storage.Column, ht *hashmap.U64, sel *Sel, o *Opts, log *ErrorLog, start, end int) (probePart, error) {
-	detect := o.detect()
-	code := col.Code()
-	var inv, mask, dmax uint64
-	if code != nil {
-		inv, mask, dmax = code.AInv(), code.CodeMask(), code.MaxData()
-	}
+// maxKeyBitsetBits caps the dense key-membership index: a build table
+// whose largest key is at or beyond this keeps plain hash probes. At
+// 1<<22 bits the index tops out at 512 KiB - roomy for SSB's dense
+// integer surrogates, far too small to matter for pathological keys.
+const maxKeyBitsetBits = 1 << 22
 
+// fkProbe is the package's one FK probe: a foreign-key column with its
+// softening constants precomputed, the build table, and - for dense key
+// domains - a bitset over the build table's key set. The bitset turns
+// the dominant cost of a selective semijoin (a cache-missing hash probe
+// per fact row) into an L1-resident bit test: pure semijoins never touch
+// the table at all, attribute joins only probe for rows the bitset
+// already admitted. SemiJoin and HashProbe, the fused Q1 pass and the
+// fused probe cascade all probe the same way: fk.get softens and
+// verifies the key, then member, then - when table is set - ht.Get. (One
+// lookup method would say that once, but the bit test plus the inlined
+// hashmap.Get exceed the compiler's inlining budget, and the call costs
+// the probe loops 10-20 %.)
+type fkProbe struct {
+	fk      fusedCol
+	ht      *hashmap.U64
+	keyBits []uint64 // dense membership index over the build keys, or nil
+	keyMax  uint64
+	table   bool // read the table: a build position is wanted, or there is no index
+}
+
+// makeFKProbe prepares a probe of col against ht, with the dense
+// membership index when the key domain allows one.
+func makeFKProbe(col *storage.Column, ht *hashmap.U64, wantPos bool) fkProbe {
+	j := fkProbe{fk: makeFusedCol(col), ht: ht}
+	j.keyBits, j.keyMax = buildKeyBits(ht)
+	j.table = wantPos || j.keyBits == nil
+	return j
+}
+
+// buildKeyBits constructs the dense membership bitset for a build table,
+// or nil when any key lies beyond the maxKeyBitsetBits cap.
+func buildKeyBits(ht *hashmap.U64) ([]uint64, uint64) {
+	var max uint64
+	dense := true
+	ht.Range(func(k uint64, _ uint32) bool {
+		if k >= maxKeyBitsetBits {
+			dense = false
+			return false
+		}
+		if k > max {
+			max = k
+		}
+		return true
+	})
+	if !dense {
+		return nil, 0
+	}
+	words := make([]uint64, max>>6+1)
+	ht.Range(func(k uint64, _ uint32) bool {
+		words[k>>6] |= 1 << (k & 63)
+		return true
+	})
+	return words, max
+}
+
+// member reports whether the dense index admits a softened key; without
+// an index every key may be in the table.
+func (j *fkProbe) member(kv uint64) bool {
+	return j.keyBits == nil || (kv <= j.keyMax && j.keyBits[kv>>6]&(1<<(kv&63)) != 0)
+}
+
+// probeRange is the morsel kernel of HashProbe and SemiJoin: with sel nil
+// it probes column rows [start, end), otherwise the selection entries
+// with global indices [start, end). The build table is only read, so
+// concurrent morsels share it safely.
+func (j *fkProbe) probeRange(sel *Sel, o *Opts, log *ErrorLog, start, end int) (probePart, error) {
+	fk := j.fk // a local copy keeps the softening constants out of the loop's loads
+	col := fk.col
+	logFK := o.detect() && log != nil
 	// The borrowed buffers cover end-start emissions (every probe row can
 	// match), so the append paths below never grow them.
-	part := probePart{pos: borrowU64(end - start), matches: borrowU32(end - start)}
-	outPos, outMatch := (*part.pos)[:0], (*part.matches)[:0]
+	part := probePart{pos: borrowU64(end - start)}
+	outPos := (*part.pos)[:0]
+	var outMatch []uint32
+	if j.table {
+		part.matches = borrowU32(end - start)
+		outMatch = (*part.matches)[:0]
+	}
 	if sel == nil {
 		posMul := o.posMul()
 		for i := start; i < end; i++ {
-			v := col.Get(i)
-			if code != nil {
-				d := v * inv & mask
-				if d > dmax {
-					if detect && log != nil {
-						log.Record(col.Name(), uint64(i))
-					}
+			kv, valid := fk.get(i)
+			if !valid {
+				if logFK {
+					log.Record(col.Name(), uint64(i))
+				}
+				continue
+			}
+			if !j.member(kv) {
+				continue
+			}
+			if j.table {
+				bp, hit := j.ht.Get(kv)
+				if !hit {
 					continue
 				}
-				v = d
-			}
-			if bp, ok := ht.Get(v); ok {
-				outPos = append(outPos, uint64(i)*posMul)
 				outMatch = append(outMatch, bp)
 			}
+			outPos = append(outPos, uint64(i)*posMul)
 		}
-		*part.pos, *part.matches = outPos, outMatch
-		return part, nil
-	}
-
-	for i := start; i < end; i++ {
-		pos, ok := sel.At(i, log)
-		if !ok {
-			continue
-		}
-		if pos >= uint64(col.Len()) {
-			releaseU64(part.pos)
-			releaseU32(part.matches)
-			return probePart{}, fmt.Errorf("ops: position %d beyond column %q", pos, col.Name())
-		}
-		v := col.Get(int(pos))
-		if code != nil {
-			d := v * inv & mask
-			if d > dmax {
-				if detect && log != nil {
+	} else {
+		for i := start; i < end; i++ {
+			pos, ok := sel.At(i, log)
+			if !ok {
+				continue
+			}
+			if pos >= uint64(col.Len()) {
+				dropProbePart(part)
+				return probePart{}, fmt.Errorf("ops: position %d beyond column %q", pos, col.Name())
+			}
+			kv, valid := fk.get(int(pos))
+			if !valid {
+				if logFK {
 					log.Record(col.Name(), pos)
 				}
 				continue
 			}
-			v = d
-		}
-		if bp, ok := ht.Get(v); ok {
-			outPos = append(outPos, sel.Pos[i])
-			outMatch = append(outMatch, bp)
-		}
-	}
-	*part.pos, *part.matches = outPos, outMatch
-	return part, nil
-}
-
-// SemiJoin keeps only the probe rows whose FK value is present in the
-// build table, discarding the matched positions - the cheaper form used
-// when the dimension contributes no group attribute (Q1.x date filter).
-// For dense build-key domains the per-row hash probe is replaced by an
-// L1-resident bitset test over the build keys (the same buildKeyBits
-// index the fused cascade uses); sparse domains fall back to HashProbe.
-func SemiJoin(col *storage.Column, ht *hashmap.U64, sel *Sel, o *Opts) (*Sel, error) {
-	if bits, keyMax := buildKeyBits(ht); bits != nil {
-		return semiJoinBits(col, bits, keyMax, sel, o)
-	}
-	out, _, err := HashProbe(col, ht, sel, o)
-	return out, err
-}
-
-// semiJoinBits is the dense-domain SemiJoin: membership is one bit test
-// against the build-key bitset, so the build table itself is never
-// touched on the probe side. Detection semantics match HashProbe - a
-// corrupted FK is reported at the probe row instead of silently
-// dropping it.
-func semiJoinBits(col *storage.Column, bits []uint64, keyMax uint64, sel *Sel, o *Opts) (*Sel, error) {
-	if err := o.ctxErr(); err != nil {
-		return nil, err
-	}
-	total := col.Len()
-	if sel != nil {
-		total = sel.Len()
-	}
-	hardened := o != nil && o.HardenIDs
-	if sel != nil {
-		hardened = sel.Hardened
-	}
-	if p := o.par(total); p != nil {
-		parts, err := runMorsels(p, total, o, o.log(), dropU64, func(log *ErrorLog, start, end int) (*[]uint64, error) {
-			return semiJoinBitsRange(col, bits, keyMax, sel, o, log, start, end)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Sel{Pos: concatOwned(parts), Hardened: hardened}, nil
-	}
-	part, err := semiJoinBitsRange(col, bits, keyMax, sel, o, o.log(), 0, total)
-	if err != nil {
-		return nil, err
-	}
-	return &Sel{Pos: ownU64(part), Hardened: hardened}, nil
-}
-
-// semiJoinBitsRange is the morsel kernel of semiJoinBits: with sel nil
-// it tests column rows [start, end), otherwise the selection entries
-// with global indices [start, end).
-func semiJoinBitsRange(col *storage.Column, bits []uint64, keyMax uint64, sel *Sel, o *Opts, log *ErrorLog, start, end int) (*[]uint64, error) {
-	detect := o.detect()
-	code := col.Code()
-	var inv, mask, dmax uint64
-	if code != nil {
-		inv, mask, dmax = code.AInv(), code.CodeMask(), code.MaxData()
-	}
-	buf := borrowU64(end - start)
-	out := (*buf)[:0]
-	if sel == nil {
-		posMul := o.posMul()
-		for i := start; i < end; i++ {
-			v := col.Get(i)
-			if code != nil {
-				d := v * inv & mask
-				if d > dmax {
-					if detect && log != nil {
-						log.Record(col.Name(), uint64(i))
-					}
+			if !j.member(kv) {
+				continue
+			}
+			if j.table {
+				bp, hit := j.ht.Get(kv)
+				if !hit {
 					continue
 				}
-				v = d
+				outMatch = append(outMatch, bp)
 			}
-			if v <= keyMax && bits[v>>6]&(1<<(v&63)) != 0 {
-				out = append(out, uint64(i)*posMul)
-			}
-		}
-		*buf = out
-		return buf, nil
-	}
-	for i := start; i < end; i++ {
-		pos, ok := sel.At(i, log)
-		if !ok {
-			continue
-		}
-		if pos >= uint64(col.Len()) {
-			releaseU64(buf)
-			return nil, fmt.Errorf("ops: position %d beyond column %q", pos, col.Name())
-		}
-		v := col.Get(int(pos))
-		if code != nil {
-			d := v * inv & mask
-			if d > dmax {
-				if detect && log != nil {
-					log.Record(col.Name(), pos)
-				}
-				continue
-			}
-			v = d
-		}
-		if v <= keyMax && bits[v>>6]&(1<<(v&63)) != 0 {
-			out = append(out, sel.Pos[i])
+			outPos = append(outPos, sel.Pos[i])
 		}
 	}
-	*buf = out
-	return buf, nil
+	*part.pos = outPos
+	if j.table {
+		*part.matches = outMatch
+	}
+	return part, nil
 }

@@ -142,102 +142,19 @@ func TestPackedFilterPooledMatchesSerialLog(t *testing.T) {
 	}
 }
 
-// TestGatherPackedMatchesGather: the packed gather fetches exactly the
-// code words Gather widens, logs the same detections, and round-trips
-// positions through the lane representation.
-func TestGatherPackedMatchesGather(t *testing.T) {
-	h := packedColumn(t, 500)
-	h.Corrupt(42, 1<<2)
-	sel, err := Filter(h, 5, 45, &Opts{NoPacked: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pools := map[string]Parallel{
-		"serial": nil,
-		"pooled": serialMorsels{workers: 4, morsel: 53},
-	}
-	for name, par := range pools {
-		wantLog, gotLog := NewErrorLog(), NewErrorLog()
-		want, err := Gather(h, sel, &Opts{Detect: true, Log: wantLog, Par: par})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := GatherPacked(h, sel, &Opts{Detect: true, Log: gotLog, Par: par})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Len() != want.Len() {
-			t.Fatalf("%s: packed gather %d lanes, wide %d values", name, got.Len(), want.Len())
-		}
-		for i := 0; i < got.Len(); i++ {
-			if got.L.Get(i) != want.Vals[i] {
-				t.Fatalf("%s: lane %d holds %d, wide gather %d", name, i, got.L.Get(i), want.Vals[i])
-			}
-		}
-		if !gotLog.Equal(wantLog) {
-			t.Fatalf("%s: packed gather log %v, wide %v", name, gotLog.Entries(), wantLog.Entries())
-		}
-	}
-	if _, err := GatherPacked(tinyColumn(t, "p", []uint64{1}), sel, nil); err == nil {
-		t.Fatal("GatherPacked on a column without a mirror must error")
-	}
-}
-
-// TestSumPackedMatchesSumTotal: summing straight off the lanes equals the
-// widen-then-sum reference - value, accumulator code, and detection log.
-func TestSumPackedMatchesSumTotal(t *testing.T) {
-	h := packedColumn(t, 400)
-	h.Corrupt(9, 1<<7)
-	sel, err := Filter(h, 0, 49, &Opts{NoPacked: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, detect := range []bool{false, true} {
-		wantLog, gotLog := NewErrorLog(), NewErrorLog()
-		wideVec, err := Gather(h, sel, &Opts{Detect: detect, Log: wantLog})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := SumTotal(wideVec, &Opts{Detect: detect, Log: wantLog})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pv, err := GatherPacked(h, sel, &Opts{Detect: detect, Log: gotLog})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := SumPacked(pv, &Opts{Detect: detect, Log: gotLog, Par: serialMorsels{workers: 2, morsel: 97}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Vals[0] != want.Vals[0] {
-			t.Fatalf("detect=%v: packed sum %d, wide %d", detect, got.Vals[0], want.Vals[0])
-		}
-		if got.Name != want.Name {
-			t.Fatalf("detect=%v: packed sum named %q, wide %q", detect, got.Name, want.Name)
-		}
-		if (got.Code == nil) != (want.Code == nil) || (got.Code != nil && got.Code.A() != want.Code.A()) {
-			t.Fatalf("detect=%v: accumulator codes differ", detect)
-		}
-		if !gotLog.Equal(wantLog) {
-			t.Fatalf("detect=%v: packed pipeline log %v, wide %v", detect, gotLog.Entries(), wantLog.Entries())
-		}
-	}
-}
-
-// TestScratchWidthClassRoundTrip covers the new width classes of the
-// arena: u8, u16 (plain and zeroed) and the dedicated packed-word pool
-// all borrow, fill, release and re-borrow clean, leaving LiveScratch
-// balanced.
+// TestScratchWidthClassRoundTrip covers the narrow width classes of the
+// arena (Δ borrows softened columns from them, the fused grouper its
+// attribute staging): u8 and u16 borrow, fill, release and re-borrow
+// clean, own and concat copy out, and LiveScratch stays balanced.
 func TestScratchWidthClassRoundTrip(t *testing.T) {
 	before := LiveScratch()
 	for _, n := range []int{0, 1, 255, 256, 257, 1 << 12} {
-		p8 := borrowU8(n)
+		p8 := borrow(u8Classes, n)
 		if len(*p8) != 0 || cap(*p8) < n {
-			t.Fatalf("borrowU8(%d): len/cap %d/%d", n, len(*p8), cap(*p8))
+			t.Fatalf("borrow(u8, %d): len/cap %d/%d", n, len(*p8), cap(*p8))
 		}
 		*p8 = append(*p8, 1, 2)
-		releaseU8(p8)
+		release(u8Classes, p8)
 
 		p16 := borrowU16(n)
 		if len(*p16) != 0 || cap(*p16) < n {
@@ -245,42 +162,30 @@ func TestScratchWidthClassRoundTrip(t *testing.T) {
 		}
 		*p16 = append(*p16, 7)
 		releaseU16(p16)
-
-		pw := borrowPacked(n)
-		if len(*pw) != 0 || cap(*pw) < n {
-			t.Fatalf("borrowPacked(%d): len/cap %d/%d", n, len(*pw), cap(*pw))
-		}
-		*pw = append(*pw, ^uint64(0))
-		releasePacked(pw)
 	}
-	// Zeroed u16 borrows must come back clean after a dirty release.
+	// A dirty release must come back zero-length on the next borrow.
 	d := borrowU16(64)
 	*d = (*d)[:64]
 	for i := range *d {
 		(*d)[i] = ^uint16(0)
 	}
 	releaseU16(d)
-	z := borrowU16Zeroed(64)
-	if len(*z) != 64 {
-		t.Fatalf("borrowU16Zeroed: len %d, want 64", len(*z))
+	if z := borrowU16(64); len(*z) != 0 {
+		t.Fatalf("borrowU16 after dirty release: len %d, want 0", len(*z))
+	} else {
+		releaseU16(z)
 	}
-	for i, v := range *z {
-		if v != 0 {
-			t.Fatalf("borrowU16Zeroed: dirty value %d at %d", v, i)
-		}
-	}
-	releaseU16(z)
-	// own/concat across the new widths.
-	a8 := borrowU8(8)
+	// own/concat across the narrow widths.
+	a8 := borrow(u8Classes, 8)
 	*a8 = append(*a8, 5, 6)
-	if got := ownU8(a8); len(got) != 2 || got[1] != 6 {
-		t.Fatalf("ownU8: %v", got)
+	if got := own(u8Classes, a8); len(got) != 2 || got[1] != 6 {
+		t.Fatalf("own(u8): %v", got)
 	}
 	a16, b16 := borrowU16(4), borrowU16(4)
 	*a16 = append(*a16, 1)
 	*b16 = append(*b16, 2, 3)
-	if got := concatOwnedU16([]*[]uint16{a16, b16}); len(got) != 3 || got[2] != 3 {
-		t.Fatalf("concatOwnedU16: %v", got)
+	if got := concat(u16Classes, []*[]uint16{a16, b16}); len(got) != 3 || got[2] != 3 {
+		t.Fatalf("concat(u16): %v", got)
 	}
 	if got := LiveScratch(); got != before {
 		t.Fatalf("width-class round trips leaked: %d live before, %d after", before, got)
@@ -292,7 +197,6 @@ func TestScratchWidthClassRoundTrip(t *testing.T) {
 // release - allocates nothing, on both the Late and Continuous paths.
 func TestPackedKernelZeroAllocs(t *testing.T) {
 	h := packedColumn(t, 4096)
-	l := h.Packed()
 	for _, tc := range []struct {
 		name string
 		o    *Opts
@@ -300,12 +204,12 @@ func TestPackedKernelZeroAllocs(t *testing.T) {
 		{"late", &Opts{}},
 		{"continuous", &Opts{Detect: true}},
 	} {
+		f := makeFusedPred(RangePred{Col: h, Lo: 8, Hi: 40}, tc.o)
+		if f.lanes == nil {
+			t.Fatal("predicate must scan the packed mirror")
+		}
 		run := func() {
-			buf, err := filterPackedRange(h, l, 8, 40, tc.o, nil, 1024, 2048)
-			if err != nil {
-				t.Fatal(err)
-			}
-			releaseU64(buf)
+			releaseU64(f.scanMorsel(tc.o, nil, 1024, 2048))
 		}
 		run() // warm the pool
 		allocs := testing.AllocsPerRun(200, run)
@@ -332,20 +236,5 @@ func TestCancelledPackedScanReleasesScratch(t *testing.T) {
 	}
 	if got := LiveScratch(); got != before {
 		t.Fatalf("scratch leak: %d live buffers before, %d after cancelled packed scan", before, got)
-	}
-
-	// Same invariant for the packed gather's word buffers.
-	sel := &Sel{Pos: make([]uint64, 200)}
-	for i := range sel.Pos {
-		sel.Pos[i] = uint64(i)
-	}
-	ctx, cancel = context.WithCancel(context.Background())
-	par = &cancelAfterPar{morsel: 16, after: 1, cancel: cancel}
-	_, err = GatherPacked(h, sel, &Opts{Par: par, Ctx: ctx, Log: NewErrorLog()})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled packed gather returned %v, want context.Canceled", err)
-	}
-	if got := LiveScratch(); got != before {
-		t.Fatalf("scratch leak: %d live buffers before, %d after cancelled packed gather", before, got)
 	}
 }

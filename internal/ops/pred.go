@@ -1,0 +1,282 @@
+package ops
+
+import (
+	"math/bits"
+
+	"ahead/internal/an"
+	"ahead/internal/bitpack"
+	"ahead/internal/storage"
+)
+
+// RangePred is an inclusive plain-domain range predicate on one column,
+// the normal form of every SSB comparison (equality is lo == hi).
+type RangePred struct {
+	Col    *storage.Column
+	Lo, Hi uint64
+}
+
+// fusedPred is the package's one range-predicate form: a RangePred with
+// the comparison operands normalised once per operator call for the
+// column's representation, evaluated by Filter (scan per morsel),
+// FilterSel (operands only - it walks a selection) and the fused block
+// pipelines (scan, refineList, refineBitmap).
+//
+// Three representations, one rule each:
+//
+//   - plain values: compared as stored; the domain is the storage width.
+//   - hardened, no detection (Late): raw code words against hardened
+//     bounds - the multiplication's monotony transfers the comparison
+//     (Eq. 6); the domain is the code's MaxData.
+//   - hardened with detection (Continuous): every value is softened with
+//     the inverse and bounds-checked first (Algorithm 1, Eq. 12/13), then
+//     compared decoded; the domain is again MaxData.
+//
+// A lower bound beyond the domain selects nothing - clamping it down
+// would select the domain maximum itself, and encoding it would wrap
+// past the comparable code range - and an upper bound beyond it
+// saturates. Narrow hardened columns carrying a packed lane mirror
+// (DESIGN.md section 5g) scan the mirror instead of the wide array: SWAR
+// over encoded bounds for Late, per-lane Algorithm 1 for Continuous,
+// emitting exactly the positions, error-log entries and entry order of
+// the wide kernels, so the choice changes throughput and nothing else.
+type fusedPred struct {
+	col     *storage.Column
+	lanes   *bitpack.Lanes // packed mirror for scan, or nil
+	checked bool           // soften, verify, compare decoded
+	lo      uint64         // comparison base (encoded for the raw compare)
+	span    uint64         // hi-lo in the comparison domain
+	inv     uint64
+	mask    uint64
+	dmax    uint64
+	empty   bool // statically unsatisfiable range
+}
+
+func makeFusedPred(p RangePred, o *Opts) fusedPred {
+	code := p.Col.Code()
+	f := fusedPred{col: p.Col, lanes: o.packedLanes(p.Col), checked: code != nil && o.detect()}
+	lo, hi := p.Lo, p.Hi
+	max := ^uint64(0) >> (64 - 8*uint(p.Col.Width()))
+	if code != nil {
+		max = code.MaxData()
+	}
+	if lo > hi || lo > max {
+		f.empty = true
+		return f
+	}
+	if hi > max {
+		hi = max
+	}
+	switch {
+	case f.checked:
+		f.inv, f.mask, f.dmax = code.AInv(), code.CodeMask(), max
+	case code != nil:
+		lo, hi = code.Encode(lo), code.Encode(hi)
+	}
+	f.lo, f.span = lo, hi-lo
+	return f
+}
+
+// packedLanes returns the packed mirror the scan kernels may read for
+// col, or nil when the column has none, the mirror is stale, or the
+// query opted out.
+func (o *Opts) packedLanes(col *storage.Column) *bitpack.Lanes {
+	if o != nil && o.NoPacked {
+		return nil
+	}
+	l := col.Packed()
+	if l == nil || l.Len() != col.Len() {
+		return nil
+	}
+	return l
+}
+
+// scan emits pos*posMul for every row in [start, end) passing the
+// predicate into buf, whose capacity must cover end-start entries (the
+// scratch arena guarantees it), so no flavor ever allocates. Corruptions
+// the checked forms find are logged at their global row position.
+func (f *fusedPred) scan(start, end int, posMul uint64, flavor Flavor, log *ErrorLog, buf []uint64) []uint64 {
+	c := f.col
+	if f.lanes != nil {
+		if !f.checked {
+			return f.lanes.ScanRangeRawInto(f.lo, f.lo+f.span, start, end, posMul, buf[:0])
+		}
+		// The error slice is scratch too: ScanRangeCheckedInto emits
+		// plain global row indices, re-recorded here in row order - the
+		// entries, in the order, the wide checked scan writes.
+		ebuf := borrowU64(end - start)
+		out, errs := f.lanes.ScanRangeCheckedInto(f.lo, f.lo+f.span, start, end, posMul, buf[:0], (*ebuf)[:0])
+		if log != nil {
+			for _, e := range errs {
+				log.Record(c.Name(), e)
+			}
+		}
+		*ebuf = errs
+		releaseU64(ebuf)
+		return out
+	}
+	switch c.Width() {
+	case 1:
+		return scanTyped(c.U8()[start:end], f, uint64(start), posMul, flavor, log, buf)
+	case 2:
+		return scanTyped(c.U16()[start:end], f, uint64(start), posMul, flavor, log, buf)
+	case 4:
+		return scanTyped(c.U32()[start:end], f, uint64(start), posMul, flavor, log, buf)
+	default:
+		return scanTyped(c.U64()[start:end], f, uint64(start), posMul, flavor, log, buf)
+	}
+}
+
+// refineList keeps the positions of pos whose value passes the
+// predicate, compacting in place (the FilterSel of the fused pipeline).
+func (f *fusedPred) refineList(log *ErrorLog, pos []uint64) []uint64 {
+	c := f.col
+	switch c.Width() {
+	case 1:
+		return refineListTyped(c.U8(), f, log, pos)
+	case 2:
+		return refineListTyped(c.U16(), f, log, pos)
+	case 4:
+		return refineListTyped(c.U32(), f, log, pos)
+	default:
+		return refineListTyped(c.U64(), f, log, pos)
+	}
+}
+
+// refineBitmap is refineList over a bitmap selection: it clears the bits
+// of the rows failing the predicate (bit i of words[w] selects row
+// bs+64w+i, see the fused kernels' block selection) and returns the
+// survivor count. Only set bits touch the column, so refining an
+// already-sparse bitmap stays cheap.
+func (f *fusedPred) refineBitmap(bs int, log *ErrorLog, words []uint64) int {
+	c := f.col
+	switch c.Width() {
+	case 1:
+		return refineBitmapTyped(c.U8(), f, bs, log, words)
+	case 2:
+		return refineBitmapTyped(c.U16(), f, bs, log, words)
+	case 4:
+		return refineBitmapTyped(c.U32(), f, bs, log, words)
+	default:
+		return refineBitmapTyped(c.U64(), f, bs, log, words)
+	}
+}
+
+// scanTyped is the width-specialized scan loop; base is the global row of
+// data[0]. The Blocked flavor uses predicated emission - the append
+// index advances by a comparison result instead of a taken branch -
+// mirroring the compare+movemask structure of the SIMD prototype. The
+// normalised operands fit the storage width, so narrowing them is exact.
+func scanTyped[T an.Unsigned](data []T, f *fusedPred, base, posMul uint64, flavor Flavor, log *ErrorLog, buf []uint64) []uint64 {
+	lo, span := T(f.lo), T(f.span)
+	if !f.checked {
+		if flavor == Blocked {
+			out := buf[:len(data)]
+			n := 0
+			for i, v := range data {
+				out[n] = (base + uint64(i)) * posMul
+				if v-lo <= span {
+					n++
+				}
+			}
+			return out[:n]
+		}
+		out := buf[:0]
+		for i, v := range data {
+			if v-lo <= span {
+				out = append(out, (base+uint64(i))*posMul)
+			}
+		}
+		return out
+	}
+	inv, mask, dmax := T(f.inv), T(f.mask), T(f.dmax)
+	if flavor == Blocked {
+		out := buf[:len(data)]
+		n := 0
+		for i, v := range data {
+			d := v * inv & mask
+			if d > dmax {
+				if log != nil {
+					log.Record(f.col.Name(), base+uint64(i))
+				}
+				continue
+			}
+			out[n] = (base + uint64(i)) * posMul
+			if d-lo <= span {
+				n++
+			}
+		}
+		return out[:n]
+	}
+	out := buf[:0]
+	for i, v := range data {
+		d := v * inv & mask
+		if d > dmax {
+			if log != nil {
+				log.Record(f.col.Name(), base+uint64(i))
+			}
+			continue
+		}
+		if d-lo <= span {
+			out = append(out, (base+uint64(i))*posMul)
+		}
+	}
+	return out
+}
+
+func refineListTyped[T an.Unsigned](data []T, f *fusedPred, log *ErrorLog, pos []uint64) []uint64 {
+	lo, span := T(f.lo), T(f.span)
+	out := pos[:0]
+	if !f.checked {
+		for _, p := range pos {
+			if data[p]-lo <= span {
+				out = append(out, p)
+			}
+		}
+		return out
+	}
+	inv, mask, dmax := T(f.inv), T(f.mask), T(f.dmax)
+	for _, p := range pos {
+		d := data[p] * inv & mask
+		if d > dmax {
+			if log != nil {
+				log.Record(f.col.Name(), p)
+			}
+			continue
+		}
+		if d-lo <= span {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+func refineBitmapTyped[T an.Unsigned](data []T, f *fusedPred, bs int, log *ErrorLog, words []uint64) int {
+	lo, span := T(f.lo), T(f.span)
+	inv, mask, dmax := T(f.inv), T(f.mask), T(f.dmax)
+	count := 0
+	for w := range words {
+		word := words[w]
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &^= 1 << uint(b)
+			row := bs + w*64 + b
+			d := data[row]
+			if f.checked {
+				d = d * inv & mask
+				if d > dmax {
+					if log != nil {
+						log.Record(f.col.Name(), uint64(row))
+					}
+					words[w] &^= 1 << uint(b)
+					continue
+				}
+			}
+			if d-lo > span {
+				words[w] &^= 1 << uint(b)
+			} else {
+				count++
+			}
+		}
+	}
+	return count
+}

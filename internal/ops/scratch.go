@@ -71,19 +71,16 @@ func newScratchClasses[T any]() []*scratchClass[T] {
 }
 
 // The arena is width-typed: one class set per element width, so a
-// kernel borrows at the narrowest width that holds its values and the
-// packed kernels get dedicated word buffers that never mix with the
-// position pools. u8/u16 carry narrow attribute payloads (the fused
-// grouper's per-block attribute staging is u16 - group keys are checked
-// against 1<<16 before staging), u32 carries probe-side positions, u64
-// carries positions/bitmaps/partials, and packed carries raw lane words
-// for the direct-on-compressed kernels.
+// kernel borrows at the narrowest width that holds its values. u8/u16
+// carry narrow attribute payloads (the fused grouper's per-block
+// attribute staging is u16 - group keys are checked against 1<<16 before
+// staging), u32 carries probe-side positions, u64 carries
+// positions/bitmaps/partials.
 var (
-	u8Classes     = newScratchClasses[uint8]()
-	u16Classes    = newScratchClasses[uint16]()
-	u64Classes    = newScratchClasses[uint64]()
-	u32Classes    = newScratchClasses[uint32]()
-	packedClasses = newScratchClasses[uint64]()
+	u8Classes  = newScratchClasses[uint8]()
+	u16Classes = newScratchClasses[uint16]()
+	u64Classes = newScratchClasses[uint64]()
+	u32Classes = newScratchClasses[uint32]()
 )
 
 // liveScratch counts borrowed-but-not-released scratch buffers. Every
@@ -202,49 +199,11 @@ func ownU32(p *[]uint32) []uint32 { return own(u32Classes, p) }
 // concatOwnedU32 merges borrowed per-morsel uint32 buffers in morsel order.
 func concatOwnedU32(parts []*[]uint32) []uint32 { return concat(u32Classes, parts) }
 
-// borrowU8 returns a zero-length uint8 scratch buffer with capacity >= n.
-func borrowU8(n int) *[]uint8 { return borrow(u8Classes, n) }
-
-// releaseU8 returns a borrowed uint8 buffer to its size class.
-func releaseU8(p *[]uint8) { release(u8Classes, p) }
-
-// ownU8 copies a borrowed uint8 buffer into an owned slice and releases
-// the scratch.
-func ownU8(p *[]uint8) []uint8 { return own(u8Classes, p) }
-
-// concatOwnedU8 merges borrowed per-morsel uint8 buffers in morsel order.
-func concatOwnedU8(parts []*[]uint8) []uint8 { return concat(u8Classes, parts) }
-
 // borrowU16 returns a zero-length uint16 scratch buffer with capacity >= n.
 func borrowU16(n int) *[]uint16 { return borrow(u16Classes, n) }
 
-// borrowU16Zeroed returns a zeroed length-n uint16 scratch buffer (the
-// shape of a per-block attribute staging array).
-func borrowU16Zeroed(n int) *[]uint16 {
-	p := borrowU16(n)
-	*p = (*p)[:n]
-	clear(*p)
-	return p
-}
-
 // releaseU16 returns a borrowed uint16 buffer to its size class.
 func releaseU16(p *[]uint16) { release(u16Classes, p) }
-
-// ownU16 copies a borrowed uint16 buffer into an owned slice and releases
-// the scratch.
-func ownU16(p *[]uint16) []uint16 { return own(u16Classes, p) }
-
-// concatOwnedU16 merges borrowed per-morsel uint16 buffers in morsel order.
-func concatOwnedU16(parts []*[]uint16) []uint16 { return concat(u16Classes, parts) }
-
-// borrowPacked returns a zero-length packed-word scratch buffer with
-// capacity >= n words. Packed words live in their own class set: a
-// kernel that repacks per-morsel lane words must never contend with (or
-// hand a word buffer back to) the position pools.
-func borrowPacked(n int) *[]uint64 { return borrow(packedClasses, n) }
-
-// releasePacked returns a borrowed packed-word buffer to its size class.
-func releasePacked(p *[]uint64) { release(packedClasses, p) }
 
 // logPool recycles the per-morsel private error logs of runMorsels.
 var logPool = sync.Pool{New: func() any { return NewErrorLog() }}

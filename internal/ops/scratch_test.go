@@ -104,12 +104,9 @@ func TestMorselKernelZeroAllocs(t *testing.T) {
 	col := tinyColumn(t, "v", vals)
 	o := &Opts{}
 
+	f := makeFusedPred(RangePred{Col: col, Lo: 8, Hi: 40}, o)
 	run := func() {
-		buf, err := filterRange(col, 8, 40, o, nil, 1024, 2048)
-		if err != nil {
-			t.Fatal(err)
-		}
-		releaseU64(buf)
+		releaseU64(f.scanMorsel(o, nil, 1024, 2048))
 	}
 	run() // warm the pool
 	allocs := testing.AllocsPerRun(200, run)
@@ -201,7 +198,7 @@ func TestFusedKernelZeroAllocs(t *testing.T) {
 }
 
 // TestProbeKernelZeroAllocs pins the probe morsel: one warm
-// hashProbeRange pass - borrow both buffers, probe, release - allocates
+// probeRange pass - borrow both buffers, probe, release - allocates
 // nothing, so parallel HashProbe costs no per-morsel garbage.
 func TestProbeKernelZeroAllocs(t *testing.T) {
 	vals := make([]uint64, 4096)
@@ -212,8 +209,9 @@ func TestProbeKernelZeroAllocs(t *testing.T) {
 	ht := buildTestHT(100, 101, 102, 103)
 	o := &Opts{}
 
+	j := &fkProbe{fk: makeFusedCol(col), ht: ht, table: true}
 	run := func() {
-		part, err := hashProbeRange(col, ht, nil, o, nil, 1024, 3072)
+		part, err := j.probeRange(nil, o, nil, 1024, 3072)
 		if err != nil {
 			t.Fatal(err)
 		}

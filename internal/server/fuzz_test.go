@@ -45,7 +45,7 @@ func FuzzServerQueryRequest(f *testing.F) {
 	f.Add([]byte(`{"query":"sum","mode":"UNPROTECTED","deadline_ms":5000}`))
 	f.Add([]byte(`{"adhoc":{"table":"t","agg":"count"}}`))
 	f.Add([]byte(`{"adhoc":{"table":"t","agg":"sum","agg_col":"w","preds":[{"col":"v","lo":1,"hi":9}],"group_by":["v"]}}`))
-	f.Add([]byte(`{"query":"sum","heal":true,"no_fuse":true}`))
+	f.Add([]byte(`{"query":"sum","heal":true}`))
 	f.Add([]byte(`{"query":"sum","mode":"continuos"}`))
 	f.Add([]byte(`{"query":"sum","unknown_field":1}`))
 	f.Add([]byte(`{"query":"sum","deadline_ms":-1}`))

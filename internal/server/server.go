@@ -194,8 +194,6 @@ type QueryRequest struct {
 	// Heal runs under RunWithRecovery: detected base-column corruption
 	// is repaired from the replica and the query retried.
 	Heal bool `json:"heal,omitempty"`
-	// NoFuse disables operator fusion (diagnostics).
-	NoFuse bool `json:"no_fuse,omitempty"`
 }
 
 // RecoveryInfo is the wire form of exec.RecoveryReport.
@@ -470,7 +468,7 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	start := time.Now()
-	part, runErr := s.runPartial(ctx, name, plan, mode, flavor, &req)
+	part, runErr := s.runPartial(ctx, name, plan, mode, flavor)
 	elapsed := time.Since(start)
 	s.metrics.latency.observe(elapsed)
 
@@ -492,8 +490,8 @@ func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
 // runPartial executes the plan with the pre-softening aggregate state
 // captured and hardens it for the wire. The shard's own error log
 // rides along so in-shard detections reach the merged response.
-func (s *Server) runPartial(ctx context.Context, name string, plan exec.QueryFunc, mode exec.Mode, flavor ops.Flavor, req *QueryRequest) (*cluster.Partial, error) {
-	runOpts := []exec.RunOption{exec.WithContext(ctx), exec.WithFusion(!req.NoFuse)}
+func (s *Server) runPartial(ctx context.Context, name string, plan exec.QueryFunc, mode exec.Mode, flavor ops.Flavor) (*cluster.Partial, error) {
+	runOpts := []exec.RunOption{exec.WithContext(ctx)}
 	if s.cfg.Pool != nil {
 		runOpts = append(runOpts, exec.WithPool(s.cfg.Pool))
 	}
@@ -529,7 +527,7 @@ func (s *Server) runPartial(ctx context.Context, name string, plan exec.QueryFun
 // with the per-run error log marshalled per column.
 func (s *Server) run(ctx context.Context, name string, plan exec.QueryFunc, mode exec.Mode, flavor ops.Flavor, req *QueryRequest) (*QueryResponse, error) {
 	resp := &QueryResponse{Query: name, Mode: mode.String(), Flavor: flavor.String()}
-	runOpts := []exec.RunOption{exec.WithContext(ctx), exec.WithFusion(!req.NoFuse)}
+	runOpts := []exec.RunOption{exec.WithContext(ctx)}
 	if s.cfg.Pool != nil {
 		runOpts = append(runOpts, exec.WithPool(s.cfg.Pool))
 	}

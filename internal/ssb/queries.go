@@ -205,8 +205,8 @@ func gatherFact(q *exec.Query, col string, sel *ops.Sel) (*ops.Vec, error) {
 // q1Flight is the shared shape of the three Q1.x flights: lineorder local
 // filters, a date semijoin, and the discounted-revenue scalar aggregate.
 // All modes except ContinuousReencoding take the fused single-pass tail;
-// q1FlightMaterialized keeps the operator-at-a-time pipeline (and serves
-// as the benchmark baseline fusion is measured against).
+// q1Tail is the operator-at-a-time pipeline (exec.WithFusion(false) runs
+// it under every mode - the baseline fusion is measured against).
 func q1Flight(q *exec.Query, datePreds []pred, discLo, discHi, qtyLo, qtyHi uint64) (*ops.Result, error) {
 	dateHT, err := buildDim(q, "date", "d_datekey", datePreds)
 	if err != nil {
@@ -237,17 +237,6 @@ func q1Flight(q *exec.Query, datePreds []pred, discLo, discHi, qtyLo, qtyHi uint
 			return nil, err
 		}
 		return q.FinishScalar(rev)
-	}
-	return q1Tail(q, dateHT, discLo, discHi, qtyLo, qtyHi)
-}
-
-// q1FlightMaterialized is the operator-at-a-time Q1.x pipeline: every
-// intermediate (selection vectors, gathered measure vectors) is
-// materialized between operators.
-func q1FlightMaterialized(q *exec.Query, datePreds []pred, discLo, discHi, qtyLo, qtyHi uint64) (*ops.Result, error) {
-	dateHT, err := buildDim(q, "date", "d_datekey", datePreds)
-	if err != nil {
-		return nil, err
 	}
 	return q1Tail(q, dateHT, discLo, discHi, qtyLo, qtyHi)
 }
@@ -306,26 +295,6 @@ func Q13(q *exec.Query) (*ops.Result, error) {
 	}, 5, 7, 26, 35)
 }
 
-// Q11Materialized is Q1.1 forced through the operator-at-a-time pipeline
-// regardless of mode - the baseline the fused-kernel benchmarks compare
-// against.
-func Q11Materialized(q *exec.Query) (*ops.Result, error) {
-	return q1FlightMaterialized(q, []pred{{col: "d_year", lo: 1993, hi: 1993}}, 1, 3, 0, 24)
-}
-
-// Q12Materialized is the materializing Q1.2.
-func Q12Materialized(q *exec.Query) (*ops.Result, error) {
-	return q1FlightMaterialized(q, []pred{{col: "d_yearmonthnum", lo: 199401, hi: 199401}}, 4, 6, 26, 35)
-}
-
-// Q13Materialized is the materializing Q1.3.
-func Q13Materialized(q *exec.Query) (*ops.Result, error) {
-	return q1FlightMaterialized(q, []pred{
-		{col: "d_weeknuminyear", lo: 6, hi: 6},
-		{col: "d_year", lo: 1994, hi: 1994},
-	}, 5, 7, 26, 35)
-}
-
 // groupSpec names one group attribute gathered through a dimension join.
 type groupSpec struct {
 	fkCol    string
@@ -379,12 +348,18 @@ func starGroupByFused(q *exec.Query, joins []groupSpec, measure, measureB string
 
 // starGroupBy runs the shared tail of the grouped flights: semijoin the
 // fact table against every dimension (sel nil means the whole fact
-// table), gather the group attributes and the measure, group and sum.
-// Without a precomputed fact selection the whole tail collapses into the
-// fused probe cascade (all modes except ContinuousReencoding).
-func starGroupBy(q *exec.Query, sel *ops.Sel, joins []groupSpec, measure string) (*ops.Result, error) {
+// table), gather the group attributes and the measure, group and sum -
+// measureB empty selects the plain sum, otherwise the Q4.x profit
+// difference measure-measureB. Without a precomputed fact selection the
+// whole tail collapses into the fused probe cascade (all modes except
+// ContinuousReencoding). A tail entered with a selection always
+// materializes: once a detected corruption makes gatherDim drop an
+// entry, only the materializing gather keeps keys, group ids and
+// measures aligned with sel - a corrupted position contributes zero and
+// a log record instead of skewing its neighbours' groups.
+func starGroupBy(q *exec.Query, sel *ops.Sel, joins []groupSpec, measure, measureB string) (*ops.Result, error) {
 	if sel == nil && q.FuseOperators() {
-		return starGroupByFused(q, joins, measure, "")
+		return starGroupByFused(q, joins, measure, measureB)
 	}
 	var err error
 	for _, j := range joins {
@@ -412,73 +387,21 @@ func starGroupBy(q *exec.Query, sel *ops.Sel, joins []groupSpec, measure string)
 	if err != nil {
 		return nil, err
 	}
-	// Always materialize from here: this tail only runs when a prior
-	// selection exists (the sel == nil fused case returned above), and
-	// the fused grouped-sum kernels index gids by selection position -
-	// a contract the gather cascade cannot uphold once a detected
-	// corruption makes gatherDim drop an entry, shrinking keys (and
-	// with them gids) out of alignment with sel. The materializing
-	// gather keeps alignment by construction: a corrupted position
-	// contributes zero and a log record instead of skewing its
-	// neighbours' groups.
 	meas, err := gatherFact(q, measure, sel)
 	if err != nil {
 		return nil, err
 	}
 	meas = q.PreAggregate(meas)
-	sums, err := ops.SumGrouped(meas, gids, len(groups), q.Opts())
-	if err != nil {
-		return nil, err
-	}
-	return q.Finish(groups, sums)
-}
-
-// starGroupByProfit is starGroupBy with the Q4.x revenue-supplycost
-// aggregate.
-func starGroupByProfit(q *exec.Query, sel *ops.Sel, joins []groupSpec) (*ops.Result, error) {
-	if sel == nil && q.FuseOperators() {
-		return starGroupByFused(q, joins, "lo_revenue", "lo_supplycost")
-	}
-	var err error
-	for _, j := range joins {
-		fk, err := q.Col("lineorder", j.fkCol)
-		if err != nil {
-			return nil, err
+	var sums *ops.Vec
+	if measureB == "" {
+		sums, err = ops.SumGrouped(meas, gids, len(groups), q.Opts())
+	} else {
+		measB, errB := gatherFact(q, measureB, sel)
+		if errB != nil {
+			return nil, errB
 		}
-		sel, err = ops.SemiJoin(fk, j.ht, sel, q.Opts())
-		if err != nil {
-			return nil, err
-		}
+		sums, err = ops.SumDiffGrouped(meas, q.PreAggregate(measB), gids, len(groups), q.Opts())
 	}
-	keys := make([]*ops.Vec, 0, len(joins))
-	for _, j := range joins {
-		if j.attr == "" {
-			continue
-		}
-		vec, err := gatherDim(q, sel, "lineorder", j.fkCol, j.ht, j.dimTable, j.attr)
-		if err != nil {
-			return nil, err
-		}
-		keys = append(keys, q.PreAggregate(vec))
-	}
-	gids, groups, err := ops.GroupBy(keys, q.Opts())
-	if err != nil {
-		return nil, err
-	}
-	// Same materializing-only tail as starGroupBy: with a prior
-	// selection, the fused diff kernel's gids-by-selection-index
-	// contract breaks under detected corruption.
-	rev, err := gatherFact(q, "lo_revenue", sel)
-	if err != nil {
-		return nil, err
-	}
-	cost, err := gatherFact(q, "lo_supplycost", sel)
-	if err != nil {
-		return nil, err
-	}
-	rev = q.PreAggregate(rev)
-	cost = q.PreAggregate(cost)
-	sums, err := ops.SumDiffGrouped(rev, cost, gids, len(groups), q.Opts())
 	if err != nil {
 		return nil, err
 	}
@@ -512,7 +435,7 @@ func q2Flight(q *exec.Query, partPred pred, sRegion string) (*ops.Result, error)
 		{fkCol: "lo_partkey", ht: partHT, dimTable: "part", attr: "p_brand1"},
 		{fkCol: "lo_suppkey", ht: suppHT},
 		{fkCol: "lo_orderdate", ht: dateHT, dimTable: "date", attr: "d_year"},
-	}, "lo_revenue")
+	}, "lo_revenue", "")
 }
 
 // Q21 is SSB Q2.1: category MFGR#12, suppliers in AMERICA.
@@ -562,7 +485,7 @@ func q3Flight(q *exec.Query, custSel, suppSel *ops.Sel, datePreds []pred, custAt
 		{fkCol: "lo_custkey", ht: custHT, dimTable: "customer", attr: custAttr},
 		{fkCol: "lo_suppkey", ht: suppHT, dimTable: "supplier", attr: suppAttr},
 		{fkCol: "lo_orderdate", ht: dateHT, dimTable: "date", attr: "d_year"},
-	}, "lo_revenue")
+	}, "lo_revenue", "")
 }
 
 // Q31 is SSB Q3.1: ASIA-to-ASIA trade by nation pair and year, 1992-1997.
@@ -677,12 +600,12 @@ func Q41(q *exec.Query) (*ops.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return starGroupByProfit(q, nil, []groupSpec{
+	return starGroupBy(q, nil, []groupSpec{
 		{fkCol: "lo_custkey", ht: custHT, dimTable: "customer", attr: "c_nation"},
 		{fkCol: "lo_suppkey", ht: suppHT},
 		{fkCol: "lo_partkey", ht: partHT},
 		{fkCol: "lo_orderdate", ht: dateHT, dimTable: "date", attr: "d_year"},
-	})
+	}, "lo_revenue", "lo_supplycost")
 }
 
 // Q42 is SSB Q4.2: 1997-1998 profit by year, supplier nation and part
@@ -716,12 +639,12 @@ func Q42(q *exec.Query) (*ops.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return starGroupByProfit(q, nil, []groupSpec{
+	return starGroupBy(q, nil, []groupSpec{
 		{fkCol: "lo_custkey", ht: custHT},
 		{fkCol: "lo_suppkey", ht: suppHT, dimTable: "supplier", attr: "s_nation"},
 		{fkCol: "lo_partkey", ht: partHT, dimTable: "part", attr: "p_category"},
 		{fkCol: "lo_orderdate", ht: dateHT, dimTable: "date", attr: "d_year"},
-	})
+	}, "lo_revenue", "lo_supplycost")
 }
 
 // Q43 is SSB Q4.3: 1997-1998 United States suppliers in category MFGR#14,
@@ -755,10 +678,10 @@ func Q43(q *exec.Query) (*ops.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return starGroupByProfit(q, nil, []groupSpec{
+	return starGroupBy(q, nil, []groupSpec{
 		{fkCol: "lo_custkey", ht: custHT},
 		{fkCol: "lo_suppkey", ht: suppHT, dimTable: "supplier", attr: "s_city"},
 		{fkCol: "lo_partkey", ht: partHT, dimTable: "part", attr: "p_brand1"},
 		{fkCol: "lo_orderdate", ht: dateHT, dimTable: "date", attr: "d_year"},
-	})
+	}, "lo_revenue", "lo_supplycost")
 }

@@ -24,7 +24,7 @@ func selThenGroupBy(q *exec.Query) (*ops.Result, error) {
 	}
 	return starGroupBy(q, sel, []groupSpec{
 		{fkCol: "lo_orderdate", ht: dateHT, dimTable: "date", attr: "d_year"},
-	}, "lo_revenue")
+	}, "lo_revenue", "")
 }
 
 // selThenGroupByProfit is the same shape over the Q4.x profit tail.
@@ -37,9 +37,9 @@ func selThenGroupByProfit(q *exec.Query) (*ops.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return starGroupByProfit(q, sel, []groupSpec{
+	return starGroupBy(q, sel, []groupSpec{
 		{fkCol: "lo_orderdate", ht: dateHT, dimTable: "date", attr: "d_year"},
-	})
+	}, "lo_revenue", "lo_supplycost")
 }
 
 // TestSelectionThenGroupBy runs both selection-then-group-by shapes
