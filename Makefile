@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint reachable bench-smoke bench-compare serve-smoke cluster-smoke adapt-soak clean
+.PHONY: all build test race lint reachable bench-smoke bench-compare bench-pairs serve-smoke cluster-smoke adapt-soak clean
 
 all: build test
 
@@ -49,6 +49,16 @@ bench-smoke:
 bench-compare:
 	bash benchmark/collect.sh benchmark/out/ci-set.json 3
 	bash benchmark/run.sh -compare benchmark/results/seed-a.json benchmark/out/ci-set.json
+
+# The sign test behind any "better" or "leans the wrong way" claim:
+# N alternating parent/change pairs of the repo's benchmark against
+# revision REV (scripts/bench_pairs.sh: per metric each side's median and
+# quartiles, the ratio and the pairs won). WORKLOADS narrows the set,
+# TRACE=1 runs the traced pass for the per-layer rows.
+REV ?= HEAD
+N ?= 10
+bench-pairs:
+	bash scripts/bench_pairs.sh $(REV) $(N) $(WORKLOADS)
 
 # The serving layer's acceptance gate: boot ahead-serve at SF 0.01
 # with fault injection, drive it with ahead-loadgen, check /metrics

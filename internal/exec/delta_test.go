@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -154,6 +155,114 @@ func TestEarlyDeltaIsPerQuery(t *testing.T) {
 		}
 		if !pooled.Equal(serial) {
 			t.Fatalf("%v: pooled Early log %v, serial %v", fl, pooled.Entries(), serial.Entries())
+		}
+	}
+}
+
+// TestRunReleasesLeasedOutputsOnEveryExit is the same contract for the
+// other query-lifetime borrow: the position and value vectors the
+// materializing operators hand a plan stay in the arena while the plan
+// runs and are back when Run returns - completed, failed, panicked,
+// cancelled between or inside operators - for every replica of every
+// mode, while the Result and a Capture stay valid afterwards.
+func TestRunReleasesLeasedOutputsOnEveryExit(t *testing.T) {
+	db, err := NewDB(testTables(t), storage.LargestCodeChooser)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := NewPoolMorsel(4, 8) // 100 rows: 13 morsels per operator
+	defer pool.Close()
+	before := ops.LiveScratch()
+	balanced := func(what string) {
+		t.Helper()
+		if got := ops.LiveScratch(); got != before {
+			t.Fatalf("%s: %d live scratch buffers before, %d after", what, before, got)
+		}
+	}
+	want, _, err := Run(db, Unprotected, ops.Scalar, sumPlan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	balanced("reference run")
+
+	// filterThen runs the first operator of sumPlan, then next.
+	filterThen := func(next func(q *Query) (*ops.Result, error)) QueryFunc {
+		return func(q *Query) (*ops.Result, error) {
+			if _, err := ops.Filter(q.MustCol("t", "v"), 10, 19, q.Opts()); err != nil {
+				return nil, err
+			}
+			return next(q)
+		}
+	}
+	boom := errors.New("plan failed")
+	for _, mode := range []Mode{Unprotected, DMR, TMR, LateOnetime, Continuous, ContinuousReencoding} {
+		for _, opts := range [][]RunOption{nil, {WithPool(pool)}} {
+			id := mode.String()
+			if opts != nil {
+				id += "/pooled"
+			}
+			var held atomic.Int64
+			var capt Capture
+			got, _, err := Run(db, mode, ops.Blocked, filterThen(func(q *Query) (*ops.Result, error) {
+				held.Store(ops.LiveScratch() - before)
+				return sumPlan(q)
+			}), append(opts, WithCapture(&capt))...)
+			if err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			if held.Load() < 1 {
+				t.Fatalf("%s: the selection a plan holds kept %d arena buffers, want at least 1", id, held.Load())
+			}
+			balanced(id + ": completed run")
+			// The arena is reused by the next run; what the first returned
+			// must not change under it.
+			if _, _, err := Run(db, mode, ops.Blocked, sumPlan, opts...); err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("%s: result %v changed after its run, want %v", id, got.Aggs, want.Aggs)
+			}
+			if r, err := ops.ScalarResult(capt.Aggs, false, nil); err != nil || !r.Equal(want) {
+				t.Fatalf("%s: captured aggregate %v (%v) after the run, want %v", id, capt.Aggs, err, want.Aggs)
+			}
+
+			if _, _, err := Run(db, mode, ops.Blocked, filterThen(func(*Query) (*ops.Result, error) { return nil, boom }), opts...); !errors.Is(err, boom) {
+				t.Fatalf("%s: plan error lost: %v", id, err)
+			}
+			balanced(id + ": plan error after an operator")
+
+			if opts == nil { // a panicking pool job would take the process down: serial only
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("%s: MustCol on a missing column must panic", id)
+						}
+					}()
+					_, _, _ = Run(db, mode, ops.Blocked, filterThen(func(q *Query) (*ops.Result, error) {
+						q.MustCol("t", "missing")
+						return nil, nil
+					}))
+				}()
+				balanced(id + ": plan panic after an operator")
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			if _, _, err := Run(db, mode, ops.Blocked, filterThen(func(q *Query) (*ops.Result, error) {
+				cancel()
+				return sumPlan(q)
+			}), append(opts, WithContext(ctx))...); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: cancelled between two operators: %v", id, err)
+			}
+			balanced(id + ": cancelled between two operators")
+
+			// Every Err call from the third to the thirtieth: inside the
+			// first Filter's morsels, between operators, inside Gather.
+			for n := int64(2); n < 30; n++ {
+				if _, _, err := Run(db, mode, ops.Blocked, sumPlan, append(opts, WithContext(newCountdownCtx(n)))...); err != nil && !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s: cancelled at check %d: %v", id, n, err)
+				}
+				balanced(fmt.Sprintf("%s: cancelled at context check %d", id, n))
+			}
 		}
 	}
 }

@@ -24,6 +24,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -561,9 +562,7 @@ func Run(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc, opts ...RunOption) (
 		replicas = 3
 	}
 	if replicas == 1 {
-		q := cfg.newQuery(db, m, flavor, log, 0)
-		defer q.releaseDeltas()
-		r, err := plan(q)
+		r, err := cfg.newQuery(db, m, flavor, log, 0).run(plan)
 		return r, log, err
 	}
 	results := make([]*ops.Result, replicas)
@@ -573,7 +572,7 @@ func Run(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc, opts ...RunOption) (
 		}
 	} else {
 		for i := range results {
-			r, err := plan(cfg.newQuery(db, m, flavor, log, i))
+			r, err := cfg.newQuery(db, m, flavor, log, i).run(plan)
 			if err != nil {
 				return nil, log, err
 			}
@@ -614,7 +613,7 @@ func runReplicated(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc, log *ops.E
 		i := i
 		jobs[i] = func() {
 			logs[i] = ops.NewErrorLog()
-			results[i], errs[i] = plan(cfg.newQuery(db, m, flavor, logs[i], i))
+			results[i], errs[i] = cfg.newQuery(db, m, flavor, logs[i], i).run(plan)
 		}
 	}
 	cfg.pool.Jobs(jobs...)
@@ -651,10 +650,13 @@ type Query struct {
 	replicaIdx int // 0 = primary, 1/2 = DMR/TMR replicas
 	// deltaCache holds the Δ-softened columns of an Early run, one per
 	// touched base column, and deltaRelease the arena borrows behind
-	// them. Both live exactly as long as the run (Run releases on every
-	// exit) and are never shared across queries.
+	// them; lease holds the position, value and match vectors the
+	// materializing operators handed the plan. All live exactly as long
+	// as the run (run releases on every exit) and are never shared
+	// across queries.
 	deltaCache   map[string]*storage.Column
 	deltaRelease []func()
+	lease        ops.Lease
 
 	pool     *Pool
 	noFuse   bool
@@ -696,6 +698,7 @@ func (q *Query) Opts() *ops.Opts {
 	if q.pool != nil {
 		o.Par = q.pool
 	}
+	o.KeepIn(&q.lease)
 	return o
 }
 
@@ -760,13 +763,22 @@ func (q *Query) col(table, column string) (*storage.Column, error) {
 	}
 }
 
-// releaseDeltas returns the Δ buffers of an Early run to the arena. The
-// columns handed out by Col are dead afterwards.
-func (q *Query) releaseDeltas() {
+// run executes the plan and, on every exit - result, plan error, panic,
+// cancellation - returns what the query borrowed from the arena: the Δ
+// buffers of an Early run and the operator outputs kept in the lease.
+// The columns handed out by Col and every Sel and Vec the operators
+// returned are dead afterwards; the Result is an owned copy.
+func (q *Query) run(plan QueryFunc) (*ops.Result, error) {
+	defer q.release()
+	return plan(q)
+}
+
+func (q *Query) release() {
 	for _, release := range q.deltaRelease {
 		release()
 	}
 	q.deltaRelease, q.deltaCache = nil, nil
+	q.lease.Release()
 }
 
 // MustCol is Col but panics on schema errors (plans have static schemas).
@@ -824,16 +836,22 @@ func (q *Query) Reencode(v *ops.Vec) (*ops.Vec, error) {
 // vector, index-aligned, before NewResult sorts its own copy.
 func (q *Query) Finish(groups [][]uint64, aggs *ops.Vec) (*ops.Result, error) {
 	if q.capture != nil && q.replicaIdx == 0 {
-		q.capture.Groups, q.capture.Aggs = groups, aggs
+		q.capture.Groups, q.capture.Aggs = groups, ownedVec(aggs)
 	}
 	detect := q.mode == Continuous || q.mode == ContinuousReencoding || q.mode == LateOnetime
 	return ops.NewResult(groups, aggs, detect, q.log)
 }
 
+// ownedVec copies a vector that outlives the run: a plan may finish with
+// one the lease owns.
+func ownedVec(v *ops.Vec) *ops.Vec {
+	return &ops.Vec{Name: v.Name, Vals: slices.Clone(v.Vals), Code: v.Code}
+}
+
 // FinishScalar is Finish for single-value results.
 func (q *Query) FinishScalar(agg *ops.Vec) (*ops.Result, error) {
 	if q.capture != nil && q.replicaIdx == 0 {
-		q.capture.Groups, q.capture.Aggs = [][]uint64{{}}, agg
+		q.capture.Groups, q.capture.Aggs = [][]uint64{{}}, ownedVec(agg)
 	}
 	detect := q.mode == Continuous || q.mode == ContinuousReencoding || q.mode == LateOnetime
 	return ops.ScalarResult(agg, detect, q.log)

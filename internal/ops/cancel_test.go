@@ -3,6 +3,7 @@ package ops
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -84,18 +85,55 @@ func TestCancelledRunReleasesScratch(t *testing.T) {
 }
 
 // TestCancelledProbeReleasesScratch exercises the two-buffer drop path
-// of HashProbe (positions + matches per morsel).
+// of HashProbe (positions + matches per morsel), without and with a
+// query's lease: a cancelled probe leaves nothing behind - not in the
+// arena, not in the lease - while what completed probes handed out stays
+// borrowed until the lease is released.
 func TestCancelledProbeReleasesScratch(t *testing.T) {
 	col, ht := semiJoinFixture(t, 200, 100)
 	before := LiveScratch()
-	ctx, cancel := context.WithCancel(context.Background())
-	par := &cancelAfterPar{morsel: 16, after: 1, cancel: cancel}
-	_, _, err := HashProbe(col, ht, nil, &Opts{Par: par, Ctx: ctx, Log: NewErrorLog()})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled probe returned %v, want context.Canceled", err)
+	cancelled := func(lease *Lease) {
+		t.Helper()
+		ctx, cancel := context.WithCancel(context.Background())
+		o := &Opts{Par: &cancelAfterPar{morsel: 16, after: 1, cancel: cancel}, Ctx: ctx, Log: NewErrorLog()}
+		if lease != nil {
+			o.KeepIn(lease)
+		}
+		held := LiveScratch()
+		if _, _, err := HashProbe(col, ht, nil, o); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled probe returned %v, want context.Canceled", err)
+		}
+		if got := LiveScratch(); got != held {
+			t.Fatalf("scratch leak: %d live buffers before, %d after cancelled run", held, got)
+		}
 	}
+	cancelled(nil)
+
+	var lease Lease
+	for _, par := range []Parallel{nil, serialMorsels{workers: 4, morsel: 16}} {
+		o := &Opts{Par: par}
+		o.KeepIn(&lease)
+		held := LiveScratch()
+		sel, matches, err := HashProbe(col, ht, nil, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := LiveScratch(); got != held+2 {
+			t.Fatalf("a leased probe output holds %d arena buffers, want 2 (positions, matches)", got-held)
+		}
+		want, wantMatches, err := HashProbe(col, ht, nil, &Opts{Par: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(sel.Pos, want.Pos) || !reflect.DeepEqual(matches, wantMatches) {
+			t.Fatal("leased probe output differs from the owned one")
+		}
+	}
+	cancelled(&lease)
+	lease.Release()
+	lease.Release() // idempotent
 	if got := LiveScratch(); got != before {
-		t.Fatalf("scratch leak: %d live buffers before, %d after cancelled run", before, got)
+		t.Fatalf("scratch leak: %d live buffers before, %d after the lease was released", before, got)
 	}
 }
 

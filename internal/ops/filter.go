@@ -45,6 +45,10 @@ type Opts struct {
 	// adaptive-hardening controller; intermediate vectors are ignored by
 	// the receiver, so operators call it unconditionally.
 	Access func(column string, rows int)
+
+	// lease, when non-nil, keeps operator outputs in the arena for the
+	// query's lifetime (KeepIn, scratch.go).
+	lease *Lease
 }
 
 // access reports an operator touching rows of a named column to the
@@ -114,10 +118,10 @@ func Filter(col *storage.Column, lo, hi uint64, o *Opts) (*Sel, error) {
 		if err != nil {
 			return nil, err
 		}
-		out.Pos = concatOwned(parts)
+		out.Pos = o.outU64(parts...)
 		return out, nil
 	}
-	out.Pos = ownU64(f.scanMorsel(o, o.log(), 0, col.Len()))
+	out.Pos = o.outU64(f.scanMorsel(o, o.log(), 0, col.Len()))
 	return out, nil
 }
 
@@ -152,10 +156,10 @@ func FilterSel(col *storage.Column, lo, hi uint64, sel *Sel, o *Opts) (*Sel, err
 		if err != nil {
 			return nil, err
 		}
-		out.Pos = concatOwned(parts)
+		out.Pos = o.outU64(parts...)
 		return out, nil
 	}
-	out.Pos = ownU64(f.filterSelRange(sel, o.log(), 0, sel.Len()))
+	out.Pos = o.outU64(f.filterSelRange(sel, o.log(), 0, sel.Len()))
 	return out, nil
 }
 

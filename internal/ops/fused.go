@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -46,10 +47,12 @@ import (
 // vector-at-a-time processing model (DESIGN.md section 5): each block of
 // fusedBlockRows fact rows runs the predicate scan Filter runs per morsel
 // (fusedPred.scan, pred.go) column-at-a-time into a pooled position
-// buffer that stays cache-resident, and only the join probe (fkProbe,
-// join.go) and the aggregation walk rows individually. This keeps the
-// typed tight loops (the entire point of the columnar layout) while
-// never materializing a full-size intermediate.
+// buffer that stays cache-resident, the join probes run the typed
+// kernels of probe.go over the block's bitmap or list, and only the
+// per-match tails (attribute fetch, grouping, accumulation) walk the
+// surviving rows individually. This keeps the typed tight loops (the
+// entire point of the columnar layout) while never materializing a
+// full-size intermediate.
 //
 // The ContinuousReencoding variant is deliberately not fused: its
 // defining trait is re-hardening every operator *output*, and fusion
@@ -73,10 +76,15 @@ const fusedBlockWords = fusedBlockRows / 64
 // drops a bitmap below the threshold demotes it back to a list.
 const bitmapSelThreshold = fusedBlockRows / 8
 
-// maxFusedStages bounds the per-kernel stage-log array (predicates plus
-// the probe/aggregate stages); the deepest SSB flight (Q4.x: four joins
-// behind the scan) uses six stages.
+// maxFusedStages bounds the stages of one fused kernel (predicates,
+// joins, the aggregate); the deepest SSB flight (Q4.x: four joins behind
+// the scan) uses five.
 const maxFusedStages = 8
+
+// maxFusedLogs bounds the per-kernel stage-log array: a join logs its FK
+// pass and its attribute pass separately, so both stay in fact-row order
+// and the keyed merge interleaves them.
+const maxFusedLogs = 2 * maxFusedStages
 
 // fillBitmap selects the first n rows of a block bitmap and clears the
 // rest (the no-predicate case: every row enters the join cascade).
@@ -192,7 +200,7 @@ func (kl *keyedLog) syncKeys() {
 // dst and resetting the stages. PosCode.Encode is monotone, so hardened
 // keys compare like plain rows.
 func mergeKeyedStages(dst *ErrorLog, stages []keyedLog) {
-	var idx [maxFusedStages]int
+	var idx [maxFusedLogs]int
 	for {
 		best := -1
 		var bestKey uint64
@@ -235,19 +243,6 @@ func makeFusedCol(c *storage.Column) fusedCol {
 	return f
 }
 
-// get fetches the value at row softened into the plain domain (a plain
-// column's value as stored). A corrupted code word comes back !valid:
-// for a join key the caller reports it at the probe row (Continuous) or
-// silently drops it (Late), never matches it.
-func (c *fusedCol) get(row int) (d uint64, valid bool) {
-	d = c.col.Get(row)
-	if c.code == nil {
-		return d, true
-	}
-	d = d * c.inv & c.mask
-	return d, d <= c.dmax
-}
-
 // FusedFilterSemiSumProduct runs the whole Q1.x tail in one pass over the
 // fact table: conjunctive range predicates, a semijoin of fk against the
 // build table ht, and the sum of a*b over the surviving rows - with no
@@ -274,8 +269,8 @@ func FusedFilterSemiSumProduct(preds []RangePred, fk *storage.Column, ht *hashma
 	log := o.log()
 	name := "sum(" + a.Name() + "*" + b.Name() + ")"
 
-	if len(preds) >= maxFusedStages {
-		return nil, fmt.Errorf("ops: fused scan over %d predicates (max %d)", len(preds), maxFusedStages-1)
+	if len(preds)+2 > maxFusedStages {
+		return nil, fmt.Errorf("ops: fused scan over %d predicates (max %d)", len(preds), maxFusedStages-2)
 	}
 	fps := make([]fusedPred, len(preds))
 	for i, p := range preds {
@@ -315,15 +310,20 @@ func FusedFilterSemiSumProduct(preds []RangePred, fk *storage.Column, ht *hashma
 // fusedQ1Range is the morsel kernel of FusedFilterSemiSumProduct over
 // fact rows [start, end): per block, the first predicate scans
 // column-at-a-time into a pooled position buffer, the remaining
-// predicates compact it in place, and the survivors probe and
-// accumulate row-at-a-time.
+// predicates and the semijoin probe compact it in place, and the
+// survivors' factors are fetched width-typed into two staging vectors
+// the accumulation walks.
 func fusedQ1Range(preds []fusedPred, fk *fkProbe, a, b fusedCol, invB uint64, detect bool, flavor Flavor, log *ErrorLog, start, end int) uint64 {
 	buf := borrowU64(fusedBlockRows)
 	defer releaseU64(buf)
-	// One pooled log per stage, merged back into row order per block, so
-	// the entry sequence is independent of block and morsel boundaries.
+	aBuf, bBuf := borrowU64(fusedBlockRows), borrowU64(fusedBlockRows)
+	defer releaseU64(aBuf)
+	defer releaseU64(bBuf)
+	// One pooled log per stage - predicates, probe, sum - merged back
+	// into row order per block, so the entry sequence is independent of
+	// block and morsel boundaries.
 	var stages [maxFusedStages]*ErrorLog
-	nStages := len(preds) + 1
+	nStages := len(preds) + 2
 	if log != nil {
 		for s := 0; s < nStages; s++ {
 			stages[s] = borrowLog()
@@ -333,6 +333,10 @@ func fusedQ1Range(preds []fusedPred, fk *fkProbe, a, b fusedCol, invB uint64, de
 				releaseLog(stages[s])
 			}
 		}()
+	}
+	var fkLog *ErrorLog // Late drops a corrupted FK silently
+	if detect {
+		fkLog = stages[len(preds)]
 	}
 
 	var sum uint64
@@ -353,7 +357,11 @@ func fusedQ1Range(preds []fusedPred, fk *fkProbe, a, b fusedCol, invB uint64, de
 				pos = preds[pi].refineList(stages[pi], pos)
 			}
 		}
-		sum += fusedProbeSum(fk, a, b, invB, detect, stages[len(preds)], pos)
+		pos = fk.probeList(bs, pos, nil, fkLog)
+		av, bv := (*aBuf)[:len(pos)], (*bBuf)[:len(pos)]
+		loadList(a.col, pos, av)
+		loadList(b.col, pos, bv)
+		sum += fusedSumProduct(a, b, invB, detect, stages[nStages-1], pos, av, bv)
 		if log != nil {
 			mergeStageLogs(log, stages[:nStages])
 		}
@@ -361,35 +369,20 @@ func fusedQ1Range(preds []fusedPred, fk *fkProbe, a, b fusedCol, invB uint64, de
 	return sum
 }
 
-// fusedProbeSum runs the semijoin probe and the sum-product accumulation
-// over the surviving positions of one block.
-func fusedProbeSum(fk *fkProbe, a, b fusedCol, invB uint64, detect bool, log *ErrorLog, pos []uint64) uint64 {
+// fusedSumProduct accumulates the sum-product over one block's
+// surviving positions; av and bv hold the factors' raw words, aligned
+// with pos.
+func fusedSumProduct(a, b fusedCol, invB uint64, detect bool, log *ErrorLog, pos, av, bv []uint64) uint64 {
 	var sum uint64
-	fkc := fk.fk
-	for _, p := range pos {
-		i := int(p)
-		kv, valid := fkc.get(i)
-		if !valid {
-			if detect && log != nil {
-				log.Record(fkc.col.Name(), p)
-			}
-			continue
+	switch {
+	case a.code == nil:
+		for i := range pos {
+			sum += av[i] * bv[i]
 		}
-		if !fk.member(kv) {
-			continue
-		}
-		if fk.table {
-			if _, hit := fk.ht.Get(kv); !hit {
-				continue
-			}
-		}
-		av, bv := a.col.Get(i), b.col.Get(i)
-		switch {
-		case a.code == nil:
-			sum += av * bv
-		case detect:
-			da := av * a.inv & a.mask
-			db := bv * b.inv & b.mask
+	case detect:
+		for i, p := range pos {
+			da := av[i] * a.inv & a.mask
+			db := bv[i] * b.inv & b.mask
 			okA, okB := da <= a.dmax, db <= b.dmax
 			if !okA || !okB {
 				if log != nil {
@@ -402,13 +395,15 @@ func fusedProbeSum(fk *fkProbe, a, b fusedCol, invB uint64, detect bool, log *Er
 				}
 				continue
 			}
-			sum += av * bv * invB
-		default:
-			// LateOnetime: the PreAggregate Δ folded into the pass -
-			// verify and log, but decode and accumulate regardless,
-			// like Vec.Soften with detect set.
-			da := av * a.inv & a.mask
-			db := bv * b.inv & b.mask
+			sum += av[i] * bv[i] * invB
+		}
+	default:
+		// LateOnetime: the PreAggregate Δ folded into the pass - verify
+		// and log, but decode and accumulate regardless, like Vec.Soften
+		// with detect set.
+		for i, p := range pos {
+			da := av[i] * a.inv & a.mask
+			db := bv[i] * b.inv & b.mask
 			if log != nil {
 				if da > a.dmax {
 					log.Record(VecLogName(a.col.Name()), p)
@@ -479,8 +474,16 @@ type FusedJoin struct {
 	Attr *storage.Column
 }
 
+// ErrFusedKeyDomain is what the fused probe cascade returns when a
+// decoded group-key component does not fit the 16 bits its per-block
+// staging gives it - a wide attribute, or under Late a corrupted one
+// that decodes to garbage. Nothing of the attempt reaches the caller's
+// log: the plan reruns the tail through the materializing operators,
+// which size group keys by the decoded domain.
+var ErrFusedKeyDomain = errors.New("ops: fused group key component exceeds 16 bits")
+
 // fusedJoinCol is a FusedJoin prepared for the block loop: the FK probe
-// (join.go) plus the attribute's softening constants and its group-key
+// (probe.go) plus the attribute's softening constants and its group-key
 // slot.
 type fusedJoinCol struct {
 	fkProbe
@@ -489,99 +492,83 @@ type fusedJoinCol struct {
 	attrIdx int
 }
 
-// probeRow probes one fact row: soften the FK into the build table's
-// plain key domain, look it up, and - for attribute joins - fetch,
-// verify and decode the group-key component at the matched build
-// position into attrBuf[rel]. It reports whether the row survives.
+// fetchAttr is the attribute pass of one join stage over a block's
+// survivors - a bitmap when pos is nil, else a list: fetch the group-key
+// component at the build position the probe left in bp[row-bs], verify
+// and decode it into out[row-bs], and drop what must not survive. It
+// returns the surviving list and count.
 //
-// Mode semantics mirror the materializing SemiJoin+GatherAt+GroupBy
-// chain: a corrupted FK is reported at the fact row (Continuous) or
-// silently dropped (Late); a corrupted attribute is reported at its
-// *build* position - the repairable coordinate - and drops the row
-// (Continuous), or logs into the vec: namespace and keeps the decoded
-// value (Late, the PreAggregate Δ folded into the pass).
-func (j *fusedJoinCol) probeRow(row, rel int, attrBuf []uint16, detect bool, kl *keyedLog) (bool, error) {
-	kv, valid := j.fk.get(row)
-	if !valid {
-		if detect {
-			kl.record(j.fk.col.Name(), uint64(row), uint64(row))
-		}
-		return false, nil
+// Mode semantics mirror the materializing GatherAt+GroupBy chain: a
+// corrupted attribute is reported at its *build* position - the
+// repairable coordinate - and drops the row (Continuous), or logs into
+// the vec: namespace at the fact row and keeps the decoded value (Late,
+// the PreAggregate Δ folded into the pass).
+func (j *fusedJoinCol) fetchAttr(bs int, words, pos []uint64, bp []uint32, out []uint16, detect bool, kl *keyedLog) ([]uint64, int, error) {
+	c := j.attr.col
+	switch c.Width() {
+	case 1:
+		return fetchAttrTyped(c.U8(), &j.attr, bs, words, pos, bp, out, detect, kl)
+	case 2:
+		return fetchAttrTyped(c.U16(), &j.attr, bs, words, pos, bp, out, detect, kl)
+	case 4:
+		return fetchAttrTyped(c.U32(), &j.attr, bs, words, pos, bp, out, detect, kl)
+	default:
+		return fetchAttrTyped(c.U64(), &j.attr, bs, words, pos, bp, out, detect, kl)
 	}
-	if !j.member(kv) {
-		return false, nil
-	}
-	var bp uint32
-	if j.table {
-		var hit bool
-		if bp, hit = j.ht.Get(kv); !hit {
-			return false, nil
-		}
-	}
-	if !j.hasAttr {
-		return true, nil
-	}
-	av := j.attr.col.Get(int(bp))
-	if j.attr.code != nil {
-		d := av * j.attr.inv & j.attr.mask
-		if d > j.attr.dmax {
-			if detect {
-				kl.record(j.attr.col.Name(), uint64(bp), uint64(row))
-				return false, nil
-			}
-			kl.record(VecLogName(j.attr.col.Name()), uint64(row), uint64(row))
-		}
-		av = d
-	}
-	if av >= 1<<16 {
-		return false, fmt.Errorf("ops: group key component %q value %d exceeds 16 bits", j.attr.col.Name(), av)
-	}
-	// The 16-bit bound just checked is what lets the staging buffer live
-	// in the arena's u16 class: a quarter of the block footprint the old
-	// uint64 staging paid per attribute.
-	attrBuf[rel] = uint16(av)
-	return true, nil
 }
 
-// probeBitmap probes the set rows of a block bitmap, clearing the bits
-// of dropped rows, and returns the survivor count.
-func (j *fusedJoinCol) probeBitmap(bs int, words []uint64, attrBuf []uint16, detect bool, kl *keyedLog) (int, error) {
+func fetchAttrTyped[T an.Unsigned](data []T, a *fusedCol, bs int, words, pos []uint64, bp []uint32, out []uint16, detect bool, kl *keyedLog) ([]uint64, int, error) {
+	hard := a.code != nil
+	inv, mask, dmax := T(a.inv), T(a.mask), T(a.dmax)
+	// one reports whether the row at block offset rel survives.
+	one := func(rel int) (bool, error) {
+		v := data[bp[rel]]
+		if hard {
+			if v = v * inv & mask; v > dmax {
+				if detect {
+					kl.record(a.col.Name(), uint64(bp[rel]), uint64(bs+rel))
+					return false, nil
+				}
+				kl.record(VecLogName(a.col.Name()), uint64(bs+rel), uint64(bs+rel))
+			}
+		}
+		if uint64(v) >= 1<<16 {
+			return false, ErrFusedKeyDomain
+		}
+		// The 16-bit bound just checked is what lets the staging buffer
+		// live in the arena's u16 class.
+		out[rel] = uint16(v)
+		return true, nil
+	}
 	count := 0
-	for w := range words {
-		word := words[w]
-		base := bs + w<<6
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			bit := uint64(1) << uint(b)
-			word &^= bit
-			row := base + b
-			keep, err := j.probeRow(row, row-bs, attrBuf, detect, kl)
+	if pos != nil {
+		kept := pos[:0]
+		for _, p := range pos {
+			keep, err := one(int(p) - bs)
 			if err != nil {
-				return 0, err
+				return nil, 0, err
+			}
+			if keep {
+				kept = append(kept, p)
+			}
+		}
+		return kept, len(kept), nil
+	}
+	for w, word := range words {
+		for t := word; t != 0; t &= t - 1 {
+			b := bits.TrailingZeros64(t)
+			keep, err := one(w<<6 + b)
+			if err != nil {
+				return nil, 0, err
 			}
 			if keep {
 				count++
 			} else {
-				words[w] &^= bit
+				words[w] &^= 1 << uint(b)
 			}
 		}
 	}
-	return count, nil
-}
-
-// probeList probes a block's position list, compacting it in place.
-func (j *fusedJoinCol) probeList(bs int, pos []uint64, attrBuf []uint16, detect bool, kl *keyedLog) ([]uint64, error) {
-	out := pos[:0]
-	for _, p := range pos {
-		keep, err := j.probeRow(int(p), int(p)-bs, attrBuf, detect, kl)
-		if err != nil {
-			return nil, err
-		}
-		if keep {
-			out = append(out, p)
-		}
-	}
-	return out, nil
+	return nil, count, nil
 }
 
 // fusedGroupPart is one morsel's local group table: per local group - in
@@ -602,6 +589,8 @@ type fusedGrouper struct {
 	attrBufs [][]uint16
 	nAttrs   int
 	ma, mb   fusedCol
+	maBuf    []uint64 // the block's measure words, aligned with its position list
+	mbBuf    []uint64
 	kb       uint64 // an.DiffFactor(ma, mb): rescales b words into a's code
 	hasB     bool
 	detect   bool
@@ -609,94 +598,86 @@ type fusedGrouper struct {
 	part     fusedGroupPart
 }
 
-// consume folds one surviving fact row into the group table. The group
-// row is inserted *before* the measure is validated, mirroring the
-// materializing chain where GroupBy runs ahead of SumGrouped: a group
-// whose only row carries a corrupted measure still appears, with a zero
-// contribution (Continuous logs the measure's base column at the fact
-// row and skips the accumulation only).
-func (g *fusedGrouper) consume(row, rel int, kl *keyedLog) {
-	var packed uint64
-	for c := 0; c < g.nAttrs; c++ {
-		packed |= uint64(g.attrBufs[c][rel]) << (16 * uint(c))
-	}
-	id, inserted := g.ht.GetOrInsert(packed, uint32(len(g.part.groups)))
-	if inserted {
-		tuple := make([]uint64, g.nAttrs)
-		for c := range tuple {
-			tuple[c] = uint64(g.attrBufs[c][rel])
-		}
-		g.part.groups = append(g.part.groups, tuple)
-		g.part.packed = append(g.part.packed, packed)
-		g.part.sums = append(g.part.sums, 0)
-	}
-	av := g.ma.col.Get(row)
-	var bv uint64
+// consume folds one block's surviving fact rows into the group table:
+// the measures are fetched width-typed into the staging vectors, then
+// every row finds its group and accumulates. The group row is inserted
+// *before* the measure is validated, mirroring the materializing chain
+// where GroupBy runs ahead of SumGrouped: a group whose only row carries
+// a corrupted measure still appears, with a zero contribution
+// (Continuous logs the measure's base column at the fact row and skips
+// the accumulation only).
+func (g *fusedGrouper) consume(bs int, pos []uint64, kl *keyedLog) {
+	av := g.maBuf[:len(pos)]
+	loadList(g.ma.col, pos, av)
+	bv := g.mbBuf[:0]
 	if g.hasB {
-		bv = g.mb.col.Get(row)
+		bv = g.mbBuf[:len(pos)]
+		loadList(g.mb.col, pos, bv)
 	}
-	switch {
-	case g.ma.code == nil:
-		g.part.sums[id] += av - bv
-	case g.detect:
-		da := av * g.ma.inv & g.ma.mask
-		okA := da <= g.ma.dmax
-		okB := true
+	for i, p := range pos {
+		rel := int(p) - bs
+		var packed uint64
+		for c := 0; c < g.nAttrs; c++ {
+			packed |= uint64(g.attrBufs[c][rel]) << (16 * uint(c))
+		}
+		id, inserted := g.ht.GetOrInsert(packed, uint32(len(g.part.groups)))
+		if inserted {
+			tuple := make([]uint64, g.nAttrs)
+			for c := range tuple {
+				tuple[c] = uint64(g.attrBufs[c][rel])
+			}
+			g.part.groups = append(g.part.groups, tuple)
+			g.part.packed = append(g.part.packed, packed)
+			g.part.sums = append(g.part.sums, 0)
+		}
+		a := av[i]
+		var b uint64
 		if g.hasB {
-			db := bv * g.mb.inv & g.mb.mask
-			okB = db <= g.mb.dmax
+			b = bv[i]
 		}
-		if !okA || !okB {
-			if !okA {
-				kl.record(g.ma.col.Name(), uint64(row), uint64(row))
+		switch {
+		case g.ma.code == nil:
+			g.part.sums[id] += a - b
+		case g.detect:
+			da := a * g.ma.inv & g.ma.mask
+			okA := da <= g.ma.dmax
+			okB := true
+			if g.hasB {
+				db := b * g.mb.inv & g.mb.mask
+				okB = db <= g.mb.dmax
 			}
-			if !okB {
-				kl.record(g.mb.col.Name(), uint64(row), uint64(row))
+			if !okA || !okB {
+				if !okA {
+					kl.record(g.ma.col.Name(), p, p)
+				}
+				if !okB {
+					kl.record(g.mb.col.Name(), p, p)
+				}
+				continue
 			}
-			return
-		}
-		// Raw code words add and subtract in the 64-bit ring, with b
-		// rescaled into a's code when their As differ (kb is 1 when
-		// they agree), so the accumulator holds a's code word of the
-		// group total (Eq. 5), verified under the widened code by
-		// fusedGroupCheck.
-		g.part.sums[id] += av - bv*g.kb
-	default:
-		// LateOnetime: verify, log into the vec: namespace at the fact
-		// row, and accumulate the softened value regardless.
-		da := av * g.ma.inv & g.ma.mask
-		if da > g.ma.dmax {
-			kl.record(VecLogName(g.ma.col.Name()), uint64(row), uint64(row))
-		}
-		if g.hasB {
-			db := bv * g.mb.inv & g.mb.mask
-			if db > g.mb.dmax {
-				kl.record(VecLogName(g.mb.col.Name()), uint64(row), uint64(row))
+			// Raw code words add and subtract in the 64-bit ring, with b
+			// rescaled into a's code when their As differ (kb is 1 when
+			// they agree), so the accumulator holds a's code word of the
+			// group total (Eq. 5), verified under the widened code by
+			// fusedGroupCheck.
+			g.part.sums[id] += a - b*g.kb
+		default:
+			// LateOnetime: verify, log into the vec: namespace at the
+			// fact row, and accumulate the softened value regardless.
+			da := a * g.ma.inv & g.ma.mask
+			if da > g.ma.dmax {
+				kl.record(VecLogName(g.ma.col.Name()), p, p)
 			}
-			g.part.sums[id] += da - db
-		} else {
-			g.part.sums[id] += da
+			if g.hasB {
+				db := b * g.mb.inv & g.mb.mask
+				if db > g.mb.dmax {
+					kl.record(VecLogName(g.mb.col.Name()), p, p)
+				}
+				g.part.sums[id] += da - db
+			} else {
+				g.part.sums[id] += da
+			}
 		}
-	}
-}
-
-// consumeBitmap feeds the set rows of a block bitmap to the grouper.
-func (g *fusedGrouper) consumeBitmap(bs int, words []uint64, kl *keyedLog) {
-	for w, word := range words {
-		base := bs + w<<6
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &= word - 1
-			row := base + b
-			g.consume(row, row-bs, kl)
-		}
-	}
-}
-
-// consumeList feeds a block's position list to the grouper.
-func (g *fusedGrouper) consumeList(bs int, pos []uint64, kl *keyedLog) {
-	for _, p := range pos {
-		g.consume(int(p), int(p)-bs, kl)
 	}
 }
 
@@ -714,12 +695,20 @@ func fusedProbeGroupRange(preds []fusedPred, joins []fusedJoinCol, ma, mb fusedC
 	bmBuf := borrowU64(fusedBlockWords)
 	defer releaseU64(bmBuf)
 	words := (*bmBuf)[:fusedBlockWords]
+	bpBuf := borrowU32(fusedBlockRows)
+	defer releaseU32(bpBuf)
+	bp := (*bpBuf)[:fusedBlockRows]
+	maBuf, mbBuf := borrowU64(fusedBlockRows), borrowU64(fusedBlockRows)
+	defer releaseU64(maBuf)
+	defer releaseU64(mbBuf)
 
 	g := &fusedGrouper{
 		attrBufs: make([][]uint16, nAttrs),
 		nAttrs:   nAttrs,
 		ma:       ma,
 		mb:       mb,
+		maBuf:    (*maBuf)[:fusedBlockRows],
+		mbBuf:    (*mbBuf)[:fusedBlockRows],
 		kb:       an.DiffFactor(ma.code, mb.code),
 		hasB:     hasB,
 		detect:   detect,
@@ -732,8 +721,10 @@ func fusedProbeGroupRange(preds []fusedPred, joins []fusedJoinCol, ma, mb fusedC
 		defer releaseU16(attrPtrs[c])
 	}
 
-	nStages := len(preds) + len(joins) + 1
-	var stages [maxFusedStages]keyedLog
+	// Stage logs: one per predicate, two per join (FK pass, attribute
+	// pass), one for the grouper.
+	nLogs := len(preds) + 2*len(joins) + 1
+	var stages [maxFusedLogs]keyedLog
 	stageAt := func(s int) *keyedLog {
 		if log == nil {
 			return nil
@@ -741,11 +732,11 @@ func fusedProbeGroupRange(preds []fusedPred, joins []fusedJoinCol, ma, mb fusedC
 		return &stages[s]
 	}
 	if log != nil {
-		for s := 0; s < nStages; s++ {
+		for s := 0; s < nLogs; s++ {
 			stages[s].log = borrowLog()
 		}
 		defer func() {
-			for s := 0; s < nStages; s++ {
+			for s := 0; s < nLogs; s++ {
 				releaseLog(stages[s].log)
 			}
 		}()
@@ -795,36 +786,43 @@ func fusedProbeGroupRange(preds []fusedPred, joins []fusedJoinCol, ma, mb fusedC
 				break
 			}
 			j := &joins[ji]
-			kl := stageAt(len(preds) + ji)
-			var ab []uint16
-			if j.hasAttr {
-				ab = g.attrBufs[j.attrIdx]
+			fkStage := len(preds) + 2*ji
+			var fkLog *ErrorLog // Late drops a corrupted FK silently
+			if detect {
+				fkLog = stageLog(fkStage)
 			}
-			var err error
 			if useBitmap {
-				count, err = j.probeBitmap(bs, words, ab, detect, kl)
-				if err == nil && count < bitmapSelThreshold {
-					sel = bitmapToList(words, bs, (*posBuf)[:0])
-					useBitmap = false
-				}
+				count = j.probeBitmap(bs, words, bp, fkLog)
 			} else {
-				sel, err = j.probeList(bs, sel, ab, detect, kl)
+				sel = j.probeList(bs, sel, bp, fkLog)
 				count = len(sel)
 			}
-			if err != nil {
-				return fusedGroupPart{}, err
+			// The probe logs at the fact row, so its entries key themselves.
+			stageAt(fkStage).syncKeys()
+			if j.hasAttr && count > 0 {
+				var list []uint64
+				if !useBitmap {
+					list = sel
+				}
+				var err error
+				sel, count, err = j.fetchAttr(bs, words, list, bp, g.attrBufs[j.attrIdx], detect, stageAt(fkStage+1))
+				if err != nil {
+					return fusedGroupPart{}, err
+				}
+			}
+			if useBitmap && count < bitmapSelThreshold {
+				sel = bitmapToList(words, bs, (*posBuf)[:0])
+				useBitmap = false
 			}
 		}
 		if count > 0 {
-			kl := stageAt(nStages - 1)
 			if useBitmap {
-				g.consumeBitmap(bs, words, kl)
-			} else {
-				g.consumeList(bs, sel, kl)
+				sel = bitmapToList(words, bs, (*posBuf)[:0])
 			}
+			g.consume(bs, sel, stageAt(nLogs-1))
 		}
 		if log != nil {
-			mergeKeyedStages(log, stages[:nStages])
+			mergeKeyedStages(log, stages[:nLogs])
 		}
 	}
 	return g.part, nil
@@ -881,6 +879,11 @@ func fusedProbeGroup(preds []RangePred, joins []FusedJoin, a, b *storage.Column,
 	}
 	nAttrs := 0
 	fjs := make([]fusedJoinCol, len(joins))
+	defer func() {
+		for i := range fjs {
+			fjs[i].release()
+		}
+	}()
 	for i, j := range joins {
 		if j.FK.Len() != n {
 			return nil, nil, fmt.Errorf("ops: fused probe over unequal column lengths %d/%d", j.FK.Len(), n)
@@ -921,11 +924,19 @@ func fusedProbeGroup(preds []RangePred, joins []FusedJoin, a, b *storage.Column,
 	}
 	flavor := o.flavor()
 
+	// The pass logs into a private log that reaches the caller's only
+	// when it completes: a tail abandoned with ErrFusedKeyDomain is rerun
+	// by the materializing operators, which log it all again.
+	var plog *ErrorLog
+	if log != nil {
+		plog = borrowLog()
+		defer releaseLog(plog)
+	}
 	var groups [][]uint64
 	var sums []uint64
 	if p := o.par(n); p != nil {
-		parts, err := runMorsels(p, n, o, log, nil, func(plog *ErrorLog, start, end int) (fusedGroupPart, error) {
-			return fusedProbeGroupRange(fps, fjs, ac, bc, hasB, nAttrs, detect, flavor, plog, start, end)
+		parts, err := runMorsels(p, n, o, plog, nil, func(mlog *ErrorLog, start, end int) (fusedGroupPart, error) {
+			return fusedProbeGroupRange(fps, fjs, ac, bc, hasB, nAttrs, detect, flavor, mlog, start, end)
 		})
 		if err != nil {
 			return nil, nil, err
@@ -947,11 +958,14 @@ func fusedProbeGroup(preds []RangePred, joins []FusedJoin, a, b *storage.Column,
 			}
 		}
 	} else {
-		part, err := fusedProbeGroupRange(fps, fjs, ac, bc, hasB, nAttrs, detect, flavor, log, 0, n)
+		part, err := fusedProbeGroupRange(fps, fjs, ac, bc, hasB, nAttrs, detect, flavor, plog, 0, n)
 		if err != nil {
 			return nil, nil, err
 		}
 		groups, sums = part.groups, part.sums
+	}
+	if log != nil {
+		log.Merge(plog)
 	}
 
 	out, acc, err := fusedGroupOut(name, ac.code, len(groups), detect)

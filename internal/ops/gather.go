@@ -22,13 +22,13 @@ func Gather(col *storage.Column, sel *Sel, o *Opts) (*Vec, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Vec{Name: col.Name(), Vals: concatOwned(parts), Code: col.Code()}, nil
+		return &Vec{Name: col.Name(), Vals: o.outU64(parts...), Code: col.Code()}, nil
 	}
 	vals, err := gatherRange(col, sel, o, o.log(), 0, sel.Len())
 	if err != nil {
 		return nil, err
 	}
-	return &Vec{Name: col.Name(), Vals: ownU64(vals), Code: col.Code()}, nil
+	return &Vec{Name: col.Name(), Vals: o.outU64(vals), Code: col.Code()}, nil
 }
 
 // gatherRange is the morsel kernel of Gather: it fetches the selection
@@ -76,13 +76,13 @@ func GatherAt(col *storage.Column, positions []uint32, o *Opts) (*Vec, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Vec{Name: col.Name(), Vals: concatOwned(parts), Code: col.Code()}, nil
+		return &Vec{Name: col.Name(), Vals: o.outU64(parts...), Code: col.Code()}, nil
 	}
 	vals, err := gatherAtRange(col, positions, o, o.log(), 0, len(positions))
 	if err != nil {
 		return nil, err
 	}
-	return &Vec{Name: col.Name(), Vals: ownU64(vals), Code: col.Code()}, nil
+	return &Vec{Name: col.Name(), Vals: o.outU64(vals), Code: col.Code()}, nil
 }
 
 // gatherAtRange is the morsel kernel of GatherAt.

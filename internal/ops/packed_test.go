@@ -178,8 +178,8 @@ func TestScratchWidthClassRoundTrip(t *testing.T) {
 	// own/concat across the narrow widths.
 	a8 := borrow(u8Classes, 8)
 	*a8 = append(*a8, 5, 6)
-	if got := own(u8Classes, a8); len(got) != 2 || got[1] != 6 {
-		t.Fatalf("own(u8): %v", got)
+	if got := concat(u8Classes, []*[]uint8{a8}); len(got) != 2 || got[1] != 6 {
+		t.Fatalf("concat(u8): %v", got)
 	}
 	a16, b16 := borrowU16(4), borrowU16(4)
 	*a16 = append(*a16, 1)

@@ -1,0 +1,471 @@
+package ops
+
+import (
+	"fmt"
+	"math/bits"
+
+	"ahead/internal/an"
+	"ahead/internal/hashmap"
+	"ahead/internal/storage"
+)
+
+// The FK probe kernels (DESIGN.md section 5): the one place a foreign
+// key is softened, verified and looked up, written once per selection
+// shape and instantiated per storage width.
+//
+//   - dense (probeWord): up to 64 consecutive rows, column-at-a-time and
+//     branch-free - soften, compare against dmax, clamp, test the key
+//     bitset - accumulating a hit word and a bad word the caller ANDs
+//     with its selection. A full or mostly-full bitmap word of the fused
+//     cascade and every chunk of a probe without selection take it.
+//   - sparse (probe): one row, branching - the set bits of a thin bitmap
+//     word, a position list, a selection vector.
+//
+// Both keep one order: verify, then clamp, then index. The index into
+// the key bitset is an address derived from a softened key, so it is
+// only ever formed from a key at or below clamp = min(keyMax, dmax); a
+// corrupted word (which softens above dmax) and a foreign key beyond the
+// build side's largest both land on the pad bit behind keyMax, which is
+// never set. Rows outside the caller's selection may be read by the
+// dense form but are never verified, logged or matched: its words are
+// masked before anything is derived from them.
+//
+// Drivers: probeBitmap/probeList (the cascade's join stages and the Q1
+// pass), probeRange (SemiJoin and HashProbe, row order without a
+// selection, selection order with one). Each switches on the column
+// width once per block or morsel.
+
+// maxKeyBitsetBits caps the dense key-membership index: a build table
+// whose largest key is at or beyond this keeps plain hash probes. At
+// 1<<22 bits the index tops out at 512 KiB - roomy for SSB's dense
+// integer surrogates, far too small to matter for pathological keys.
+const maxKeyBitsetBits = 1 << 22
+
+// denseWordBits is the population from which a 64-row bitmap word is
+// probed column-at-a-time: below a quarter full, touching only the set
+// rows beats reading all 64.
+const denseWordBits = 16
+
+// fkProbe is the package's one FK probe: a foreign-key column with its
+// softening constants precomputed, the build table, and - for dense key
+// domains - a bitset over the build table's key set plus, when build
+// positions are wanted, a key-indexed array of them. The bitset turns
+// the dominant cost of a selective semijoin (a cache-missing hash probe
+// per fact row) into an L1-resident bit test, the array turns the
+// attribute joins' hash probe into one load: with a dense domain the
+// probe side never touches the table.
+type fkProbe struct {
+	fk      fusedCol
+	ht      *hashmap.U64
+	keyBits []uint64 // dense membership index with a clear pad bit at keyMax+1, or nil
+	keyPos  []uint32 // build position by key, valid where keyBits is set; nil without wantPos
+	keyMax  uint64
+	wantPos bool // survivors need their build position
+
+	posBuf *[]uint32 // the arena borrow behind keyPos
+}
+
+// makeFKProbe prepares a probe of col against ht, with the dense index
+// when the key domain allows one. A probe made with wantPos must be
+// released.
+func makeFKProbe(col *storage.Column, ht *hashmap.U64, wantPos bool) fkProbe {
+	j := fkProbe{fk: makeFusedCol(col), ht: ht, wantPos: wantPos}
+	j.keyBits, j.keyMax = buildKeyBits(ht)
+	if wantPos && j.keyBits != nil {
+		// Only slots whose key bit is set are ever read, so the borrowed
+		// array needs no clearing.
+		j.posBuf = borrowU32(int(j.keyMax) + 1)
+		j.keyPos = (*j.posBuf)[:j.keyMax+1]
+		ht.Range(func(k uint64, bp uint32) bool {
+			j.keyPos[k] = bp
+			return true
+		})
+	}
+	return j
+}
+
+// release returns the position array to the arena.
+func (j *fkProbe) release() {
+	releaseU32(j.posBuf)
+	j.posBuf, j.keyPos = nil, nil
+}
+
+// buildKeyBits constructs the dense membership bitset for a build table,
+// or nil when any key lies beyond the maxKeyBitsetBits cap. The bitset
+// always covers bit max+1, the pad the clamped probes index.
+func buildKeyBits(ht *hashmap.U64) ([]uint64, uint64) {
+	var max uint64
+	dense := true
+	ht.Range(func(k uint64, _ uint32) bool {
+		if k >= maxKeyBitsetBits {
+			dense = false
+			return false
+		}
+		if k > max {
+			max = k
+		}
+		return true
+	})
+	if !dense {
+		return nil, 0
+	}
+	words := make([]uint64, (max+1)>>6+1)
+	ht.Range(func(k uint64, _ uint32) bool {
+		words[k>>6] |= 1 << (k & 63)
+		return true
+	})
+	return words, max
+}
+
+// fkKeys is an fkProbe narrowed to the FK column's storage width: the
+// softening constants as T (they fit the code width, so narrowing is
+// exact) and the lookup structures. One is built per kernel call.
+type fkKeys[T an.Unsigned] struct {
+	name            string
+	hard            bool
+	inv, mask, dmax T
+	bits            []uint64
+	clamp, pad      uint64 // keys above clamp index the clear pad bit
+	pos             []uint32
+	ht              *hashmap.U64
+	lookup          bool // a hit still needs pos or ht: position wanted, or no bitset
+	wantPos         bool
+}
+
+func narrowFK[T an.Unsigned](j *fkProbe) fkKeys[T] {
+	c := fkKeys[T]{
+		name: j.fk.col.Name(), hard: j.fk.code != nil,
+		inv: T(j.fk.inv), mask: T(j.fk.mask), dmax: T(j.fk.dmax),
+		bits: j.keyBits, clamp: j.keyMax, pad: j.keyMax + 1,
+		pos: j.keyPos, ht: j.ht,
+		lookup: j.wantPos || j.keyBits == nil, wantPos: j.wantPos,
+	}
+	if c.hard && j.fk.dmax < c.clamp {
+		c.clamp = j.fk.dmax
+	}
+	return c
+}
+
+// probe outcomes of one row.
+const (
+	probeMiss = iota
+	probeHit
+	probeBad
+)
+
+// probe is the sparse form: soften and verify one FK word, clamp, test
+// the bitset. It returns the softened key with probeHit when the key is
+// valid and the bitset (if any) admits it, probeMiss when it does not,
+// probeBad for a corrupted word.
+func (c *fkKeys[T]) probe(v T) (uint64, int) {
+	if c.hard {
+		if v = v * c.inv & c.mask; v > c.dmax {
+			return 0, probeBad
+		}
+	}
+	k := uint64(v)
+	if c.bits != nil && (k > c.clamp || c.bits[k>>6]>>(k&63)&1 == 0) {
+		return k, probeMiss
+	}
+	return k, probeHit
+}
+
+// probeWord is the dense form over data[0:n], 0 < n <= 64: bit i of hit
+// is set when row i holds a valid key the bitset admits (any valid key
+// without a bitset), bit i of bad when row i holds a corrupted word.
+// The words fill from the top - one constant shift per row instead of a
+// variable one - and drop into place at the end; no branch depends on
+// the data beyond the clamp, which only an out-of-domain key takes.
+func (c *fkKeys[T]) probeWord(data []T) (hit, bad uint64) {
+	kb, clamp, pad := c.bits, c.clamp, c.pad
+	tail := 64 - uint(len(data))
+	if !c.hard {
+		if kb == nil {
+			return ^uint64(0) >> tail, 0
+		}
+		for _, v := range data {
+			k := uint64(v)
+			if k > clamp {
+				k = pad
+			}
+			hit = hit>>1 | (kb[k>>6]>>(k&63))<<63
+		}
+		return hit >> tail, 0
+	}
+	inv, mask, dmax := c.inv, c.mask, c.dmax
+	if kb == nil {
+		for _, v := range data {
+			var b uint64
+			if v*inv&mask > dmax {
+				b = 1
+			}
+			bad = bad>>1 | b<<63
+		}
+		bad >>= tail
+		return ^bad & (^uint64(0) >> tail), bad
+	}
+	for _, v := range data {
+		d := v * inv & mask
+		var b uint64
+		if d > dmax {
+			b = 1
+		}
+		bad = bad>>1 | b<<63
+		// clamp <= dmax, so a corrupted word is clamped like a foreign
+		// key: nothing above clamp ever forms an index.
+		k := uint64(d)
+		if k > clamp {
+			k = pad
+		}
+		hit = hit>>1 | (kb[k>>6]>>(k&63))<<63
+	}
+	return hit >> tail, bad >> tail
+}
+
+// key softens the FK word of a row probe or probeWord reported as a hit.
+func (c *fkKeys[T]) key(v T) uint64 {
+	if c.hard {
+		v = v * c.inv & c.mask
+	}
+	return uint64(v)
+}
+
+// buildPos resolves a hit to its build position: one load for a dense
+// domain, the table otherwise (where it is also the membership test).
+func (c *fkKeys[T]) buildPos(k uint64) (uint32, bool) {
+	if c.pos != nil {
+		return c.pos[k], true
+	}
+	return c.ht.Get(k)
+}
+
+// logBad records the rows of a bad word in row order.
+func (c *fkKeys[T]) logBad(log *ErrorLog, base int, bad uint64) {
+	for ; bad != 0; bad &= bad - 1 {
+		log.Record(c.name, uint64(base+bits.TrailingZeros64(bad)))
+	}
+}
+
+// probeBitmap probes the set rows of a block bitmap (bit i of words[w]
+// selects row bs+64w+i), clearing the bits of dropped rows, and returns
+// the survivor count. With wantPos the build position of every survivor
+// lands in bp[row-bs]. Corrupted keys are recorded in log when it is
+// non-nil (Continuous) and dropped either way (Late: silently).
+func (j *fkProbe) probeBitmap(bs int, words []uint64, bp []uint32, log *ErrorLog) int {
+	c := j.fk.col
+	switch c.Width() {
+	case 1:
+		return probeBitmapTyped(c.U8(), j, bs, words, bp, log)
+	case 2:
+		return probeBitmapTyped(c.U16(), j, bs, words, bp, log)
+	case 4:
+		return probeBitmapTyped(c.U32(), j, bs, words, bp, log)
+	default:
+		return probeBitmapTyped(c.U64(), j, bs, words, bp, log)
+	}
+}
+
+func probeBitmapTyped[T an.Unsigned](data []T, j *fkProbe, bs int, words []uint64, bp []uint32, log *ErrorLog) int {
+	c := narrowFK[T](j)
+	count := 0
+	for w, word := range words {
+		if word == 0 {
+			continue
+		}
+		base := bs + w<<6
+		var hit, bad uint64
+		if bits.OnesCount64(word) >= denseWordBits {
+			hit, bad = c.probeWord(data[base:min(base+64, len(data))])
+			hit, bad = hit&word, bad&word
+		} else {
+			for t := word; t != 0; t &= t - 1 {
+				b := bits.TrailingZeros64(t)
+				switch _, st := c.probe(data[base+b]); st {
+				case probeHit:
+					hit |= 1 << uint(b)
+				case probeBad:
+					bad |= 1 << uint(b)
+				}
+			}
+		}
+		if c.lookup {
+			for t := hit; t != 0; t &= t - 1 {
+				b := bits.TrailingZeros64(t)
+				p, ok := c.buildPos(c.key(data[base+b]))
+				if !ok {
+					hit &^= 1 << uint(b)
+				} else if c.wantPos {
+					bp[base+b-bs] = p
+				}
+			}
+		}
+		if log != nil && bad != 0 {
+			c.logBad(log, base, bad)
+		}
+		words[w] = hit
+		count += bits.OnesCount64(hit)
+	}
+	return count
+}
+
+// probeList is probeBitmap over a block's position list, compacting it
+// in place.
+func (j *fkProbe) probeList(bs int, pos []uint64, bp []uint32, log *ErrorLog) []uint64 {
+	c := j.fk.col
+	switch c.Width() {
+	case 1:
+		return probeListTyped(c.U8(), j, bs, pos, bp, log)
+	case 2:
+		return probeListTyped(c.U16(), j, bs, pos, bp, log)
+	case 4:
+		return probeListTyped(c.U32(), j, bs, pos, bp, log)
+	default:
+		return probeListTyped(c.U64(), j, bs, pos, bp, log)
+	}
+}
+
+func probeListTyped[T an.Unsigned](data []T, j *fkProbe, bs int, pos []uint64, bp []uint32, log *ErrorLog) []uint64 {
+	c := narrowFK[T](j)
+	out := pos[:0]
+	for _, p := range pos {
+		k, st := c.probe(data[p])
+		if st != probeHit {
+			if st == probeBad && log != nil {
+				log.Record(c.name, p)
+			}
+			continue
+		}
+		if c.lookup {
+			b, ok := c.buildPos(k)
+			if !ok {
+				continue
+			}
+			if c.wantPos {
+				bp[int(p)-bs] = b
+			}
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+// probeRange is the morsel kernel of HashProbe and SemiJoin: with sel nil
+// it probes column rows [start, end), otherwise the selection entries
+// with global indices [start, end). The build table is only read, so
+// concurrent morsels share it safely.
+func (j *fkProbe) probeRange(sel *Sel, o *Opts, log *ErrorLog, start, end int) (probePart, error) {
+	// The borrowed buffers cover end-start emissions (every probe row can
+	// match), so the append paths below never grow them.
+	part := probePart{pos: borrowU64(end - start)}
+	if j.wantPos {
+		part.matches = borrowU32(end - start)
+	}
+	var err error
+	c := j.fk.col
+	switch c.Width() {
+	case 1:
+		err = probeRangeTyped(c.U8(), j, sel, o, log, start, end, part)
+	case 2:
+		err = probeRangeTyped(c.U16(), j, sel, o, log, start, end, part)
+	case 4:
+		err = probeRangeTyped(c.U32(), j, sel, o, log, start, end, part)
+	default:
+		err = probeRangeTyped(c.U64(), j, sel, o, log, start, end, part)
+	}
+	if err != nil {
+		dropProbePart(part)
+		return probePart{}, err
+	}
+	return part, nil
+}
+
+func probeRangeTyped[T an.Unsigned](data []T, j *fkProbe, sel *Sel, o *Opts, log *ErrorLog, start, end int, part probePart) error {
+	c := narrowFK[T](j)
+	fkLog := log
+	if !o.detect() {
+		fkLog = nil
+	}
+	outPos := (*part.pos)[:0]
+	var outMatch []uint32
+	if c.wantPos {
+		outMatch = (*part.matches)[:0]
+	}
+	if sel == nil {
+		posMul := o.posMul()
+		for base := start; base < end; base += 64 {
+			hit, bad := c.probeWord(data[base:min(base+64, end)])
+			for t := hit; t != 0; t &= t - 1 {
+				row := base + bits.TrailingZeros64(t)
+				if c.lookup {
+					b, ok := c.buildPos(c.key(data[row]))
+					if !ok {
+						continue
+					}
+					if c.wantPos {
+						outMatch = append(outMatch, b)
+					}
+				}
+				outPos = append(outPos, uint64(row)*posMul)
+			}
+			if fkLog != nil && bad != 0 {
+				c.logBad(fkLog, base, bad)
+			}
+		}
+	} else {
+		for i := start; i < end; i++ {
+			pos, ok := sel.At(i, log)
+			if !ok {
+				continue
+			}
+			if pos >= uint64(len(data)) {
+				return fmt.Errorf("ops: position %d beyond column %q", pos, c.name)
+			}
+			k, st := c.probe(data[pos])
+			if st != probeHit {
+				if st == probeBad && fkLog != nil {
+					fkLog.Record(c.name, pos)
+				}
+				continue
+			}
+			if c.lookup {
+				b, ok := c.buildPos(k)
+				if !ok {
+					continue
+				}
+				if c.wantPos {
+					outMatch = append(outMatch, b)
+				}
+			}
+			outPos = append(outPos, sel.Pos[i])
+		}
+	}
+	*part.pos = outPos
+	if c.wantPos {
+		*part.matches = outMatch
+	}
+	return nil
+}
+
+// loadList gathers the raw words of col at a block's positions into
+// out[i] - the typed fetch behind the per-match tails (the Q1 pass's
+// factors, the grouper's measures), which then work on one uint64
+// vector whatever the storage width.
+func loadList(col *storage.Column, pos []uint64, out []uint64) {
+	switch col.Width() {
+	case 1:
+		loadListTyped(col.U8(), pos, out)
+	case 2:
+		loadListTyped(col.U16(), pos, out)
+	case 4:
+		loadListTyped(col.U32(), pos, out)
+	default:
+		loadListTyped(col.U64(), pos, out)
+	}
+}
+
+func loadListTyped[T an.Unsigned](data []T, pos []uint64, out []uint64) {
+	out = out[:len(pos)]
+	for i, p := range pos {
+		out[i] = uint64(data[p])
+	}
+}

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
+	"ahead/internal/an"
 	"ahead/internal/storage"
 )
 
@@ -192,6 +194,320 @@ func TestDifferentialProbe(t *testing.T) {
 					}
 					if len(groups) != 1 || groups[0][0] != 9 || sums.Value(0) != wantSum || !log.Equal(wantLog) {
 						t.Fatalf("%s %s cascade semijoin: groups %v sum %v / log %v, oracle %d / %v", id, sname, groups, sums.Vals, log.Entries(), wantSum, wantLog.Entries())
+					}
+				}
+			}
+		}
+	}
+	if got := LiveScratch(); got != before {
+		t.Fatalf("scratch leak: %d live buffers before, %d after", before, got)
+	}
+}
+
+// cascadeOracle is one join stage of the fused cascade by definition,
+// one selected row at a time: probeOracle's FK rule, then - with attr -
+// the attribute at the matched build position: a corrupted one is
+// reported at its build position and drops the row (Continuous), or
+// logs into the vec: namespace at the fact row and keeps what it decodes
+// to (Late). It returns the measure sum per attribute value (per 0
+// without attr).
+func cascadeOracle(fk *storage.Column, keys map[uint64]uint32, attr *storage.Column, detect bool, rows, meas []uint64, log *ErrorLog) map[uint64]uint64 {
+	out := map[uint64]uint64{}
+	for _, r := range rows {
+		hit, matches := probeOracle(fk, keys, detect, []uint64{r}, log)
+		if len(hit) == 0 {
+			continue
+		}
+		var av uint64
+		if attr != nil {
+			av = attr.Get(int(matches[0]))
+			if code := attr.Code(); code != nil {
+				d, ok := code.Check(av)
+				if !ok {
+					if detect {
+						log.Record(attr.Name(), uint64(matches[0]))
+						continue
+					}
+					log.Record(VecLogName(attr.Name()), r)
+				}
+				av = d
+			}
+		}
+		out[av] += meas[r]
+	}
+	return out
+}
+
+// kindColumn builds a plain column of the given kind.
+func kindColumn(t *testing.T, name string, kind storage.Kind, vals []uint64) *storage.Column {
+	t.Helper()
+	c, err := storage.NewColumn(name, kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range vals {
+		c.Append(v)
+	}
+	return c
+}
+
+// pickShapes marks the rows of the shaped selection: in block 0 the
+// words cycle full / 22 bits / full / 4 bits (the dense form, the dense
+// form behind a mask, the sparse form - each with bits 0 and 63 set and
+// bit 1 clear where the word is not full), block 1 keeps every 13th row
+// (below bitmapSelThreshold: a list), later blocks keep everything.
+func pickShapes(r int) bool {
+	blk, rel := r/fusedBlockRows, r%fusedBlockRows
+	switch blk {
+	case 0:
+		switch b := rel % 64; rel / 64 % 4 {
+		case 1:
+			return b%3 == 0
+		case 3:
+			return b%21 == 0
+		}
+		return true
+	case 1:
+		return rel%13 == 0
+	}
+	return true
+}
+
+// TestDifferentialProbeKernels holds the typed FK probe kernels to the
+// per-row oracles across what the width dispatch and the selection
+// shapes can vary: FK storage widths u8/u16/u32/u64 x {plain, hardened
+// without and with detection} x {dense keys -> bitset (+ position array
+// for attribute joins), a key at 2^22 -> table} x {attribute join, pure
+// semijoin} x selection {none: full words, the shaped bitmap of
+// pickShapes (full, >=16-bit and 1-15-bit words, a list block), a
+// ragged last block of 1/63/65 rows, probeRange with sel nil / plain /
+// hardened} x single-bit FK flips at word bits 0 and 63, at rows the
+// selection excludes (read by the dense form, never logged), beside an
+// attribute flip in the same 64-row word (entries in fact-row order) x
+// valid keys just above keyMax and far beyond the bitset (clamped, never
+// indexed). Positions, matches, group sums and log entries must equal
+// the oracle, serial and goroutine-per-morsel.
+func TestDifferentialProbeKernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	const sparseKey = maxKeyBitsetBits
+	type subject struct {
+		name   string
+		kind   storage.Kind // Str: a dictionary column over "00".."15"
+		code   *an.Code     // nil: plain
+		k      uint64       // dense keys are every third of [0, k)
+		far    uint64       // a storable value far above them
+		sparse bool         // the column can store sparseKey
+	}
+	subjects := []subject{
+		{"plain/u8", storage.TinyInt, nil, 200, 255, false},
+		{"plain/u16", storage.ShortInt, nil, 600, 65535, false},
+		{"plain/u32", storage.Int, nil, 600, 1 << 31, true},
+		{"plain/u64", storage.BigInt, nil, 600, 1 << 40, true},
+		{"hardened/u8", storage.Str, an.MustNew(13, 4), 13, 15, false},
+		{"hardened/u16", storage.TinyInt, code8, 200, 255, false},
+		{"hardened/u32", storage.ShortInt, an.MustNew(63877, 16), 600, 65535, false},
+		{"hardened/u64", storage.Int, code32, 600, 1 << 31, true},
+	}
+	runners := map[string]Parallel{"serial": nil, "pooled": goMorsels{morsel: 1000}}
+	oneHT := buildTestHT(0)
+	oneAttr := tinyColumn(t, "one_attr", []uint64{9})
+
+	before := LiveScratch()
+	for _, s := range subjects {
+		for _, ragged := range []int{1, 63, 65} {
+			n := 2*fusedBlockRows + ragged
+			keyMax := (s.k - 1) / 3 * 3
+			const attrKey = 3 // build position 1: the attribute the test corrupts
+			fkVals := make([]uint64, n)
+			measVals := make([]uint64, n)
+			pick := make([]uint64, n)
+			var subset []uint64
+			for r := range fkVals {
+				fkVals[r] = uint64(rng.Intn(int(s.k)))
+				switch {
+				case r%53 == 0 && s.sparse:
+					fkVals[r] = sparseKey
+				case r%59 == 0:
+					fkVals[r] = keyMax + 1
+				case r%61 == 0:
+					fkVals[r] = s.far
+				}
+				measVals[r] = uint64(rng.Intn(1 << 20))
+				if pickShapes(r) {
+					pick[r] = 1
+					subset = append(subset, uint64(r))
+				}
+			}
+			// Rows that reach the corrupted attribute: in a full word, a
+			// masked dense word, a sparse word, the list block.
+			for _, r := range []int{2*64 + 5, 64 + 3, 3*64 + 21, fusedBlockRows + 13*5} {
+				fkVals[r] = attrKey
+			}
+			var plainFK *storage.Column
+			if s.kind == storage.Str {
+				strs := make([]string, n)
+				for r, v := range fkVals {
+					strs[r] = fmt.Sprintf("%02d", v)
+				}
+				for v := 0; v < 16; v++ { // the whole dictionary, so code == value
+					strs[n-2-v] = fmt.Sprintf("%02d", v)
+					fkVals[n-2-v] = uint64(v)
+				}
+				plainFK = storage.NewStrColumn("fk", strs)
+			} else {
+				plainFK = kindColumn(t, "fk", s.kind, fkVals)
+			}
+			fk := plainFK
+			flips := 0
+			if s.code != nil {
+				fk = harden(t, plainFK, s.code)
+				for _, r := range []int{
+					2 * 64, 2*64 + 63, 2*64 + 40, // a full word: bits 0 and 63, and one behind the attribute row
+					64, 64 + 63, 64 + 1, // a masked dense word: bits 0, 63, and excluded bit 1
+					3 * 64, 3*64 + 63, 3*64 + 1, // a sparse word, likewise
+					fusedBlockRows + 13*7, fusedBlockRows + 13*7 + 1, // the list block: selected, excluded
+					n - 1,
+				} {
+					fk.Corrupt(r, 1<<(uint(r)%s.code.CodeBits()))
+					flips++
+				}
+			}
+			if want := fmt.Sprintf("u%d", 8*fk.Width()); !strings.HasSuffix(s.name, "/"+want) {
+				t.Fatalf("%s: FK stored as %s", s.name, want)
+			}
+			meas := intColumn(t, "meas", measVals)
+			unit := intColumn(t, "unit", func() []uint64 {
+				u := make([]uint64, n)
+				for i := range u {
+					u[i] = 1
+				}
+				return u
+			}())
+			pickCol := tinyColumn(t, "pick", pick)
+			ones := tinyColumn(t, "one", make([]uint64, n))
+			selPlain := &Sel{Pos: subset}
+			selHard := &Sel{Hardened: true, Pos: make([]uint64, len(subset))}
+			for i, p := range subset {
+				selHard.Pos[i] = PosCode.Encode(p)
+			}
+
+			for _, dname := range []string{"bitset", "table"} {
+				var ks []uint64
+				for k := uint64(0); k < s.k; k += 3 {
+					ks = append(ks, k)
+				}
+				if dname == "table" {
+					ks = append(ks, sparseKey)
+				}
+				ht := buildTestHT(ks...)
+				keys := make(map[uint64]uint32, len(ks))
+				attrVals := make([]uint64, len(ks))
+				for bp, k := range ks {
+					keys[k] = uint32(bp)
+					attrVals[bp] = uint64(bp % 11)
+				}
+				plainAttr := tinyColumn(t, "attr", attrVals)
+
+				type probeMode struct {
+					name   string
+					detect bool
+				}
+				modes, attr := []probeMode{{"plain", false}}, plainAttr
+				if s.code != nil {
+					modes = []probeMode{{"late", false}, {"continuous", true}}
+					attr = harden(t, plainAttr, code8)
+					attr.Corrupt(int(keys[attrKey]), 1<<3)
+				}
+				probe := makeFKProbe(fk, ht, true)
+				if dense := probe.keyBits != nil; dense != (dname == "bitset") || (probe.keyPos != nil) != dense {
+					t.Fatalf("%s/%s: dense index %v, position array %v", s.name, dname, dense, probe.keyPos != nil)
+				}
+				probe.release()
+
+				for _, mode := range modes {
+					for rname, par := range runners {
+						id := fmt.Sprintf("%s/%s/%s/%s/ragged=%d", s.name, dname, mode.name, rname, ragged)
+						opts := func(log *ErrorLog) *Opts {
+							return &Opts{Detect: mode.detect, HardenIDs: mode.detect, Flavor: Blocked, Log: log, Par: par}
+						}
+						for _, in := range []*Sel{nil, selPlain, selHard} {
+							rows, sname := allRows(n), "sel=nil"
+							if in != nil {
+								rows, sname = subset, fmt.Sprintf("sel hardened=%v", in.Hardened)
+							}
+							wantLog := NewErrorLog()
+							wantRows, wantMatches := probeOracle(fk, keys, mode.detect, rows, wantLog)
+							if mode.detect && in == nil && wantLog.Count() != flips {
+								t.Fatalf("%s: oracle found %d of %d single-bit FK flips", id, wantLog.Count(), flips)
+							}
+							if mode.detect && in != nil && wantLog.Count() >= flips {
+								t.Fatalf("%s: no planted flip lies outside the selection", id)
+							}
+
+							log := NewErrorLog()
+							semi, err := SemiJoin(fk, ht, in, opts(log))
+							if err != nil {
+								t.Fatal(err)
+							}
+							if got := plainPositions(t, semi); !reflect.DeepEqual(got, wantRows) || !log.Equal(wantLog) {
+								t.Fatalf("%s %s SemiJoin: %d survivors / log %v, oracle %d / %v", id, sname, len(got), log.Entries(), len(wantRows), wantLog.Entries())
+							}
+							log = NewErrorLog()
+							probed, matches, err := HashProbe(fk, ht, in, opts(log))
+							if err != nil {
+								t.Fatal(err)
+							}
+							if got := plainPositions(t, probed); !reflect.DeepEqual(got, wantRows) || !reflect.DeepEqual(matches, wantMatches) || !log.Equal(wantLog) {
+								t.Fatalf("%s %s HashProbe: %d survivors / log %v, oracle %d / %v", id, sname, len(got), log.Entries(), len(wantRows), wantLog.Entries())
+							}
+							if in != nil && in.Hardened {
+								continue // the fused passes scan the table; one selection form suffices
+							}
+
+							var preds []RangePred
+							if in != nil {
+								preds = []RangePred{{Col: pickCol, Lo: 1, Hi: 1}}
+							}
+							var wantSum uint64
+							for _, r := range wantRows {
+								wantSum += measVals[r]
+							}
+							log = NewErrorLog()
+							rev, err := FusedFilterSemiSumProduct(preds, fk, ht, meas, unit, opts(log))
+							if err != nil {
+								t.Fatal(err)
+							}
+							if rev.Value(0) != wantSum || !log.Equal(wantLog) {
+								t.Fatalf("%s %s fused Q1: sum %d / log %v, oracle %d / %v", id, sname, rev.Value(0), log.Entries(), wantSum, wantLog.Entries())
+							}
+
+							log = NewErrorLog()
+							groups, sums, err := FusedProbeGroupSum(preds, []FusedJoin{{FK: fk, HT: ht}, {FK: ones, HT: oneHT, Attr: oneAttr}}, meas, opts(log))
+							if err != nil {
+								t.Fatal(err)
+							}
+							if len(wantRows) > 0 && (len(groups) != 1 || groups[0][0] != 9 || sums.Value(0) != wantSum) || !log.Equal(wantLog) {
+								t.Fatalf("%s %s cascade semijoin: groups %v sums %v / log %v, oracle %d / %v", id, sname, groups, sums.Vals, log.Entries(), wantSum, wantLog.Entries())
+							}
+
+							wantLog = NewErrorLog()
+							byAttr := cascadeOracle(fk, keys, attr, mode.detect, rows, measVals, wantLog)
+							log = NewErrorLog()
+							groups, sums, err = FusedProbeGroupSum(preds, []FusedJoin{{FK: fk, HT: ht, Attr: attr}}, meas, opts(log))
+							if err != nil {
+								t.Fatal(err)
+							}
+							got := map[uint64]uint64{}
+							for g, tuple := range groups {
+								got[tuple[0]] = sums.Value(g)
+							}
+							if !reflect.DeepEqual(got, byAttr) || !log.Equal(wantLog) {
+								t.Fatalf("%s %s cascade with Attr: groups %v / log %v, oracle %v / %v", id, sname, got, log.Entries(), byAttr, wantLog.Entries())
+							}
+							if wantCols := map[string][]string{"late": {"vec:attr"}, "continuous": {"attr", "fk"}}[mode.name]; !reflect.DeepEqual(wantLog.Columns(), wantCols) {
+								t.Fatalf("%s %s: oracle logged columns %v, want %v: a planted flip was never reached", id, sname, wantLog.Columns(), wantCols)
+							}
+						}
 					}
 				}
 			}

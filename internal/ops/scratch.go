@@ -23,13 +23,18 @@ import (
 //     borrowed buffer (as a pointer) to their caller; ownership transfers
 //     with the return value.
 //   - The operator entry points (Filter, Gather, HashProbe, SumGrouped,
-//     ...) are the only owners of query-visible results. They copy
-//     borrowed contents into exact-size owned slices (ownU64, concatOwned
-//     and the u32 twins) and release the scratch; borrowed memory never
-//     escapes into a Sel, Vec or Result.
-//   - The one borrow that outlives its operator call is Delta's softened
-//     column: it is returned together with its release func, and the
-//     query that asked for it (exec.Run) releases it on every exit.
+//     ...) are the only owners of query-visible results. Called without
+//     a Lease they copy borrowed contents into exact-size owned slices
+//     (out) and release the scratch; borrowed memory never escapes into
+//     a Sel, Vec or Result.
+//   - Two kinds of borrow outlive their operator call, and both belong
+//     to the query that asked (exec.Run releases them on every exit):
+//     Delta's softened column, returned together with its release func;
+//     and, when the Opts carries the query's Lease, the position, value
+//     and match vectors of Filter, FilterSel, Gather, GatherAt, SemiJoin
+//     and HashProbe, which then stay in (right-sized) arena buffers
+//     instead of being copied into fresh pages. Nothing of a Lease may
+//     be read after its Release; a Result never aliases one.
 //   - Error logs follow the same discipline: runMorsels borrows one
 //     private log per morsel, merges them into the caller's log in morsel
 //     order, and releases them. A released log's entries have always been
@@ -139,18 +144,10 @@ func release[T any](cs []*scratchClass[T], p *[]T) {
 	c.pool.Put(p)
 }
 
-// own copies a borrowed buffer into an exact-size owned slice and
-// releases the scratch - the one allocation per operator output the
-// zero-allocation budget documents.
-func own[T any](cs []*scratchClass[T], p *[]T) []T {
-	out := make([]T, len(*p))
-	copy(out, *p)
-	release(cs, p)
-	return out
-}
-
-// concat merges borrowed per-morsel buffers in morsel order into one
-// exact-size owned slice, releasing every part.
+// concat merges borrowed buffers (one, or one per morsel in morsel
+// order) into one exact-size owned slice, releasing every part - the
+// one allocation per operator output the zero-allocation budget
+// documents.
 func concat[T any](cs []*scratchClass[T], parts []*[]T) []T {
 	n := 0
 	for _, p := range parts {
@@ -162,6 +159,90 @@ func concat[T any](cs []*scratchClass[T], parts []*[]T) []T {
 		release(cs, p)
 	}
 	return out
+}
+
+// Lease is the set of operator outputs a query keeps in the arena: an
+// Opts that carries one (KeepIn) makes the materializing operators hand
+// out their position, value and match vectors as arena buffers recorded
+// here instead of copying them into fresh slices, and Release returns
+// them all. exec.Run owns one per query and releases it on every exit,
+// as it does the Δ buffers; a Lease is used by one plan goroutine.
+type Lease struct {
+	u64    []*[]uint64
+	u32    []*[]uint32
+	values int
+}
+
+// leaseMaxValues bounds what one Lease pins (32 Mi values, at most
+// 256 MiB): past it operators copy out as they do without a Lease, so a
+// plan that calls operators in a loop cannot hold the arena hostage. The
+// 13 flights stay far below it up to SF 1 (a few million values).
+const leaseMaxValues = 32 << 20
+
+// KeepIn makes the operators called with o keep their outputs in l.
+func (o *Opts) KeepIn(l *Lease) { o.lease = l }
+
+// Release returns every buffer of the lease to the arena. The vectors
+// handed out under it are dead afterwards.
+func (l *Lease) Release() {
+	for _, p := range l.u64 {
+		releaseU64(p)
+	}
+	for _, p := range l.u32 {
+		releaseU32(p)
+	}
+	*l = Lease{}
+}
+
+// keep turns the borrowed parts of one operator output into a leased
+// buffer recorded in kept: a single part already in the size class of
+// its length stays where it is, anything else - a whole-column buffer a
+// selective scan left mostly empty, per-morsel parts - is moved into one
+// right-sized arena buffer, so a lease never pins more than twice what
+// it holds. ok is false when the lease is full.
+func keep[T any](cs []*scratchClass[T], l *Lease, kept *[]*[]T, parts []*[]T) ([]T, bool) {
+	n := 0
+	for _, p := range parts {
+		n += len(*p)
+	}
+	if l.values+n > leaseMaxValues {
+		return nil, false
+	}
+	l.values += n
+	if len(parts) == 1 && classFor(cs, n) == classFor(cs, cap(*parts[0])) {
+		*kept = append(*kept, parts[0])
+		return *parts[0], true
+	}
+	dst := borrow(cs, n)
+	for _, p := range parts {
+		*dst = append(*dst, *p...)
+		release(cs, p)
+	}
+	*kept = append(*kept, dst)
+	return *dst, true
+}
+
+// outU64 makes the borrowed parts of an operator's uint64 output (one
+// buffer, or one per morsel in morsel order) query-visible: kept in the
+// query's lease when o carries one, copied into an owned slice
+// otherwise. Either way the parts are no longer the caller's.
+func (o *Opts) outU64(parts ...*[]uint64) []uint64 {
+	if o != nil && o.lease != nil {
+		if out, ok := keep(u64Classes, o.lease, &o.lease.u64, parts); ok {
+			return out
+		}
+	}
+	return concat(u64Classes, parts)
+}
+
+// outU32 is outU64 for matched build positions.
+func (o *Opts) outU32(parts ...*[]uint32) []uint32 {
+	if o != nil && o.lease != nil {
+		if out, ok := keep(u32Classes, o.lease, &o.lease.u32, parts); ok {
+			return out
+		}
+	}
+	return concat(u32Classes, parts)
 }
 
 // borrowU64 returns a zero-length uint64 scratch buffer with capacity >= n.
@@ -179,25 +260,11 @@ func borrowU64Zeroed(n int) *[]uint64 {
 // releaseU64 returns a borrowed uint64 buffer to its size class.
 func releaseU64(p *[]uint64) { release(u64Classes, p) }
 
-// ownU64 copies a borrowed uint64 buffer into an owned slice and releases
-// the scratch.
-func ownU64(p *[]uint64) []uint64 { return own(u64Classes, p) }
-
-// concatOwned merges borrowed per-morsel uint64 buffers in morsel order.
-func concatOwned(parts []*[]uint64) []uint64 { return concat(u64Classes, parts) }
-
 // borrowU32 returns a zero-length uint32 scratch buffer with capacity >= n.
 func borrowU32(n int) *[]uint32 { return borrow(u32Classes, n) }
 
 // releaseU32 returns a borrowed uint32 buffer to its size class.
 func releaseU32(p *[]uint32) { release(u32Classes, p) }
-
-// ownU32 copies a borrowed uint32 buffer into an owned slice and releases
-// the scratch.
-func ownU32(p *[]uint32) []uint32 { return own(u32Classes, p) }
-
-// concatOwnedU32 merges borrowed per-morsel uint32 buffers in morsel order.
-func concatOwnedU32(parts []*[]uint32) []uint32 { return concat(u32Classes, parts) }
 
 // borrowU16 returns a zero-length uint16 scratch buffer with capacity >= n.
 func borrowU16(n int) *[]uint16 { return borrow(u16Classes, n) }

@@ -56,7 +56,7 @@ func TestScratchBorrowReleaseRoundTrip(t *testing.T) {
 func TestScratchOwnAndConcat(t *testing.T) {
 	p := borrowU64(8)
 	*p = append(*p, 10, 20, 30)
-	owned := ownU64(p)
+	owned := concat(u64Classes, []*[]uint64{p})
 	if len(owned) != 3 || cap(owned) != 3 {
 		t.Fatalf("ownU64: len/cap %d/%d, want 3/3", len(owned), cap(owned))
 	}
@@ -67,7 +67,7 @@ func TestScratchOwnAndConcat(t *testing.T) {
 	a, b := borrowU64(4), borrowU64(4)
 	*a = append(*a, 1, 2)
 	*b = append(*b, 3)
-	got := concatOwned([]*[]uint64{a, b})
+	got := concat(u64Classes, []*[]uint64{a, b})
 	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
 		t.Fatalf("concatOwned: %v", got)
 	}
@@ -158,73 +158,138 @@ func TestOperatorAllocsIndependentOfMorselCount(t *testing.T) {
 	}
 }
 
-// TestFusedKernelZeroAllocs pins the fused Q1 tail: after warmup the
-// whole fused scan-semijoin-aggregate pass costs a small constant
-// (bookkeeping slices and the one-element output Vec), with zero
-// per-morsel allocations.
+// TestFusedKernelZeroAllocs pins the fused passes: after warmup the
+// whole fused scan-semijoin-aggregate Q1 pass costs a small constant
+// (bookkeeping slices and the one-element output Vec), and the probe
+// cascade a constant per morsel (its group table) - neither allocates
+// per block or per row, so 8x the rows in the same number of morsels
+// costs the same.
 func TestFusedKernelZeroAllocs(t *testing.T) {
-	n := 1 << 13
-	disc := make([]uint64, n)
-	qty := make([]uint64, n)
-	od := make([]uint64, n)
-	price := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		disc[i] = uint64(i % 11)
-		qty[i] = uint64(i % 50)
-		od[i] = uint64(100 + i%6)
-		price[i] = uint64(1000 + i%500)
-	}
-	discC := tinyColumn(t, "lo_discount", disc)
-	qtyC := tinyColumn(t, "lo_quantity", qty)
-	odC := intColumn(t, "lo_orderdate", od)
-	priceC := intColumn(t, "lo_extendedprice", price)
-	ht := buildTestHT(100, 101, 102)
-
-	o := &Opts{Par: serialMorsels{workers: 4, morsel: 1 << 10}}
-	preds := []RangePred{{Col: discC, Lo: 1, Hi: 3}, {Col: qtyC, Lo: 0, Hi: 24}}
-	run := func() {
-		if _, err := FusedFilterSemiSumProduct(preds, odC, ht, priceC, discC, o); err != nil {
-			t.Fatal(err)
+	fixture := func(n int) (q1, cascade func()) {
+		disc := make([]uint64, n)
+		qty := make([]uint64, n)
+		od := make([]uint64, n)
+		price := make([]uint64, n)
+		for i := 0; i < n; i++ {
+			disc[i] = uint64(i % 11)
+			qty[i] = uint64(i % 50)
+			od[i] = uint64(100 + i%6)
+			price[i] = uint64(1000 + i%500)
 		}
+		discC := tinyColumn(t, "lo_discount", disc)
+		qtyC := tinyColumn(t, "lo_quantity", qty)
+		odC := intColumn(t, "lo_orderdate", od)
+		priceC := intColumn(t, "lo_extendedprice", price)
+		ht := buildTestHT(100, 101, 102)
+		attr := tinyColumn(t, "d_year", []uint64{92, 93, 94})
+
+		o := &Opts{Par: serialMorsels{workers: 4, morsel: n / 8}}
+		preds := []RangePred{{Col: discC, Lo: 1, Hi: 3}, {Col: qtyC, Lo: 0, Hi: 24}}
+		joins := []FusedJoin{{FK: odC, HT: ht, Attr: attr}}
+		return func() {
+				if _, err := FusedFilterSemiSumProduct(preds, odC, ht, priceC, discC, o); err != nil {
+					t.Fatal(err)
+				}
+			}, func() {
+				if _, _, err := FusedProbeGroupSum(preds[:1], joins, priceC, o); err != nil {
+					t.Fatal(err)
+				}
+			}
 	}
-	run()
-	allocs := testing.AllocsPerRun(50, run)
+	measure := func(run func()) float64 {
+		run()
+		return testing.AllocsPerRun(50, run)
+	}
+	q1, cascade := fixture(1 << 13)
+	q1Big, cascadeBig := fixture(1 << 16)
+	q1Allocs, cascadeAllocs := measure(q1), measure(cascade)
+	q1BigAllocs, cascadeBigAllocs := measure(q1Big), measure(cascadeBig)
 	if raceEnabled {
-		t.Skipf("race instrumentation changes alloc counts (measured %.1f)", allocs)
+		t.Skipf("race instrumentation changes alloc counts (measured %.1f, %.1f)", q1Allocs, cascadeAllocs)
 	}
-	if allocs > 16 {
-		t.Fatalf("fused Q1 pass allocated %.1f times, budget 16", allocs)
+	if q1Allocs > 16 {
+		t.Fatalf("fused Q1 pass allocated %.1f times, budget 16", q1Allocs)
+	}
+	if cascadeAllocs > 8*24 {
+		t.Fatalf("fused cascade allocated %.1f times over 8 morsels, budget 24 per morsel (its group table)", cascadeAllocs)
+	}
+	if q1BigAllocs > q1Allocs+2 || cascadeBigAllocs > cascadeAllocs+2 {
+		t.Fatalf("allocations grew with the rows per morsel: Q1 %.1f -> %.1f, cascade %.1f -> %.1f",
+			q1Allocs, q1BigAllocs, cascadeAllocs, cascadeBigAllocs)
 	}
 }
 
-// TestProbeKernelZeroAllocs pins the probe morsel: one warm
-// probeRange pass - borrow both buffers, probe, release - allocates
-// nothing, so parallel HashProbe costs no per-morsel garbage.
+// TestProbeKernelZeroAllocs pins the typed probe kernels: one warm pass
+// of each - probeRange in row order and in selection order, with the
+// table and with the dense index; a join stage of the cascade over a
+// block bitmap and over a list, position array and attribute fetch
+// included - borrows, probes and releases without allocating, so a
+// parallel probe costs no per-morsel and a fused pass no per-block
+// garbage.
 func TestProbeKernelZeroAllocs(t *testing.T) {
 	vals := make([]uint64, 4096)
 	for i := range vals {
 		vals[i] = uint64(100 + i%8)
 	}
-	col := intColumn(t, "fk", vals)
+	col := harden(t, intColumn(t, "fk", vals), code32)
 	ht := buildTestHT(100, 101, 102, 103)
-	o := &Opts{}
+	attr := harden(t, tinyColumn(t, "attr", []uint64{7, 8, 9, 10}), code8)
+	o := &Opts{Detect: true}
+	sel := &Sel{Pos: make([]uint64, 2048)}
+	for i := range sel.Pos {
+		sel.Pos[i] = uint64(2 * i)
+	}
 
-	j := &fkProbe{fk: makeFusedCol(col), ht: ht, table: true}
-	run := func() {
-		part, err := j.probeRange(nil, o, nil, 1024, 3072)
-		if err != nil {
-			t.Fatal(err)
+	table := &fkProbe{fk: makeFusedCol(col), ht: ht, wantPos: true}
+	semi := makeFKProbe(col, ht, false)
+	join := fusedJoinCol{fkProbe: makeFKProbe(col, ht, true), attr: makeFusedCol(attr), hasAttr: true}
+	defer join.release()
+	if semi.keyBits == nil || join.keyPos == nil {
+		t.Fatal("dense fixture built no index")
+	}
+	words, pos := make([]uint64, fusedBlockWords), make([]uint64, 0, fusedBlockRows)
+	bp, staged := make([]uint32, fusedBlockRows), make([]uint16, fusedBlockRows)
+
+	rangeRun := func(j *fkProbe, sel *Sel, end int) func() {
+		return func() {
+			part, err := j.probeRange(sel, o, nil, 1024, end)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dropProbePart(part)
 		}
-		releaseU64(part.pos)
-		releaseU32(part.matches)
 	}
-	run() // warm the pools
-	allocs := testing.AllocsPerRun(200, run)
-	if raceEnabled {
-		t.Skipf("race instrumentation changes alloc counts (measured %.1f)", allocs)
-	}
-	if allocs != 0 {
-		t.Fatalf("warm probe morsel allocated %.1f times, want 0", allocs)
+	for name, run := range map[string]func(){
+		"probeRange/table/rows":      rangeRun(table, nil, 3072),
+		"probeRange/table/selection": rangeRun(table, sel, 2000),
+		"probeRange/dense/rows":      rangeRun(&semi, nil, 3077),
+		"probeRange/dense/selection": rangeRun(&semi, sel, 2000),
+		"stage/bitmap": func() {
+			fillBitmap(words, fusedBlockRows-3) // the last word ragged
+			if n := join.probeBitmap(0, words, bp, nil); n != 2048 {
+				t.Fatalf("bitmap stage kept %d rows", n)
+			}
+			if _, n, err := join.fetchAttr(0, words, nil, bp, staged, true, nil); err != nil || n != 2048 {
+				t.Fatalf("attribute pass kept %d rows: %v", n, err)
+			}
+		},
+		"stage/list": func() {
+			pos = append(pos[:0], sel.Pos...)
+			pos = join.probeList(0, pos, bp, nil)
+			if kept, n, err := join.fetchAttr(0, nil, pos, bp, staged, true, nil); err != nil || n != 1024 || len(kept) != n {
+				t.Fatalf("list stage kept %d rows: %v", n, err)
+			}
+		},
+	} {
+		run() // warm the pools
+		allocs := testing.AllocsPerRun(200, run)
+		if raceEnabled {
+			t.Logf("%s: race instrumentation changes alloc counts (measured %.1f)", name, allocs)
+			continue
+		}
+		if allocs != 0 {
+			t.Errorf("%s: warm pass allocated %.1f times, want 0", name, allocs)
+		}
 	}
 }
 
@@ -262,5 +327,46 @@ func TestProbeAllocsIndependentOfMorselCount(t *testing.T) {
 	}
 	if many > 16 {
 		t.Fatalf("parallel HashProbe call allocated %.1f times, budget 16", many)
+	}
+}
+
+// TestLeaseRightSizesAndBounds pins what a lease pins: a buffer already
+// in the size class of its contents is kept as it is (no copy), a mostly
+// empty one and per-morsel parts move into one right-sized buffer, and
+// past leaseMaxValues outputs are owned copies again.
+func TestLeaseRightSizesAndBounds(t *testing.T) {
+	before := LiveScratch()
+	var lease Lease
+	o := &Opts{}
+	o.KeepIn(&lease)
+
+	snug := borrowU64(1000)
+	*snug = (*snug)[:900]
+	if out := o.outU64(snug); &out[0] != &(*snug)[0] {
+		t.Fatal("a right-sized buffer was copied")
+	}
+	loose := borrowU64(1 << 16)
+	*loose = append(*loose, 1, 2, 3)
+	if out := o.outU64(loose); cap(out) != 1<<scratchMinBits || out[2] != 3 {
+		t.Fatalf("3 values left in a %d-value buffer", cap(out))
+	}
+	a, b := borrowU32(8), borrowU32(8)
+	*a, *b = append(*a, 1, 2), append(*b, 3)
+	if out := o.outU32(a, b); len(out) != 3 || out[2] != 3 {
+		t.Fatalf("merged parts: %v", out)
+	}
+	if got := LiveScratch(); got != before+3 {
+		t.Fatalf("three outputs hold %d arena buffers", got-before)
+	}
+
+	lease.values = leaseMaxValues
+	full := borrowU64(8)
+	*full = append(*full, 7)
+	if out := o.outU64(full); cap(out) != 1 || out[0] != 7 {
+		t.Fatalf("a full lease must copy out, got cap %d", cap(out))
+	}
+	lease.Release()
+	if got := LiveScratch(); got != before {
+		t.Fatalf("scratch leak: %d live buffers before, %d after", before, got)
 	}
 }

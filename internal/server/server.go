@@ -188,7 +188,7 @@ type QueryRequest struct {
 	Query  string         `json:"query,omitempty"`
 	AdHoc  *ssb.AdHocSpec `json:"adhoc,omitempty"`
 	Mode   string         `json:"mode,omitempty"`   // default "continuous"
-	Flavor string         `json:"flavor,omitempty"` // default "scalar"
+	Flavor string         `json:"flavor,omitempty"` // default "blocked"
 	// DeadlineMS bounds execution; 0 uses the server default.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// Heal runs under RunWithRecovery: detected base-column corruption
@@ -287,7 +287,7 @@ func (s *Server) resolve(req *QueryRequest) (name string, plan exec.QueryFunc, m
 			return "", nil, 0, 0, http.StatusBadRequest, err
 		}
 	}
-	f = ops.Scalar
+	f = ops.Blocked
 	if req.Flavor != "" {
 		if f, err = ops.ParseFlavor(req.Flavor); err != nil {
 			return "", nil, 0, 0, http.StatusBadRequest, err

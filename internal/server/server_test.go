@@ -145,7 +145,7 @@ func TestServePreparedMatchesEngine(t *testing.T) {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
 	qr := decodeResponse(t, data)
-	if qr.Mode != exec.Continuous.String() || qr.Flavor != "scalar" {
+	if qr.Mode != exec.Continuous.String() || qr.Flavor != "blocked" {
 		t.Fatalf("defaults not applied: mode %q flavor %q", qr.Mode, qr.Flavor)
 	}
 	if !reflect.DeepEqual(qr.Aggs, want.Aggs) || qr.Rows != want.Rows() {
@@ -153,6 +153,15 @@ func TestServePreparedMatchesEngine(t *testing.T) {
 	}
 	if len(qr.Detected) != 0 {
 		t.Fatalf("clean run reported detections: %v", qr.Detected)
+	}
+
+	// The scalar kernels stay one request field away.
+	resp, data = postQuery(t, ts.URL, QueryRequest{Query: "Q1.1", Flavor: "scalar"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	}
+	if sr := decodeResponse(t, data); sr.Flavor != "scalar" || !reflect.DeepEqual(sr.Aggs, want.Aggs) {
+		t.Fatalf("explicit scalar flavor: flavor %q, aggs %v vs %v", sr.Flavor, sr.Aggs, want.Aggs)
 	}
 }
 

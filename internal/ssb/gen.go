@@ -347,7 +347,13 @@ func genLineorder(n int, d *Data, rng *rand.Rand) (*storage.Table, error) {
 	ordtotalprice, _ := storage.NewColumn("lo_ordtotalprice", storage.Int)
 	commitdate, _ := storage.NewColumn("lo_commitdate", storage.Int)
 	shippriority, _ := storage.NewColumn("lo_shippriority", storage.TinyInt)
-	var shipmodes, priorities []string
+	// Row counts are known up front: reserving them keeps the fifteen
+	// columns and two string lists from regrowing by doubling.
+	for _, c := range []*storage.Column{orderkey, linenumber, custkey, partkey, suppkey, orderdate,
+		quantity, extendedprice, discount, revenue, supplycost, tax, ordtotalprice, commitdate, shippriority} {
+		c.Reserve(n)
+	}
+	shipmodes, priorities := make([]string, 0, n), make([]string, 0, n)
 	modes := []string{"AIR", "FOB", "MAIL", "RAIL", "REG AIR", "SHIP", "TRUCK"}
 	prioList := []string{"1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECI", "5-LOW"}
 

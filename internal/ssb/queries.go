@@ -1,6 +1,8 @@
 package ssb
 
 import (
+	"errors"
+
 	"ahead/internal/exec"
 	"ahead/internal/hashmap"
 	"ahead/internal/ops"
@@ -352,14 +354,21 @@ func starGroupByFused(q *exec.Query, joins []groupSpec, measure, measureB string
 // measureB empty selects the plain sum, otherwise the Q4.x profit
 // difference measure-measureB. Without a precomputed fact selection the
 // whole tail collapses into the fused probe cascade (all modes except
-// ContinuousReencoding). A tail entered with a selection always
+// ContinuousReencoding) - unless a group-key component turns out wider
+// than the cascade stages it (ops.ErrFusedKeyDomain: a wide attribute,
+// or under Late a corrupted one), in which case the cascade has logged
+// nothing and the operators below, which size keys by their decoded
+// domain, run the tail instead. A tail entered with a selection always
 // materializes: once a detected corruption makes gatherDim drop an
 // entry, only the materializing gather keeps keys, group ids and
 // measures aligned with sel - a corrupted position contributes zero and
 // a log record instead of skewing its neighbours' groups.
 func starGroupBy(q *exec.Query, sel *ops.Sel, joins []groupSpec, measure, measureB string) (*ops.Result, error) {
 	if sel == nil && q.FuseOperators() {
-		return starGroupByFused(q, joins, measure, measureB)
+		res, err := starGroupByFused(q, joins, measure, measureB)
+		if !errors.Is(err, ops.ErrFusedKeyDomain) {
+			return res, err
+		}
 	}
 	var err error
 	for _, j := range joins {

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 
 	"ahead/internal/an"
 	"ahead/internal/bitpack"
@@ -226,20 +227,55 @@ func (c *Column) Get(i int) uint64 {
 // hardening, Section 4.1: inserting into a hardened column just means
 // inserting hardened data).
 func (c *Column) Append(v uint64) {
-	i := c.Len()
-	c.grow(1)
 	if c.code != nil {
 		v = c.code.Encode(v)
 	}
-	c.setU64(i, v)
+	c.AppendRaw(v)
 }
 
 // AppendRaw adds a raw physical value without encoding. Used by operators
-// that already hold code words.
+// that already hold code words. One width dispatch per value, amortized
+// growth: a loader that knows its row count calls Reserve first and never
+// regrows.
 func (c *Column) AppendRaw(v uint64) {
-	i := c.Len()
-	c.grow(1)
-	c.setU64(i, v)
+	switch c.width {
+	case 1:
+		c.u8 = append(c.u8, uint8(v))
+	case 2:
+		c.u16 = append(c.u16, uint16(v))
+	case 4:
+		c.u32 = append(c.u32, uint32(v))
+	default:
+		c.u64 = append(c.u64, v)
+	}
+	if c.packed != nil {
+		c.packed.Append(v)
+	}
+	if c.resCheck != nil {
+		c.resCheck = append(c.resCheck, uint16(c.resCode.Residue(v)))
+	}
+}
+
+// Reserve makes room for n more values, so that the next n appends do
+// not reallocate the data array, the packed mirror or the residue
+// sidecar.
+func (c *Column) Reserve(n int) {
+	switch c.width {
+	case 1:
+		c.u8 = slices.Grow(c.u8, n)
+	case 2:
+		c.u16 = slices.Grow(c.u16, n)
+	case 4:
+		c.u32 = slices.Grow(c.u32, n)
+	default:
+		c.u64 = slices.Grow(c.u64, n)
+	}
+	if c.packed != nil {
+		c.packed.Grow(n)
+	}
+	if c.resCheck != nil {
+		c.resCheck = slices.Grow(c.resCheck, n)
+	}
 }
 
 // Set overwrites position i with a plain value, hardening it first on

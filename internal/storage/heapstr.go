@@ -49,8 +49,12 @@ func (h *StringHeap) Bytes() int { return len(h.buf) }
 // NewHeapStrColumn stores the values in a fresh string heap and returns
 // the pointer column referencing it.
 func NewHeapStrColumn(name string, values []string) (*Column, error) {
-	heap := &StringHeap{}
-	c := &Column{name: name, kind: StrHeap, width: 8, heap: heap}
+	total := 0
+	for _, v := range values {
+		total += len(v)
+	}
+	heap := &StringHeap{buf: make([]byte, 0, total)}
+	c := &Column{name: name, kind: StrHeap, width: 8, heap: heap, u64: make([]uint64, 0, len(values))}
 	for _, v := range values {
 		ref, err := heap.Add(v)
 		if err != nil {
