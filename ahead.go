@@ -210,8 +210,10 @@ func Campaign(col *Column, in *Injector, trials, weight int) (faults.CampaignRes
 const TMR = exec.TMR
 
 // Repair restores the corrupted positions an error log recorded for one
-// hardened column by re-encoding the values from the plain replica - the
-// "retransmission" correction the paper sketches in Section 9.
+// hardened column with good values from the repair chain (the plain
+// mirror first, then any registered snapshot or peer), re-hardened under
+// the column's current code - the "retransmission" correction the paper
+// sketches in Section 9.
 func Repair(db *DB, table, column string, log *ErrorLog) (int, error) {
 	return db.RepairHardened(table, column, log)
 }
@@ -230,18 +232,18 @@ type UnrecoverableError = exec.UnrecoverableError
 type RecoveryOption = exec.RecoveryOption
 
 // RunWithRecovery executes the plan under supervised recovery: detected
-// corruption is repaired from the plain replica and the query retried
-// under a bounded budget; persistent faults quarantine the affected
-// columns and either degrade to DMR over the plain replicas or fail with
-// a structured *UnrecoverableError. This is the paper's Section 9
-// detect-then-correct loop made operational.
+// corruption is repaired through the repair chain and the query retried
+// under a bounded budget; persistent faults, and columns the chain cannot
+// heal, quarantine the affected columns and either degrade to DMR over
+// the plain replicas or fail with a structured *UnrecoverableError. This
+// is the paper's Section 9 detect-then-correct loop made operational.
 func RunWithRecovery(db *DB, m Mode, f Flavor, plan QueryFunc, opts ...RecoveryOption) (*Result, *RecoveryReport, error) {
 	return exec.RunWithRecovery(db, m, f, plan, opts...)
 }
 
-// Scrub verifies every hardened column and repairs all corruption from
-// the plain replicas - the offline background-scrubber counterpart of
-// RunWithRecovery.
+// Scrub verifies every AN and residue column and repairs all corruption
+// through the repair chain - the offline background-scrubber counterpart
+// of RunWithRecovery.
 func Scrub(db *DB) (map[string]int, error) { return db.Scrub() }
 
 // Accumulator verifies blocks of code words with one multiply+compare per

@@ -60,7 +60,7 @@ func main() {
 		shardSpec    = flag.String("shard", "", "serve one shard of a cluster, 1-based \"i/n\" (e.g. 2/3); empty = single node")
 		replica      = flag.Int("replica", 0, "replica index of this shard's slice (0-based, informational)")
 		snapshotDir  = flag.String("snapshot-dir", "", "write a chunked hardened snapshot of every table here at boot and register it as a repair source")
-		dropPlain    = flag.Bool("drop-plain-repair", false, "discard the in-process plain repair copies; repairs must come from -snapshot-dir or a peer (testing/low-memory)")
+		dropPlain    = flag.Bool("drop-plain-repair", false, "remove the in-process plain mirror from the repair chain; repairs must come from -snapshot-dir or a peer (frees no memory: Unprotected, DMR and the dictionaries still read the plain tables)")
 		adaptOn      = flag.Bool("adapt", false, "enable online adaptive hardening: columns start at the weakest published code and a background controller re-hardens them under observed fault traffic")
 		adaptTarget  = flag.Float64("adapt-target", 1e-4, "silent-corruption hazard bound the controller holds per column (with -adapt)")
 		adaptEvery   = flag.Duration("adapt-interval", 5*time.Second, "controller tick interval (with -adapt)")
@@ -112,7 +112,7 @@ func main() {
 	}
 	if *dropPlain {
 		suite.DB.DropPlainRepair()
-		log.Printf("plain repair copies dropped; repairs served by %d registered source(s)", len(suite.DB.RepairSources()))
+		log.Printf("plain mirror removed from the repair chain; repairs served by %d registered source(s)", len(suite.DB.RepairSources()))
 	}
 
 	var pool *exec.Pool

@@ -129,6 +129,73 @@ func TestManagerClosedLoop(t *testing.T) {
 	}
 }
 
+// TestManagerEscalatesAndHealsFromSnapshot: a replica without the plain
+// entry in its repair chain heals only from a boot snapshot. Under fault
+// pressure the manager escalates the column to a stronger code, so the
+// snapshot now holds words of an older code; a fresh flip must still
+// heal from it - verified under the snapshot's own code, re-hardened
+// under the column's current one.
+func TestManagerEscalatesAndHealsFromSnapshot(t *testing.T) {
+	db := managerDB(t)
+	ref, _, err := exec.Run(db, exec.Unprotected, ops.Scalar, countPlan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := db.SaveSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	src := exec.NewSnapshotRepairSource(dir)
+	defer src.Close()
+	db.RegisterRepairSource(src)
+	db.DropPlainRepair()
+
+	pol := DefaultPolicy()
+	pol.TargetRate = 1e-4
+	m := NewManager(db, pol)
+	startA := db.ColumnCodings()[0].A
+	for tick := 0; tick < 8 && db.ColumnCodings()[0].A == startA; tick++ {
+		hc, err := db.Hardened("m").Column("v")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 20; i++ {
+			hc.Corrupt(i*37, 1<<7)
+		}
+		_, log, err := exec.Run(db, exec.Continuous, ops.Scalar, countPlan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, col := range log.Columns() {
+			pos, err := log.Positions(col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.NoteDetections(col, len(pos))
+		}
+		m.TickOnce()
+	}
+	if st := m.Status(); db.ColumnCodings()[0].A == startA || st.FailedRehardens != 0 || st.LastError != "" {
+		t.Fatalf("column did not escalate cleanly from A=%d: %+v", startA, st)
+	}
+
+	hc, err := db.Hardened("m").Column("v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hc.Corrupt(150, 1<<3) // v=150 lies inside countPlan's filter
+	res, rep, err := exec.RunWithRecovery(db, exec.Continuous, ops.Scalar, countPlan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Equal(ref) || rep.RepairedCount() != 1 || rep.Attempts != 2 {
+		t.Fatalf("snapshot heal after escalation: equal=%v report %v", res.Equal(ref), rep)
+	}
+	if bad := hc.BadPositions(); len(bad) != 0 {
+		t.Fatalf("column not clean after the heal: %v", bad)
+	}
+}
+
 func TestManagerPolicyRoundTrip(t *testing.T) {
 	m := NewManager(managerDB(t), DefaultPolicy())
 	p := m.Policy()

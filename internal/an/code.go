@@ -151,6 +151,23 @@ func (c *Code) Check(cw uint64) (d uint64, ok bool) {
 	return d, d <= c.dMaxU
 }
 
+// DecodeAll checks every code word of words and returns the decoded
+// values, all or nothing: one invalid word refuses the whole run, so a
+// caller never mixes verified and unverified values. This is how a
+// redundant copy's chunk is verified on receipt before it repairs
+// anything.
+func (c *Code) DecodeAll(words []uint64) ([]uint64, error) {
+	vals := make([]uint64, len(words))
+	for i, cw := range words {
+		d, ok := c.Check(cw)
+		if !ok {
+			return nil, fmt.Errorf("an: invalid code word at offset %d under %v", i, c)
+		}
+		vals[i] = d
+	}
+	return vals, nil
+}
+
 // IsValidNaive is the textbook detection test of Eq. (3): cw must be
 // divisible by A. It is strictly weaker than IsValid (a corrupted word can
 // still be a multiple of A yet decode outside the data domain) and an order

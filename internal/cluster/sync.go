@@ -14,8 +14,8 @@
 //
 // The types here are the versioned JSON bodies; SyncClient is the
 // fetching side; PeerRepairSource adapts a peer to the exec package's
-// RepairSource interface (structurally - no exec import) so
-// RunWithRecovery can heal straight from a replica.
+// RepairSource interface (structurally - no exec import) so the repair
+// chain can heal straight from a replica.
 package cluster
 
 import (
@@ -29,6 +29,8 @@ import (
 	"net/url"
 	"strconv"
 	"time"
+
+	"ahead/internal/storage"
 )
 
 // SyncVersion is the anti-entropy wire version; mismatches are refused,
@@ -235,25 +237,33 @@ func (c *SyncClient) FetchChunk(ctx context.Context, table, column string, chunk
 
 // PeerRepairSource adapts a peer replica to the exec package's
 // RepairSource interface (structurally, to keep cluster free of an exec
-// dependency): RunWithRecovery pulls chunks straight from the peer when
-// the local plain mirror is gone.
+// dependency): an entry of the repair chain that pulls chunks straight
+// from the peer.
 type PeerRepairSource struct {
-	c       *SyncClient
-	timeout time.Duration
+	c *SyncClient
 }
 
 // NewPeerRepairSource builds a repair source over the peer's base URL.
 func NewPeerRepairSource(base string, client *http.Client) *PeerRepairSource {
-	return &PeerRepairSource{c: NewSyncClient(base, client), timeout: 30 * time.Second}
+	return &PeerRepairSource{c: NewSyncClient(base, client)}
 }
 
 // Name identifies the peer in repair errors and reports.
 func (p *PeerRepairSource) Name() string { return "peer:" + p.c.Base() }
 
-// FetchChunk fetches one chunk from the peer. The transport CRC is
-// verified here; the AN check happens in the repair path.
-func (p *PeerRepairSource) FetchChunk(table, column string, chunkRows, chunk int) ([]uint64, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), p.timeout)
-	defer cancel()
-	return p.c.FetchChunk(ctx, table, column, chunkRows, chunk)
+// Values fetches the chunk holding positions from the peer under the
+// caller's context and verifies it - transport CRC, then every word
+// under the column's current code, which a replica's words must pass -
+// before returning the decoded values at positions. A column without an
+// AN code gives a peer chunk nothing to be verified under.
+func (p *PeerRepairSource) Values(ctx context.Context, table string, hc *storage.Column, positions []uint64) ([]uint64, error) {
+	if hc.Code() == nil {
+		return nil, fmt.Errorf("cluster: %s.%s has no AN code to verify a peer chunk under", table, hc.Name())
+	}
+	chunk := int(positions[0]) / storage.DefaultChunkRows
+	words, err := p.c.FetchChunk(ctx, table, hc.Name(), storage.DefaultChunkRows, chunk)
+	if err != nil {
+		return nil, err
+	}
+	return storage.VerifiedValues(hc.Code(), words, chunk*storage.DefaultChunkRows, positions)
 }

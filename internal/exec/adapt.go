@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -112,19 +113,20 @@ func (db *DB) ResidueHardenColumn(table, column string, checkBits uint) (int, er
 	})
 }
 
-// swapColumn is the shared re-harden core. Under the recovery lock (so
-// scrubs and repair loops never interleave with a swap) it picks a
-// trustworthy plain base, builds the replacement via rebuild, and swaps
-// it in atomically:
+// swapColumn is the shared re-harden core. Under the repair lock (so
+// scrubs, syncs and repair loops never interleave with a swap) it picks
+// a trustworthy plain base, builds the replacement via rebuild, and
+// swaps it in atomically:
 //
-//   - With the plain mirror available, the replacement is rebuilt from
-//     it directly. The mirror is the repair ground truth, so even
-//     corruption the code could NOT detect (a flip pattern landing on
-//     another valid code word) is wiped by the re-encode instead of
-//     being laundered into a validly-coded wrong value.
-//   - Without it, the current column is verified, repaired from the
-//     registered repair sources, and softened; if any corrupt position
-//     cannot be repaired the swap is refused.
+//   - When the repair chain's head is the plain mirror, the replacement
+//     is rebuilt from it directly. The mirror is the repair ground
+//     truth, so even corruption the code could NOT detect (a flip
+//     pattern landing on another valid code word) is wiped by the
+//     re-encode instead of being laundered into a validly-coded wrong
+//     value.
+//   - Otherwise the current column is verified, repaired through the
+//     chain, and softened; if any corrupt position cannot be repaired
+//     the swap is refused.
 //
 // The old column is never written, so queries that resolved it before
 // the swap keep computing on a consistent encoding.
@@ -132,35 +134,15 @@ func (db *DB) swapColumn(table, column string, rebuild func(*storage.Column) (*s
 	db.recoverMu.Lock()
 	defer db.recoverMu.Unlock()
 
-	hTab := db.hardened[table]
-	if hTab == nil {
-		return 0, fmt.Errorf("exec: unknown table %q", table)
-	}
-	hc, err := hTab.Column(column)
+	hc, err := db.baseColumn(table, column)
 	if err != nil {
 		return 0, err
 	}
-
-	base := db.plainRepairColumn(table, column)
+	base := db.plainHead(table, column)
 	if base == nil {
-		var bad []uint64
-		switch {
-		case hc.Code() != nil:
-			bad, err = hc.CheckAll()
-		case hc.IsResidueHardened():
-			bad, err = hc.ResidueCheckAll()
-		}
-		if err != nil {
-			return 0, err
-		}
-		if len(bad) > 0 {
-			repaired, skipped, err := db.repairPositions(table, column, bad)
-			if err != nil {
-				return 0, fmt.Errorf("exec: reharden %s.%s: pre-swap repair: %w", table, column, err)
-			}
-			if len(skipped) > 0 || len(repaired) < len(bad) {
-				return 0, fmt.Errorf("exec: reharden %s.%s: %d of %d corrupt positions not repairable; refusing to re-encode",
-					table, column, len(bad)-len(repaired)+len(skipped), len(bad))
+		if bad := hc.BadPositions(); len(bad) > 0 {
+			if _, _, err := db.repair(context.TODO(), table, column, bad); err != nil {
+				return 0, fmt.Errorf("exec: reharden %s.%s: pre-swap repair: %w; refusing to re-encode", table, column, err)
 			}
 		}
 		base = hc
@@ -179,7 +161,7 @@ func (db *DB) swapColumn(table, column string, rebuild func(*storage.Column) (*s
 	if err != nil {
 		return 0, err
 	}
-	if err := hTab.ReplaceColumn(repl); err != nil {
+	if err := db.hardened[table].ReplaceColumn(repl); err != nil {
 		return 0, err
 	}
 	return repl.Bytes(), nil

@@ -136,13 +136,11 @@ type DB struct {
 	quarantined map[string]bool
 	recoverMu   sync.Mutex
 
-	// Fallback repair plumbing (repair_source.go): when the plain mirror
-	// is unavailable for repair, repairPositions pulls verified chunks
-	// from these sources instead (repair_source.go: local snapshot, peer
-	// replica).
-	srcMu           sync.Mutex
-	repairSources   []RepairSource
-	plainRepairGone bool
+	// The repair chain (repair_source.go): the ordered sources every
+	// repair draws good values from - the plain mirror first, then any
+	// registered snapshot or peer.
+	srcMu         sync.Mutex
+	repairSources []RepairSource
 
 	// Per-column access-frequency counters (access.go): the hotness
 	// signal the adaptive-hardening controller weighs re-harden order
@@ -153,7 +151,8 @@ type DB struct {
 
 // NewDB builds the per-mode physical storage from plain base tables,
 // hardening columns with the given chooser (Section 6.2 uses
-// storage.LargestCodeChooser). The replica is a deep copy for DMR.
+// storage.LargestCodeChooser). The replica is a deep copy for DMR. The
+// plain tables head the repair chain.
 func NewDB(tables []*storage.Table, choose storage.CodeChooser) (*DB, error) {
 	db := &DB{
 		plain:       make(map[string]*storage.Table),
@@ -164,6 +163,7 @@ func NewDB(tables []*storage.Table, choose storage.CodeChooser) (*DB, error) {
 		quarantined: make(map[string]bool),
 		access:      make(map[string]uint64),
 	}
+	db.repairSources = []RepairSource{plainSource{db}}
 	for _, t := range tables {
 		if _, dup := db.plain[t.Name()]; dup {
 			return nil, fmt.Errorf("exec: duplicate table %q", t.Name())
@@ -300,12 +300,12 @@ func (db *DB) TableOf(column string) (string, bool) {
 }
 
 // RepairHardened restores the corrupted positions an error log recorded
-// for one hardened column, re-encoding the values from the plain replica
-// - the "retransmission" correction sketched in Section 9: detection is
-// on value granularity, so once AHEAD knows *where* the flip happened,
-// any redundant copy repairs it. It returns the number of distinct
-// repaired positions (the log may record one flip once per operator that
-// touched it - see ErrorLog.Positions).
+// for one hardened column through the repair chain - the
+// "retransmission" correction sketched in Section 9: detection is on
+// value granularity, so once AHEAD knows *where* the flip happened, any
+// redundant copy repairs it. It returns the number of distinct repaired
+// positions (the log may record one flip once per operator that touched
+// it - see ErrorLog.Positions).
 //
 // All decoded positions are validated against the column length before
 // anything is written; out-of-range entries (a corrupted log that still
@@ -318,7 +318,9 @@ func (db *DB) RepairHardened(table, column string, log *ops.ErrorLog) (int, erro
 	if err != nil {
 		return 0, err
 	}
-	repaired, skipped, err := db.repairPositions(table, column, positions)
+	db.recoverMu.Lock()
+	defer db.recoverMu.Unlock()
+	repaired, skipped, err := db.repair(context.TODO(), table, column, positions)
 	if err != nil {
 		return 0, err
 	}
@@ -329,71 +331,23 @@ func (db *DB) RepairHardened(table, column string, log *ops.ErrorLog) (int, erro
 	return len(repaired), nil
 }
 
-// repairPositions writes good values back into the hardened column at
-// the given positions, returning the repaired and the skipped
-// (out-of-range) positions. It is the shared core of RepairHardened and
-// the recovery loop. The plain mirror is the first choice; when it is
-// unavailable for repair (DropPlainRepair, or no plain copy), the
-// registered repair sources - local snapshot, peer replica - serve
-// AN-verified chunks instead (repair_source.go).
-func (db *DB) repairPositions(table, column string, positions []uint64) (repaired, skipped []uint64, err error) {
-	hTab := db.hardened[table]
-	if hTab == nil {
-		return nil, nil, fmt.Errorf("exec: unknown table %q", table)
-	}
-	hc, err := hTab.Column(column)
-	if err != nil {
-		return nil, nil, err
-	}
-	if pc := db.plainRepairColumn(table, column); pc != nil {
-		n := uint64(hc.Len())
-		for _, pos := range positions {
-			if pos >= n {
-				skipped = append(skipped, pos)
-				continue
-			}
-			hc.Set(int(pos), pc.Get(int(pos))) // Set re-hardens
-			repaired = append(repaired, pos)
-		}
-		return repaired, skipped, nil
-	}
-	return db.repairFromSources(table, column, hc, positions)
-}
-
-// Scrub verifies every hardened column of every table and repairs all
-// corrupted positions from the plain replica - the offline counterpart
-// of RunWithRecovery's on-the-fly repair (a background scrubber in
-// production terms). It returns the number of repaired values per
-// "table.column" and the first error encountered.
+// Scrub verifies every AN and residue column of every hardened table and
+// repairs all corrupted positions through the repair chain - the
+// offline counterpart of RunWithRecovery's on-the-fly repair (a
+// background scrubber in production terms). It holds the repair lock.
+// It returns the number of repaired values per "table.column" and the
+// first error encountered.
 func (db *DB) Scrub() (map[string]int, error) {
-	names := make([]string, 0, len(db.hardened))
-	for name := range db.hardened {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	db.recoverMu.Lock()
+	defer db.recoverMu.Unlock()
 	out := make(map[string]int)
-	for _, name := range names {
+	for _, name := range db.Tables() {
 		for _, hc := range db.hardened[name].Columns() {
-			var bad []uint64
-			var err error
-			switch {
-			case hc.Code() != nil:
-				bad, err = hc.CheckAll()
-			case hc.IsResidueHardened():
-				// Residue columns verify against their sidecar; repair
-				// still comes from the plain mirror (Set refreshes the
-				// check word).
-				bad, err = hc.ResidueCheckAll()
-			default:
-				continue
-			}
-			if err != nil {
-				return out, err
-			}
+			bad := hc.BadPositions()
 			if len(bad) == 0 {
 				continue
 			}
-			repaired, _, err := db.repairPositions(name, hc.Name(), bad)
+			repaired, _, err := db.repair(context.TODO(), name, hc.Name(), bad)
 			if err != nil {
 				return out, err
 			}
@@ -456,8 +410,12 @@ type QueryFunc func(q *Query) (*ops.Result, error)
 type RunOption func(*runCfg)
 
 type runCfg struct {
-	pool      *Pool
+	pool *Pool
+	// transient asks Run for a pool of its own with the given number of
+	// workers (WithParallelism), built when the run starts, so applying
+	// options stays free of side effects.
 	transient bool
+	workers   int
 	noFuse    bool
 	noPacked  bool
 	ctx       context.Context
@@ -489,7 +447,7 @@ func WithCapture(c *Capture) RunOption {
 // pool jobs voting at the barrier. One pool amortizes across many runs
 // (the SSB harness holds one for the whole suite).
 func WithPool(p *Pool) RunOption {
-	return func(c *runCfg) { c.pool = p }
+	return func(c *runCfg) { c.pool, c.transient = p, false }
 }
 
 // WithFusion toggles the fused operator chains (on by default). Passing
@@ -530,8 +488,7 @@ func WithParallelism(n int) RunOption {
 		if n == 1 {
 			return
 		}
-		c.pool = NewPool(n)
-		c.transient = true
+		c.pool, c.transient, c.workers = nil, true, n
 	}
 }
 
@@ -546,6 +503,7 @@ func Run(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc, opts ...RunOption) (
 		o(&cfg)
 	}
 	if cfg.transient {
+		cfg.pool = NewPool(cfg.workers)
 		defer cfg.pool.Close()
 	}
 	log := ops.NewErrorLog()

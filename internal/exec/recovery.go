@@ -2,16 +2,20 @@
 // turns AHEAD's value-granular *detection* (the paper's contribution)
 // into *recovery* (the correction Section 9 sketches). A query runs under
 // any hardened mode; when the error log comes back non-empty the results
-// are untrusted, so the affected base columns are repaired from the plain
-// replica and the query re-runs under a bounded retry budget. Transient
-// flips heal on the first retry. Persistent (stuck-at) faults re-corrupt
-// repaired words, exhaust the budget, and escalate: the column is
-// quarantined and the run either fails with a structured
+// are untrusted, so the affected base columns are repaired through the
+// repair chain (repair_source.go) and the query re-runs under a bounded
+// retry budget. Transient flips heal on the first retry. Persistent
+// (stuck-at) faults re-corrupt repaired words and exhaust the budget; a
+// column the chain cannot heal at all fails sooner. Both escalate: the
+// column is quarantined and the run either fails with a structured
 // *UnrecoverableError or - when the caller opted in - degrades to DMR
 // over the plain replicas, which a hardened-data fault cannot touch.
 package exec
 
 import (
+	"cmp"
+	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -81,7 +85,7 @@ type RecoveryReport struct {
 	// The degraded fallback run is not counted here.
 	Attempts int
 	// Repaired maps each base column to the distinct positions repaired
-	// from the plain replica, sorted, unioned across attempts.
+	// through the repair chain, sorted, unioned across attempts.
 	Repaired map[string][]uint64
 	// Intermediate counts detections in vec: intermediates - transient
 	// operator-output corruption that re-execution recomputes; nothing
@@ -167,12 +171,16 @@ func (r *RecoveryReport) String() string {
 }
 
 // UnrecoverableError is the structured failure of a supervised
-// execution: corruption survived the full repair-and-retry budget (or
-// struck an already-quarantined column) and no degraded fallback was
-// available. Columns lists the offending error-log columns.
+// execution: corruption survived the full repair-and-retry budget,
+// struck an already-quarantined column, or sat in a column the repair
+// chain could not heal, and no degraded fallback was available. Columns
+// lists the offending error-log columns.
 type UnrecoverableError struct {
 	Columns  []string
 	Attempts int
+	// Repair carries the repair chain's error when a column could not
+	// be healed at all; nil when the budget ran out.
+	Repair error
 	// Fallback carries the degraded DMR run's own error when the
 	// fallback was enabled but failed too; nil otherwise.
 	Fallback error
@@ -181,14 +189,17 @@ type UnrecoverableError struct {
 func (e *UnrecoverableError) Error() string {
 	msg := fmt.Sprintf("exec: unrecoverable corruption in %s after %d attempts",
 		strings.Join(e.Columns, ", "), e.Attempts)
+	if e.Repair != nil {
+		msg += fmt.Sprintf("; repair failed: %v", e.Repair)
+	}
 	if e.Fallback != nil {
 		msg += fmt.Sprintf("; degraded DMR fallback failed: %v", e.Fallback)
 	}
 	return msg
 }
 
-// Unwrap exposes the fallback error for errors.Is/As chains.
-func (e *UnrecoverableError) Unwrap() error { return e.Fallback }
+// Unwrap exposes the repair and fallback errors for errors.Is/As chains.
+func (e *UnrecoverableError) Unwrap() []error { return []error{e.Repair, e.Fallback} }
 
 // RunWithRecovery executes the plan under the given mode with supervised
 // recovery. The state machine:
@@ -196,20 +207,23 @@ func (e *UnrecoverableError) Unwrap() error { return e.Fallback }
 //	run ──clean──▶ done
 //	 │ detections
 //	 ▼
-//	repair base columns from the plain replica, retry (≤ MaxRetries)
-//	 │ corruption persists (stuck-at) or column already quarantined
+//	repair base columns through the repair chain, retry (≤ MaxRetries)
+//	 │ corruption persists (stuck-at), column already quarantined,
+//	 │ or the chain cannot heal it
 //	 ▼
 //	quarantine columns ──WithDegradedFallback──▶ DMR over plain replicas
 //	 │ otherwise                                   │ voter disagrees
 //	 ▼                                             ▼
 //	*UnrecoverableError                        *UnrecoverableError
 //
-// Modes without hardened base data (Unprotected, DMR, TMR) have no
-// value-granular detections to act on; they execute once and the report
-// records a single attempt. The whole loop holds the DB's recovery lock,
-// so concurrent supervised executions serialize their repair phases
-// against each other (the attempts themselves still run morsel-parallel
-// on the attached pool).
+// The chain's fetches run under the context of the forwarded Run options
+// (WithContext): a repair that outlives the caller's deadline returns
+// its error without quarantining anything. Modes without hardened base
+// data (Unprotected, DMR, TMR) have no value-granular detections to act
+// on; they execute once and the report records a single attempt. The
+// whole loop holds the DB's repair lock, so concurrent supervised
+// executions, scrubs, re-hardens and syncs serialize against it (the
+// attempts themselves still run morsel-parallel on the attached pool).
 func RunWithRecovery(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc, opts ...RecoveryOption) (*ops.Result, *RecoveryReport, error) {
 	cfg := recoveryCfg{maxRetries: DefaultMaxRetries}
 	for _, o := range opts {
@@ -223,6 +237,11 @@ func RunWithRecovery(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc, opts ...
 		return res, rep, err
 	}
 
+	var run runCfg
+	for _, o := range cfg.runOpts {
+		o(&run)
+	}
+	ctx := cmp.Or(run.ctx, context.Background())
 	db.recoverMu.Lock()
 	defer db.recoverMu.Unlock()
 
@@ -258,11 +277,14 @@ func RunWithRecovery(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc, opts ...
 		}
 		if exhausted {
 			finalizeRepaired(rep, repairedSets)
-			return escalate(db, m, flavor, plan, &cfg, rep, base, vec)
+			return escalate(db, m, flavor, plan, &cfg, rep, base, vec, nil)
 		}
 
-		// Repair phase: base columns from the plain replica;
-		// vec: intermediates are recomputed by the retry itself.
+		// Repair phase: base columns through the repair chain; vec:
+		// intermediates are recomputed by the retry itself. Columns the
+		// chain cannot heal escalate once every other column is repaired.
+		var unhealed []string
+		var repairErrs []error
 		for _, c := range base {
 			table, ok := db.TableOf(c)
 			if !ok {
@@ -273,9 +295,17 @@ func RunWithRecovery(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc, opts ...
 			if err != nil {
 				return nil, rep, err
 			}
-			repaired, skipped, err := db.repairPositions(table, c, positions)
+			repaired, skipped, err := db.repair(ctx, table, c, positions)
+			for _, p := range repaired {
+				if repairedSets[c] == nil {
+					repairedSets[c] = make(map[uint64]bool)
+				}
+				repairedSets[c][p] = true
+			}
 			if err != nil {
-				return nil, rep, err
+				unhealed = append(unhealed, c)
+				repairErrs = append(repairErrs, err)
+				continue
 			}
 			if len(skipped) > 0 {
 				// Out-of-range positions cannot be repaired; treat as
@@ -283,14 +313,13 @@ func RunWithRecovery(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc, opts ...
 				finalizeRepaired(rep, repairedSets)
 				return nil, rep, fmt.Errorf("exec: %d repair positions beyond column %q (first %d)", len(skipped), c, skipped[0])
 			}
-			set := repairedSets[c]
-			if set == nil {
-				set = make(map[uint64]bool, len(repaired))
-				repairedSets[c] = set
+		}
+		if len(unhealed) > 0 {
+			finalizeRepaired(rep, repairedSets)
+			if ctx.Err() != nil { // the caller's deadline, not the columns, ended the repair
+				return nil, rep, errors.Join(repairErrs...)
 			}
-			for _, p := range repaired {
-				set[p] = true
-			}
+			return escalate(db, m, flavor, plan, &cfg, rep, unhealed, vec, errors.Join(repairErrs...))
 		}
 		if cfg.reassert != nil {
 			cfg.reassert() // persistent faults re-corrupt repaired words here
@@ -299,8 +328,9 @@ func RunWithRecovery(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc, opts ...
 }
 
 // escalate quarantines the still-corrupt columns and either degrades to
-// DMR over the plain replicas or returns the structured failure.
-func escalate(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc, cfg *recoveryCfg, rep *RecoveryReport, base, vec []string) (*ops.Result, *RecoveryReport, error) {
+// DMR over the plain replicas or returns the structured failure, which
+// carries repairErr when the repair chain could not heal them.
+func escalate(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc, cfg *recoveryCfg, rep *RecoveryReport, base, vec []string, repairErr error) (*ops.Result, *RecoveryReport, error) {
 	for _, c := range base {
 		if !db.IsQuarantined(c) {
 			db.QuarantineColumn(c)
@@ -310,11 +340,11 @@ func escalate(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc, cfg *recoveryCf
 	sort.Strings(rep.Quarantined)
 	bad := append(append([]string(nil), base...), vec...)
 	if !cfg.fallback {
-		return nil, rep, &UnrecoverableError{Columns: bad, Attempts: rep.Attempts}
+		return nil, rep, &UnrecoverableError{Columns: bad, Attempts: rep.Attempts, Repair: repairErr}
 	}
 	res, _, err := Run(db, DMR, flavor, plan, cfg.runOpts...)
 	if err != nil {
-		return nil, rep, &UnrecoverableError{Columns: bad, Attempts: rep.Attempts, Fallback: err}
+		return nil, rep, &UnrecoverableError{Columns: bad, Attempts: rep.Attempts, Repair: repairErr, Fallback: err}
 	}
 	rep.Degraded = true
 	rep.FinalMode = DMR

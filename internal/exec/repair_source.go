@@ -1,158 +1,164 @@
-// Repair sources: where recovery gets good words from when the
-// in-process plain mirror is gone. The paper's correction story
-// (Section 9) only needs *some* redundant copy once detection has said
-// where the flip is; a real deployment of RunWithRecovery holds hardened
-// data only, so the redundancy lives in a local snapshot on disk or in a
-// peer replica. Both are served chunk-at-a-time in the persist format's
-// granularity and AN-verified word-by-word on receipt - a corrupt
-// snapshot or a corrupt peer cannot heal a column into a worse state,
-// only fail to heal it.
+// The repair chain: the one route good values take into a hardened
+// column. Section 9's correction needs only *some* redundant copy once
+// detection has said where the flip is; the chain is the ordered list of
+// such copies - the plain mirror first (NewDB; DropPlainRepair removes
+// it), then a local snapshot or a peer replica. Sources hand the chain
+// verified plain values and the chain writes them with Column.Set, so a
+// corrupt copy can fail a repair, never make a column worse.
 package exec
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
 	"ahead/internal/storage"
 )
 
-// RepairSource supplies raw hardened code words for one chunk of a
-// column. Implementations: SnapshotRepairSource (local disk) and the
-// cluster package's peer-replica source (HTTP). FetchChunk returns the
-// words for rows [chunk*chunkRows, min((chunk+1)*chunkRows, rows));
-// callers AN-verify every word before writing anything.
+// RepairSource is one entry of the repair chain. Values returns the good
+// plain value at each of positions - ascending, inside the column, in
+// one storage.DefaultChunkRows chunk - of table's column hc, and stops
+// when ctx does. A source holding code words verifies them first: a copy
+// that fails verification is an error, never a value.
 type RepairSource interface {
 	Name() string
-	FetchChunk(table, column string, chunkRows, chunk int) ([]uint64, error)
+	Values(ctx context.Context, table string, hc *storage.Column, positions []uint64) ([]uint64, error)
 }
 
-// RegisterRepairSource adds a fallback repair source, tried in
-// registration order when the plain mirror cannot serve a repair.
+// plainSource is the chain's head at boot: the in-process plain mirror,
+// read position by position - no chunk, no encode, no verify - so a
+// repair from it costs what its positions cost.
+type plainSource struct{ db *DB }
+
+func (plainSource) Name() string { return "plain" }
+
+func (p plainSource) Values(_ context.Context, table string, hc *storage.Column, positions []uint64) ([]uint64, error) {
+	pc, err := p.db.plain[table].Column(hc.Name())
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]uint64, len(positions))
+	for i, pos := range positions {
+		vals[i] = pc.Get(int(pos))
+	}
+	return vals, nil
+}
+
+// RegisterRepairSource appends a source to the repair chain.
 func (db *DB) RegisterRepairSource(src RepairSource) {
 	db.srcMu.Lock()
 	db.repairSources = append(db.repairSources, src)
 	db.srcMu.Unlock()
 }
 
-// RepairSources returns the registered fallback sources.
+// RepairSources returns the repair chain, head first.
 func (db *DB) RepairSources() []RepairSource {
 	db.srcMu.Lock()
 	defer db.srcMu.Unlock()
 	return append([]RepairSource(nil), db.repairSources...)
 }
 
-// DropPlainRepair marks the in-process plain mirrors unavailable *for
-// repair*: repairPositions skips them and goes straight to the
-// registered repair sources, modeling a production replica that holds
-// hardened data only. The plain tables themselves stay - Unprotected
-// and DMR execution, dictionaries, and reference runs still read them.
+// DropPlainRepair removes the in-process plain mirror from the repair
+// chain, modeling a replica that holds hardened data only: repairs then
+// come from the registered sources alone. Nothing is freed - Unprotected
+// and DMR execution, the dictionaries and reference runs still read the
+// plain tables.
 func (db *DB) DropPlainRepair() {
 	db.srcMu.Lock()
-	db.plainRepairGone = true
+	db.repairSources = slices.DeleteFunc(db.repairSources, func(src RepairSource) bool {
+		_, plain := src.(plainSource)
+		return plain
+	})
 	db.srcMu.Unlock()
 }
 
-// PlainRepairAvailable reports whether repairs may use the plain mirror.
-func (db *DB) PlainRepairAvailable() bool {
-	db.srcMu.Lock()
-	defer db.srcMu.Unlock()
-	return !db.plainRepairGone
+// plainHead returns the plain mirror of table.column when the chain's
+// head is the plain entry, else nil - the one question the re-harden
+// asks of the chain (it rebuilds from the mirror, DESIGN.md §8b).
+func (db *DB) plainHead(table, column string) *storage.Column {
+	if chain := db.RepairSources(); len(chain) > 0 {
+		if _, plain := chain[0].(plainSource); plain {
+			pc, _ := db.plain[table].Column(column)
+			return pc
+		}
+	}
+	return nil
 }
 
-// plainRepairColumn returns the plain mirror of table.column when plain
-// repair is available, else nil.
-func (db *DB) plainRepairColumn(table, column string) *storage.Column {
-	if !db.PlainRepairAvailable() {
-		return nil
-	}
-	pTab := db.plain[table]
-	if pTab == nil {
-		return nil
-	}
-	pc, err := pTab.Column(column)
+// repair heals positions of table.column through the repair chain, one
+// storage.DefaultChunkRows chunk at a time, each from the first source
+// that answers it whole. It returns the repaired and the skipped
+// (out-of-range) positions; a chunk no source can serve stops it with
+// every source's reason. The caller holds recoverMu, as every entry
+// point that writes repaired words does.
+func (db *DB) repair(ctx context.Context, table, column string, positions []uint64) (repaired, skipped []uint64, err error) {
+	hc, err := db.baseColumn(table, column)
 	if err != nil {
-		return nil
-	}
-	return pc
-}
-
-// repairFromSources heals the given positions of a hardened column from
-// the registered repair sources, chunk by chunk at the persist format's
-// default granularity. A source's chunk is accepted only when it has the
-// right length and every word passes the column's AN check; otherwise
-// the next source is tried. Positions in a chunk no source can serve
-// make the repair fail - recovery then escalates as usual.
-func (db *DB) repairFromSources(table, column string, hc *storage.Column, positions []uint64) (repaired, skipped []uint64, err error) {
-	code := hc.Code()
-	if code == nil {
-		return nil, nil, fmt.Errorf("exec: column %q is not hardened", column)
+		return nil, nil, err
 	}
 	n := uint64(hc.Len())
-	chunkRows := storage.DefaultChunkRows
-	byChunk := make(map[int][]uint64)
+	todo := make([]uint64, 0, len(positions))
 	for _, pos := range positions {
 		if pos >= n {
 			skipped = append(skipped, pos)
-			continue
+		} else {
+			todo = append(todo, pos)
 		}
-		chunk := int(pos) / chunkRows
-		byChunk[chunk] = append(byChunk[chunk], pos)
 	}
-	if len(byChunk) == 0 {
-		return nil, skipped, nil
-	}
-	sources := db.RepairSources()
-	if len(sources) == 0 {
-		return nil, skipped, fmt.Errorf("exec: no plain mirror and no repair source registered for column %q", column)
-	}
-	chunks := make([]int, 0, len(byChunk))
-	for chunk := range byChunk {
-		chunks = append(chunks, chunk)
-	}
-	sort.Ints(chunks)
-	for _, chunk := range chunks {
-		start := chunk * chunkRows
-		want := min(hc.Len()-start, chunkRows)
-		var lastErr error
-		healed := false
-		for _, src := range sources {
-			words, err := src.FetchChunk(table, column, chunkRows, chunk)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			if len(words) != want {
-				lastErr = fmt.Errorf("source %s returned %d words for chunk %d, want %d", src.Name(), len(words), chunk, want)
-				continue
-			}
-			// Verify-on-receipt: the whole chunk must be clean, not just
-			// the positions under repair - a source serving corrupt words
-			// is not trusted for any of them.
-			valid := true
-			for _, w := range words {
-				if _, ok := code.Check(w); !ok {
-					valid = false
-					break
-				}
-			}
-			if !valid {
-				lastErr = fmt.Errorf("source %s served chunk %d with invalid code words", src.Name(), chunk)
-				continue
-			}
-			for _, pos := range byChunk[chunk] {
-				hc.Set(int(pos), code.Decode(words[int(pos)-start])) // Set re-hardens
-				repaired = append(repaired, pos)
-			}
-			healed = true
-			break
+	slices.Sort(todo)
+	chain := db.RepairSources()
+	for len(todo) > 0 {
+		chunk := todo[0] / storage.DefaultChunkRows
+		end := 1
+		for end < len(todo) && todo[end]/storage.DefaultChunkRows == chunk {
+			end++
 		}
-		if !healed {
-			return repaired, skipped, fmt.Errorf("exec: no repair source could heal %s.%s chunk %d: %v", table, column, chunk, lastErr)
+		batch := todo[:end]
+		todo = todo[end:]
+		vals, err := fetch(ctx, chain, table, hc, batch)
+		if err != nil {
+			return repaired, skipped, fmt.Errorf("exec: cannot repair %s.%s chunk %d: %w", table, column, chunk, err)
 		}
+		writeRepaired(hc, batch, vals)
+		repaired = append(repaired, batch...)
 	}
 	return repaired, skipped, nil
+}
+
+// fetch returns the first complete answer of the chain's sources, in
+// order, or every source's reason; the caller's deadline ends the walk.
+func fetch(ctx context.Context, chain []RepairSource, table string, hc *storage.Column, positions []uint64) ([]uint64, error) {
+	if len(chain) == 0 {
+		return nil, errors.New("the repair chain is empty")
+	}
+	var errs []error
+	for _, src := range chain {
+		vals, err := src.Values(ctx, table, hc, positions)
+		if err == nil && len(vals) != len(positions) {
+			err = fmt.Errorf("%d values for %d positions", len(vals), len(positions))
+		}
+		if err == nil {
+			return vals, nil
+		}
+		errs = append(errs, fmt.Errorf("source %s: %w", src.Name(), err))
+		if ctx.Err() != nil {
+			break
+		}
+	}
+	return nil, errors.Join(append(errs, ctx.Err())...)
+}
+
+// writeRepaired is the one place repaired values reach a hardened
+// column: Set re-hardens each under the column's current code, or
+// refreshes its residue check word. The caller holds recoverMu.
+func writeRepaired(hc *storage.Column, positions, vals []uint64) {
+	for i, pos := range positions {
+		hc.Set(int(pos), vals[i])
+	}
 }
 
 // SaveSnapshot persists every hardened table as a chunked columnar
@@ -205,14 +211,10 @@ func (db *DB) ChunkWords(table, column string, chunkRows, chunk int) ([]uint64, 
 	if err != nil {
 		return nil, err
 	}
-	if chunkRows <= 0 {
-		return nil, fmt.Errorf("exec: chunk granularity %d", chunkRows)
+	start, n, err := chunkSpan(hc, table, chunkRows, chunk)
+	if err != nil {
+		return nil, err
 	}
-	start := chunk * chunkRows
-	if chunk < 0 || start >= hc.Len() {
-		return nil, fmt.Errorf("exec: %s.%s has no chunk %d at granularity %d", table, column, chunk, chunkRows)
-	}
-	n := min(hc.Len()-start, chunkRows)
 	words := make([]uint64, n)
 	for i := range words {
 		words[i] = hc.Get(start + i)
@@ -221,72 +223,86 @@ func (db *DB) ChunkWords(table, column string, chunkRows, chunk int) ([]uint64, 
 }
 
 // HealChunk overwrites one chunk of a hardened column with words fetched
-// from an authoritative peer, after AN-verifying every word - the apply
-// step of anti-entropy. The plain mirrors (base and DMR replicas, when
-// present) are kept in lockstep so every execution mode observes the
-// healed values. It returns the number of positions whose stored word
-// actually changed.
+// from an authoritative peer - the apply step of anti-entropy. The chunk
+// is verified whole under the column's code, the positions whose stored
+// word differs go through the repair chain's write step, and the plain
+// mirrors follow so every execution mode observes the healed values. It
+// returns the number of positions whose stored word changed.
 func (db *DB) HealChunk(table, column string, chunkRows, chunk int, words []uint64) (int, error) {
+	db.recoverMu.Lock()
+	defer db.recoverMu.Unlock()
 	hc, err := db.hardenedColumn(table, column)
 	if err != nil {
 		return 0, err
 	}
-	code := hc.Code()
-	if chunkRows <= 0 {
-		return 0, fmt.Errorf("exec: chunk granularity %d", chunkRows)
+	start, n, err := chunkSpan(hc, table, chunkRows, chunk)
+	if err != nil {
+		return 0, err
 	}
-	start := chunk * chunkRows
-	if chunk < 0 || start >= hc.Len() {
-		return 0, fmt.Errorf("exec: %s.%s has no chunk %d at granularity %d", table, column, chunk, chunkRows)
+	if len(words) != n {
+		return 0, fmt.Errorf("exec: chunk %d of %s.%s holds %d words, got %d", chunk, table, column, n, len(words))
 	}
-	if want := min(hc.Len()-start, chunkRows); len(words) != want {
-		return 0, fmt.Errorf("exec: chunk %d of %s.%s holds %d words, got %d", chunk, table, column, want, len(words))
+	vals, err := hc.Code().DecodeAll(words)
+	if err != nil {
+		return 0, fmt.Errorf("exec: refusing to heal %s.%s chunk %d: %w", table, column, chunk, err)
 	}
+	var changed, good []uint64
 	for i, w := range words {
-		if _, ok := code.Check(w); !ok {
-			return 0, fmt.Errorf("exec: refusing to heal %s.%s chunk %d: invalid code word at offset %d", table, column, chunk, i)
+		if hc.Get(start+i) != w {
+			changed = append(changed, uint64(start+i))
+			good = append(good, vals[i])
 		}
 	}
-	db.recoverMu.Lock()
-	defer db.recoverMu.Unlock()
-	changed := 0
-	for i, w := range words {
-		pos := start + i
-		d := code.Decode(w)
-		if hc.Get(pos) != w {
-			hc.Set(pos, d) // Set re-hardens
-			changed++
-		}
-		for _, mirror := range []map[string]*storage.Table{db.plain, db.replica, db.replica2} {
-			if t := mirror[table]; t != nil {
-				if pc, err := t.Column(column); err == nil && pc.Get(pos) != d {
-					pc.Set(pos, d)
+	writeRepaired(hc, changed, good)
+	for _, mirror := range []map[string]*storage.Table{db.plain, db.replica, db.replica2} {
+		if t := mirror[table]; t != nil {
+			if pc, err := t.Column(column); err == nil {
+				for i, d := range vals {
+					if pc.Get(start+i) != d {
+						pc.Set(start+i, d)
+					}
 				}
 			}
 		}
 	}
-	return changed, nil
+	return len(changed), nil
 }
 
-func (db *DB) hardenedColumn(table, column string) (*storage.Column, error) {
+// chunkSpan resolves chunk coordinates against a column: the first row
+// and the row count of chunk at granularity chunkRows.
+func chunkSpan(hc *storage.Column, table string, chunkRows, chunk int) (start, n int, err error) {
+	if chunkRows <= 0 {
+		return 0, 0, fmt.Errorf("exec: chunk granularity %d", chunkRows)
+	}
+	start = chunk * chunkRows
+	if chunk < 0 || start >= hc.Len() {
+		return 0, 0, fmt.Errorf("exec: %s.%s has no chunk %d at granularity %d", table, hc.Name(), chunk, chunkRows)
+	}
+	return start, min(hc.Len()-start, chunkRows), nil
+}
+
+// baseColumn resolves table.column in the hardened table set, whatever
+// its coding.
+func (db *DB) baseColumn(table, column string) (*storage.Column, error) {
 	hTab := db.hardened[table]
 	if hTab == nil {
 		return nil, fmt.Errorf("exec: unknown table %q", table)
 	}
-	hc, err := hTab.Column(column)
-	if err != nil {
-		return nil, err
-	}
-	if hc.Code() == nil {
-		return nil, fmt.Errorf("exec: column %s.%s is not hardened", table, column)
-	}
-	return hc, nil
+	return hTab.Column(column)
 }
 
-// SnapshotRepairSource serves repair chunks from a columnar snapshot
-// directory written by DB.SaveSnapshot. Snapshot files are opened
-// lazily and kept open; every read is CRC-verified by the snapshot
-// reader, and the repair path AN-verifies each word on top.
+// hardenedColumn is baseColumn restricted to AN-hardened columns.
+func (db *DB) hardenedColumn(table, column string) (*storage.Column, error) {
+	hc, err := db.baseColumn(table, column)
+	if err == nil && hc.Code() == nil {
+		err = fmt.Errorf("exec: column %s.%s is not hardened", table, column)
+	}
+	return hc, err
+}
+
+// SnapshotRepairSource serves repairs from a columnar snapshot directory
+// written by DB.SaveSnapshot. Snapshot files are opened lazily and kept
+// open; every read is CRC-checked by the snapshot reader.
 type SnapshotRepairSource struct {
 	dir  string
 	mu   sync.Mutex
@@ -301,29 +317,30 @@ func NewSnapshotRepairSource(dir string) *SnapshotRepairSource {
 // Name identifies the source in errors and reports.
 func (s *SnapshotRepairSource) Name() string { return "snapshot:" + s.dir }
 
-// FetchChunk reads rows [chunk*chunkRows, ...) from the column's
-// snapshot file, whatever granularity the file itself was written with.
-func (s *SnapshotRepairSource) FetchChunk(table, column string, chunkRows, chunk int) ([]uint64, error) {
-	if chunkRows <= 0 || chunk < 0 {
-		return nil, fmt.Errorf("exec: snapshot fetch with granularity %d chunk %d", chunkRows, chunk)
-	}
+// Values reads the chunk holding positions from the column's snapshot
+// file and verifies it whole under the code the file's own header
+// records - the column's code when the snapshot was written, which a
+// re-harden or residue demotion may since have changed. A snapshot of an
+// unprotected column is trusted on its chunk CRCs.
+func (s *SnapshotRepairSource) Values(_ context.Context, table string, hc *storage.Column, positions []uint64) ([]uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	key := table + "/" + column
+	key := table + "/" + hc.Name()
 	snap := s.open[key]
 	if snap == nil {
 		var err error
-		snap, err = storage.OpenColumnSnapshot(filepath.Join(s.dir, table, column+".col"), column)
+		snap, err = storage.OpenColumnSnapshot(filepath.Join(s.dir, table, hc.Name()+".col"), hc.Name())
 		if err != nil {
 			return nil, err
 		}
 		s.open[key] = snap
 	}
-	start := chunk * chunkRows
-	if start >= snap.Rows() {
-		return nil, fmt.Errorf("exec: snapshot %s has no chunk %d at granularity %d", key, chunk, chunkRows)
+	start := int(positions[0]) / storage.DefaultChunkRows * storage.DefaultChunkRows
+	words, err := snap.ReadRows(start, min(snap.Rows()-start, storage.DefaultChunkRows))
+	if err != nil {
+		return nil, err
 	}
-	return snap.ReadRows(start, min(snap.Rows()-start, chunkRows))
+	return storage.VerifiedValues(snap.Code(), words, start, positions)
 }
 
 // Close releases all snapshot files.

@@ -112,8 +112,8 @@ func (l *ErrorLog) Columns() []string {
 
 // PartitionColumns splits the distinct detection columns into repairable
 // base columns and vec: intermediates (both sorted). The recovery loop
-// repairs the former from the plain replica and merely re-executes for the
-// latter.
+// repairs the former through the repair chain and merely re-executes for
+// the latter.
 func (l *ErrorLog) PartitionColumns() (base, vec []string) {
 	for _, c := range l.Columns() {
 		if IsVecColumn(c) {

@@ -189,13 +189,8 @@ func (s *Server) syncFromPeer(ctx context.Context, peer string) (*cluster.SyncRe
 		// overrides a bloom hit: false positives must not mask a chunk
 		// that genuinely needs healing.
 		suspect := s.cfg.DB.IsQuarantined(local.Column)
-		if !suspect {
-			hc, herr := s.cfg.DB.Hardened(local.Table).Column(local.Column)
-			if herr == nil {
-				if bad, cerr := hc.CheckAll(); cerr == nil && len(bad) > 0 {
-					suspect = true
-				}
-			}
+		if hc, herr := s.cfg.DB.Hardened(local.Table).Column(local.Column); !suspect && herr == nil {
+			suspect = len(hc.BadPositions()) > 0
 		}
 		if !suspect {
 			miss := false
@@ -240,11 +235,9 @@ func (s *Server) syncFromPeer(ctx context.Context, peer string) (*cluster.SyncRe
 			cr.WordsChanged += changed
 		}
 		if cr.Skipped == "" && s.cfg.DB.IsQuarantined(local.Column) {
-			if hc, herr := s.cfg.DB.Hardened(local.Table).Column(local.Column); herr == nil {
-				if bad, cerr := hc.CheckAll(); cerr == nil && len(bad) == 0 {
-					s.cfg.DB.ClearQuarantine(local.Column)
-					cr.Cleared = true
-				}
+			if hc, herr := s.cfg.DB.Hardened(local.Table).Column(local.Column); herr == nil && len(hc.BadPositions()) == 0 {
+				s.cfg.DB.ClearQuarantine(local.Column)
+				cr.Cleared = true
 			}
 		}
 		report.Columns = append(report.Columns, cr)

@@ -514,6 +514,21 @@ func (c *Column) ResidueCheckAll() ([]uint64, error) {
 	return c.ResidueCheckRange(0, c.Len()), nil
 }
 
+// BadPositions verifies a column at rest and returns its corrupted
+// positions in ascending order: AN columns by their code (CheckAll),
+// residue columns against their sidecar (ResidueCheckAll). An
+// unprotected column has nothing to verify and reports none. It is the
+// one question scrubs, re-hardens and anti-entropy ask of a column.
+func (c *Column) BadPositions() []uint64 {
+	switch {
+	case c.code != nil:
+		return c.checkRange(0, c.Len())
+	case c.resCheck != nil:
+		return c.ResidueCheckRange(0, c.Len())
+	}
+	return nil
+}
+
 // ResidueCheckRange is ResidueCheckAll over rows [start, end) of a
 // residue-hardened column (the morsel unit of the Early Δ).
 func (c *Column) ResidueCheckRange(start, end int) []uint64 {

@@ -128,6 +128,29 @@ func (s *ColumnSnapshot) ReadRows(start, n int) ([]uint64, error) {
 	return out, nil
 }
 
+// VerifiedValues is how a redundant copy answers a repair: it verifies
+// the code words of rows [start, start+len(words)) whole under code -
+// one invalid word refuses the chunk (an.Code.DecodeAll) - and returns
+// the decoded values at positions. A nil code passes the words through
+// as plain values.
+func VerifiedValues(code *an.Code, words []uint64, start int, positions []uint64) ([]uint64, error) {
+	if code != nil {
+		var err error
+		if words, err = code.DecodeAll(words); err != nil {
+			return nil, err
+		}
+	}
+	vals := make([]uint64, len(positions))
+	for i, pos := range positions {
+		off := int(pos) - start
+		if off < 0 || off >= len(words) {
+			return nil, fmt.Errorf("storage: position %d outside the %d rows served from row %d", pos, len(words), start)
+		}
+		vals[i] = words[off]
+	}
+	return vals, nil
+}
+
 // StoredCRCs returns the per-chunk CRCs recorded in the file, without
 // reading payloads - the digest list a replica publishes for
 // anti-entropy comparison. The CRCs are trusted only for routing: a
