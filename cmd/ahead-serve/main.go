@@ -49,7 +49,7 @@ func main() {
 		addr         = flag.String("addr", ":8080", "listen address")
 		sf           = flag.Float64("sf", 0.01, "SSB scale factor")
 		seed         = flag.Int64("seed", 1, "data-generation seed")
-		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "morsel-pool workers (0 = serial)")
+		workers      = flag.Int("workers", runtime.GOMAXPROCS(0), "morsel-pool fan-out: each kernel's morsels run on at most this many goroutines; total CPU stays bounded by GOMAXPROCS (0 = serial)")
 		maxInFlight  = flag.Int("max-inflight", 8, "concurrently executing queries")
 		maxQueue     = flag.Int("max-queue", 64, "bounded wait queue before 429")
 		queueTimeout = flag.Duration("queue-timeout", time.Second, "max wait for an execution slot")

@@ -237,15 +237,3 @@ func (p SyncFromPeerOnQuarantine) Evaluate(tr Transition, view *ClusterView) []A
 	}
 	return nil
 }
-
-// DefaultPolicies is the remediation stack NewRouter installs when the
-// config names none: promote around the loss, confirm it fast, and
-// escalate to the restart hook if the replica keeps relapsing (the
-// restart action is a no-op unless RestartCommand is configured).
-func DefaultPolicies() []Policy {
-	return []Policy{
-		PromoteOnQuarantine{},
-		ReprobeOnQuarantine{},
-		RestartAfterQuarantines{After: 3},
-	}
-}

@@ -1,35 +1,40 @@
 package exec
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
-// Per-column access accounting. Every base-column resolution on the
-// primary replica (Query.Col) and every operator row-touch (via
-// ops.Opts.Access) increments a counter keyed "table.column". The
-// adaptive controller (internal/adapt) reads these counters as its
-// hotness signal: hot columns are worth the storage overhead of a
+// Per-column access accounting. Each base column a query resolves on its
+// primary replica (Query.Col) counts once per query, at the column's row
+// count, toward a counter keyed "table.column" - so the signal depends on
+// the query, not on whether its plan runs fused, materializing,
+// re-encoding or on a pool. The adaptive controller (internal/adapt)
+// reads these counters as its hotness signal and the denominator of its
+// detection rate: hot columns are worth the storage overhead of a
 // stronger code, cold clean columns can be demoted to a cheap residue
 // sidecar.
 
-// noteAccess records rows touched on table.column. Zero or negative row
+// countAccess records the query's resolution of table.column unless the
+// query has already counted that column.
+func (q *Query) countAccess(table, column string, rows int) {
+	col := [2]string{table, column}
+	if slices.Contains(q.counted, col) {
+		return
+	}
+	q.counted = append(q.counted, col)
+	q.db.noteAccess(table+"."+column, rows)
+}
+
+// noteAccess adds rows to the counter of key. Zero or negative row
 // counts are dropped so error paths don't pollute the signal.
-func (db *DB) noteAccess(table, column string, rows int) {
-	if rows <= 0 || table == "" || column == "" {
+func (db *DB) noteAccess(key string, rows int) {
+	if rows <= 0 {
 		return
 	}
 	db.accessMu.Lock()
-	db.access[table+"."+column] += uint64(rows)
+	db.access[key] += uint64(rows)
 	db.accessMu.Unlock()
-}
-
-// noteAccessByName resolves the owning table of a bare column name and
-// records the access. Unknown names (intermediate vectors, join sides
-// already counted at Col) are ignored.
-func (db *DB) noteAccessByName(column string, rows int) {
-	table, ok := db.TableOf(column)
-	if !ok {
-		return
-	}
-	db.noteAccess(table, column, rows)
 }
 
 // AccessCounts returns a snapshot of the per-column access counters,

@@ -410,16 +410,11 @@ type QueryFunc func(q *Query) (*ops.Result, error)
 type RunOption func(*runCfg)
 
 type runCfg struct {
-	pool *Pool
-	// transient asks Run for a pool of its own with the given number of
-	// workers (WithParallelism), built when the run starts, so applying
-	// options stays free of side effects.
-	transient bool
-	workers   int
-	noFuse    bool
-	noPacked  bool
-	ctx       context.Context
-	capture   *Capture
+	pool     *Pool
+	noFuse   bool
+	noPacked bool
+	ctx      context.Context
+	capture  *Capture
 }
 
 // Capture receives the pre-softening aggregate state of a run: the
@@ -442,12 +437,13 @@ func WithCapture(c *Capture) RunOption {
 	return func(cfg *runCfg) { cfg.capture = c }
 }
 
-// WithPool attaches a shared worker pool: the AN-aware kernels run
+// WithPool attaches a morsel pool: the AN-aware kernels run
 // morsel-parallel on it, and DMR/TMR replicas execute as independent
-// pool jobs voting at the barrier. One pool amortizes across many runs
-// (the SSB harness holds one for the whole suite).
+// pool jobs voting at the barrier. A pool holds no goroutines between
+// task sets, so one can be shared by any number of concurrent runs (the
+// SSB harness and the server each hold one).
 func WithPool(p *Pool) RunOption {
-	return func(c *runCfg) { c.pool, c.transient = p, false }
+	return func(c *runCfg) { c.pool = p }
 }
 
 // WithFusion toggles the fused operator chains (on by default). Passing
@@ -479,19 +475,6 @@ func WithContext(ctx context.Context) RunOption {
 	return func(c *runCfg) { c.ctx = ctx }
 }
 
-// WithParallelism runs the query on a transient pool of n workers
-// (n <= 0 means GOMAXPROCS, n == 1 stays serial) that is torn down when
-// the run returns. Repeated runs should share a pool via WithPool
-// instead.
-func WithParallelism(n int) RunOption {
-	return func(c *runCfg) {
-		if n == 1 {
-			return
-		}
-		c.pool, c.transient, c.workers = nil, true, n
-	}
-}
-
 // Run executes the plan under the given mode and flavor. For DMR it runs
 // the plan on both replicas and votes. The returned ErrorLog carries the
 // error vectors the AN-aware operators filled (empty without induced
@@ -501,10 +484,6 @@ func Run(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc, opts ...RunOption) (
 	var cfg runCfg
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if cfg.transient {
-		cfg.pool = NewPool(cfg.workers)
-		defer cfg.pool.Close()
 	}
 	log := ops.NewErrorLog()
 	if cfg.ctx != nil {
@@ -524,18 +503,8 @@ func Run(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc, opts ...RunOption) (
 		return r, log, err
 	}
 	results := make([]*ops.Result, replicas)
-	if cfg.pool != nil && cfg.pool.Workers() > 1 {
-		if err := runReplicated(db, m, flavor, plan, log, results, cfg); err != nil {
-			return nil, log, err
-		}
-	} else {
-		for i := range results {
-			r, err := cfg.newQuery(db, m, flavor, log, i).run(plan)
-			if err != nil {
-				return nil, log, err
-			}
-			results[i] = r
-		}
+	if err := runReplicated(db, m, flavor, plan, log, results, cfg); err != nil {
+		return nil, log, err
 	}
 	if replicas == 2 {
 		if err := ops.Vote(results[0], results[1]); err != nil {
@@ -557,11 +526,11 @@ func (cfg *runCfg) newQuery(db *DB, m Mode, flavor ops.Flavor, log *ops.ErrorLog
 
 // runReplicated executes the replica plans as independent pool jobs,
 // filling results for the voter. Every replica runs against its own data
-// copy with a private error log; the logs merge in replica order,
-// matching the serial replica-after-replica execution exactly. The
-// replica queries keep the pool, so each replica's kernels additionally
-// run morsel-parallel - the two levels share the worker set through work
-// stealing.
+// copy with a private error log; the logs merge in replica order, so the
+// merged log is the same however the jobs were scheduled. Without a
+// pool the replicas run one after another on the caller. The replica
+// queries keep the pool, so each replica's kernels additionally run
+// morsel-parallel as task sets of their own.
 func runReplicated(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc, log *ops.ErrorLog, results []*ops.Result, cfg runCfg) error {
 	n := len(results)
 	errs := make([]error, n)
@@ -615,6 +584,9 @@ type Query struct {
 	deltaCache   map[string]*storage.Column
 	deltaRelease []func()
 	lease        ops.Lease
+	// counted lists the (table, column) pairs this query has already
+	// added to the access counters (access.go).
+	counted [][2]string
 
 	pool     *Pool
 	noFuse   bool
@@ -644,13 +616,6 @@ func (q *Query) Opts() *ops.Opts {
 		NoPacked:  q.noPacked,
 		Ctx:       q.ctx,
 	}
-	if q.replicaIdx == 0 {
-		// Operator row-touch counts feed the adaptive controller's
-		// hotness signal (access.go). Only base columns resolve through
-		// TableOf; intermediate vectors fall through silently. Replicas
-		// stay silent so DMR/TMR don't double-count traffic.
-		o.Access = q.db.noteAccessByName
-	}
 	// Assign through a typed check so a nil *Pool never becomes a
 	// non-nil Parallel interface value.
 	if q.pool != nil {
@@ -672,12 +637,13 @@ func (q *Query) FuseOperators() bool { return q.mode != ContinuousReencoding && 
 // the current mode: the plain column (Unprotected), the replica column
 // (DMR second pass), the Δ-softened column (EarlyOnetime - verified and
 // decoded on first touch, with the cost that entails), or the hardened
-// column (Late/Continuous/Reencoding). Primary-replica fetches feed the
-// per-column access counters the adaptive controller reads.
+// column (Late/Continuous/Reencoding). The primary replica's first
+// resolution of each column feeds the access counters the adaptive
+// controller reads.
 func (q *Query) Col(table, column string) (*storage.Column, error) {
 	c, err := q.col(table, column)
 	if err == nil && q.replicaIdx == 0 {
-		q.db.noteAccess(table, column, c.Len())
+		q.countAccess(table, column, c.Len())
 	}
 	return c, err
 }

@@ -9,56 +9,25 @@ import (
 // DefaultMorselSize is the number of values per morsel. 64K values keeps
 // a morsel's working set inside the L2 cache at every column width the
 // engine stores (1-8 bytes per value) while leaving enough morsels per
-// SSB column for the stealing to balance skew.
+// SSB column for claiming to balance skew.
 const DefaultMorselSize = 64 * 1024
 
-// Pool is the shared morsel scheduler: a fixed set of workers, one
-// mutex-guarded deque per worker, and work stealing between them.
-// Morsel-driven parallelism (Leis et al., the execution model AHEAD's
-// overhead argument presumes) splits every kernel's input into fixed-size
-// value ranges; a kernel dispatches its morsels round-robin across the
-// worker queues, the submitting goroutine participates in draining its
-// own task set, and idle workers steal from the front of busy workers'
-// queues. Caller participation makes nested submission safe: a worker
-// that submits a task set from inside a task (the DMR replica jobs do)
-// drains it itself when every other worker is busy, so the pool cannot
-// deadlock on nesting.
-//
-// Pool implements ops.Parallel; attach one to a query with WithPool (or
-// a transient one with WithParallelism).
+// Pool is the morsel dispatcher of morsel-driven parallelism (Leis et
+// al.): each task set - one ForEach or Jobs call - is drained by its
+// submitter plus up to Workers()-1 helper goroutines of its own, each
+// claiming the next morsel from the set's atomic counter until none is
+// left. No queue exists; nested submission (DMR replica jobs fanning out
+// their kernels) cannot deadlock, and the Go scheduler bounds total CPU
+// at GOMAXPROCS. A morsel's panic is recovered where it ran and re-raised
+// on the submitter once no goroutine touches the set's buffers any more.
+// Pool implements ops.Parallel; attach one to a query with WithPool.
 type Pool struct {
-	workers []*pworker
+	workers int
 	morsel  int
-	notify  chan struct{}
-	quit    chan struct{}
-	next    atomic.Uint64 // round-robin dispatch cursor
-	closed  atomic.Bool
+	queued  atomic.Int64 // morsels submitted but not yet claimed
 }
 
-// pworker is one worker's state. The owner pops from the tail (LIFO
-// keeps a worker on the cache-warm end of its run of morsels); thieves
-// steal from the head (FIFO takes the coldest, largest-remaining run).
-type pworker struct {
-	mu    sync.Mutex
-	queue []ptask
-}
-
-// ptask is one scheduled morsel (or replica job) of a task set.
-type ptask struct {
-	set        *taskSet
-	morsel     int
-	start, end int
-}
-
-// taskSet is one ForEach/Jobs submission: the shared kernel closure and
-// the completion barrier.
-type taskSet struct {
-	fn      func(morsel, start, end int)
-	pending atomic.Int64
-	done    chan struct{}
-}
-
-// NewPool starts a pool of n workers; n <= 0 means GOMAXPROCS. Morsels
+// NewPool returns a pool of n workers; n <= 0 means GOMAXPROCS. Morsels
 // default to DefaultMorselSize values.
 func NewPool(n int) *Pool {
 	return NewPoolMorsel(n, DefaultMorselSize)
@@ -73,51 +42,29 @@ func NewPoolMorsel(n, morselSize int) *Pool {
 	if morselSize <= 0 {
 		morselSize = DefaultMorselSize
 	}
-	p := &Pool{
-		workers: make([]*pworker, n),
-		morsel:  morselSize,
-		notify:  make(chan struct{}, n),
-		quit:    make(chan struct{}),
-	}
-	for i := range p.workers {
-		p.workers[i] = &pworker{}
-	}
-	for i := range p.workers {
-		go p.run(i)
-	}
-	return p
+	return &Pool{workers: n, morsel: morselSize}
 }
 
-// Workers returns the worker count (ops.Parallel).
-func (p *Pool) Workers() int { return len(p.workers) }
+// Workers returns the per-set fan-out bound: the submitter plus at most
+// Workers()-1 helpers (ops.Parallel).
+func (p *Pool) Workers() int { return p.workers }
 
 // MorselSize returns the values-per-morsel granularity (ops.Parallel).
 func (p *Pool) MorselSize() int { return p.morsel }
 
-// QueueDepth returns the number of queued-but-not-started tasks across
-// all worker deques - the backlog gauge the serving layer's /metrics
-// exports. It is a racy snapshot by nature; each deque is read under
-// its own lock.
+// QueueDepth returns the number of morsels submitted but not yet claimed
+// across all in-flight task sets - the backlog gauge the serving layer's
+// /metrics exports. It is a racy snapshot by nature.
 func (p *Pool) QueueDepth() int {
 	if p == nil {
 		return 0
 	}
-	depth := 0
-	for _, w := range p.workers {
-		w.mu.Lock()
-		depth += len(w.queue)
-		w.mu.Unlock()
-	}
-	return depth
+	return int(p.queued.Load())
 }
 
-// Close stops the workers. Queued task sets must have completed; ForEach
-// and Jobs must not be called after Close.
-func (p *Pool) Close() {
-	if p != nil && p.closed.CompareAndSwap(false, true) {
-		close(p.quit)
-	}
-}
+// Close stops nothing: a pool holds no goroutines between task sets. It
+// stays so that callers written against a resident pool keep compiling.
+func (p *Pool) Close() {}
 
 // ForEach splits [0, total) into morsels and runs fn once per morsel,
 // returning when all morsels have finished. Morsel indices are dense:
@@ -125,125 +72,76 @@ func (p *Pool) Close() {
 // callers can collect per-morsel partial states into a slice and merge
 // them in morsel order (ops.Parallel).
 func (p *Pool) ForEach(total int, fn func(morsel, start, end int)) {
-	if total <= 0 {
-		return
-	}
 	ms := p.morsel
-	count := (total + ms - 1) / ms
-	p.runSet(count, fn, func(m int) (int, int) {
+	p.run((total+ms-1)/ms, func(m int) {
 		start := m * ms
-		return start, min(start+ms, total)
+		fn(m, start, min(start+ms, total))
 	})
 }
 
-// Jobs runs the given functions as independent pool jobs and waits for
-// all of them - the replicated-execution barrier DMR/TMR vote at.
+// Jobs runs the given functions as independent tasks and waits for all
+// of them - the replicated-execution barrier DMR/TMR vote at. On a nil
+// pool the jobs run one after another on the caller, in order.
 func (p *Pool) Jobs(fns ...func()) {
-	p.runSet(len(fns), func(m, _, _ int) { fns[m]() }, func(m int) (int, int) {
-		return m, m + 1
-	})
+	p.run(len(fns), func(m int) { fns[m]() })
 }
 
-// runSet dispatches count tasks across the worker deques and
-// participates in draining them until the whole set is done.
-func (p *Pool) runSet(count int, fn func(morsel, start, end int), span func(m int) (start, end int)) {
-	if count <= 0 {
-		return
+// taskSet is one ForEach/Jobs submission: the claim counter its
+// goroutines share and the first panic any of them recovered.
+type taskSet struct {
+	next   atomic.Int64
+	count  int
+	task   func(m int)
+	queued *atomic.Int64
+	panic  atomic.Pointer[any]
+}
+
+// run executes task(0..count-1) on the caller plus up to Workers()-1
+// helper goroutines and returns when every task has finished.
+func (p *Pool) run(count int, task func(m int)) {
+	helpers := 0
+	if p != nil {
+		helpers = min(p.workers, count) - 1
 	}
-	if p == nil || len(p.workers) < 2 || count == 1 {
+	if helpers <= 0 {
 		for m := 0; m < count; m++ {
-			s, e := span(m)
-			fn(m, s, e)
+			task(m)
 		}
 		return
 	}
-	set := &taskSet{fn: fn, done: make(chan struct{})}
-	set.pending.Store(int64(count))
-	base := int(p.next.Add(1) % uint64(len(p.workers)))
-	for m := 0; m < count; m++ {
-		s, e := span(m)
-		w := p.workers[(base+m)%len(p.workers)]
-		w.mu.Lock()
-		w.queue = append(w.queue, ptask{set: set, morsel: m, start: s, end: e})
-		w.mu.Unlock()
-		select {
-		case p.notify <- struct{}{}:
-		default:
-		}
-	}
-	// Participate: drain this set's remaining tasks, then wait for the
-	// ones other workers already popped.
-	for {
-		t, ok := p.grabSet(set)
-		if !ok {
-			break
-		}
-		p.execTask(t)
-	}
-	<-set.done
-}
-
-// run is the worker loop: drain the queues, sleep when empty.
-func (p *Pool) run(self int) {
-	for {
-		t, ok := p.grab(self)
-		if !ok {
-			select {
-			case <-p.notify:
-				continue
-			case <-p.quit:
-				return
+	s := &taskSet{count: count, task: task, queued: &p.queued}
+	p.queued.Add(int64(count))
+	var wg sync.WaitGroup
+	wg.Add(helpers)
+	for range helpers {
+		go func() {
+			defer wg.Done()
+			for s.claim() {
 			}
-		}
-		p.execTask(t)
+		}()
+	}
+	for s.claim() {
+	}
+	wg.Wait()
+	if r := s.panic.Load(); r != nil {
+		panic(*r)
 	}
 }
 
-func (p *Pool) execTask(t ptask) {
-	t.set.fn(t.morsel, t.start, t.end)
-	if t.set.pending.Add(-1) == 0 {
-		close(t.set.done)
+// claim runs the next unclaimed task, reporting false once none is left.
+// A panicking task is recorded and its goroutine claims on.
+func (s *taskSet) claim() (more bool) {
+	m := int(s.next.Add(1)) - 1
+	if m >= s.count {
+		return false
 	}
-}
-
-// grab pops from the worker's own tail or steals from another head.
-func (p *Pool) grab(self int) (ptask, bool) {
-	w := p.workers[self]
-	w.mu.Lock()
-	if n := len(w.queue); n > 0 {
-		t := w.queue[n-1]
-		w.queue = w.queue[:n-1]
-		w.mu.Unlock()
-		return t, true
-	}
-	w.mu.Unlock()
-	for i := 1; i < len(p.workers); i++ {
-		v := p.workers[(self+i)%len(p.workers)]
-		v.mu.Lock()
-		if len(v.queue) > 0 {
-			t := v.queue[0]
-			v.queue = v.queue[:copy(v.queue, v.queue[1:])]
-			v.mu.Unlock()
-			return t, true
+	s.queued.Add(-1)
+	defer func() {
+		if r := recover(); r != nil {
+			s.panic.CompareAndSwap(nil, &r)
 		}
-		v.mu.Unlock()
-	}
-	return ptask{}, false
-}
-
-// grabSet removes one still-queued task of the given set, newest first.
-func (p *Pool) grabSet(set *taskSet) (ptask, bool) {
-	for _, w := range p.workers {
-		w.mu.Lock()
-		for i := len(w.queue) - 1; i >= 0; i-- {
-			if w.queue[i].set == set {
-				t := w.queue[i]
-				w.queue = append(w.queue[:i], w.queue[i+1:]...)
-				w.mu.Unlock()
-				return t, true
-			}
-		}
-		w.mu.Unlock()
-	}
-	return ptask{}, false
+	}()
+	more = true
+	s.task(m)
+	return more
 }

@@ -1,6 +1,10 @@
 package exec
 
 import (
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -36,8 +40,8 @@ func TestPoolForEachCoversEveryIndexOnce(t *testing.T) {
 }
 
 // TestPoolWorkStealingStress runs far more morsels than workers with
-// deliberately skewed morsel cost, so idle workers must steal to finish;
-// every morsel must still run exactly once.
+// deliberately skewed morsel cost, so the goroutines not stuck on a slow
+// morsel must claim the rest; every morsel must still run exactly once.
 func TestPoolWorkStealingStress(t *testing.T) {
 	p := NewPoolMorsel(4, 16)
 	defer p.Close()
@@ -63,8 +67,8 @@ func TestPoolWorkStealingStress(t *testing.T) {
 
 // TestPoolNestedSubmission submits task sets from inside pool jobs - the
 // DMR/TMR shape, where each replica job fans out its kernels' morsels on
-// the same pool. Caller participation must keep this deadlock-free even
-// when jobs outnumber workers.
+// the same pool. Every set bringing its own goroutines must keep this
+// deadlock-free even when jobs outnumber workers.
 func TestPoolNestedSubmission(t *testing.T) {
 	p := NewPoolMorsel(2, 64)
 	defer p.Close()
@@ -111,7 +115,7 @@ func TestPoolJobsRunsAll(t *testing.T) {
 }
 
 // TestPoolSingleWorkerFallsBackToSerial checks the degenerate pool still
-// covers everything (runSet's inline path).
+// covers everything (run's inline path).
 func TestPoolSingleWorkerFallsBackToSerial(t *testing.T) {
 	p := NewPoolMorsel(1, 100)
 	defer p.Close()
@@ -120,6 +124,111 @@ func TestPoolSingleWorkerFallsBackToSerial(t *testing.T) {
 	if covered != 1050 {
 		t.Fatalf("covered %d of 1050", covered)
 	}
+}
+
+// TestPoolPanicReachesCaller: a panicking morsel - on a helper goroutine
+// or on the submitter - must surface on the caller once the whole set has
+// finished, instead of killing the process from a pool goroutine.
+func TestPoolPanicReachesCaller(t *testing.T) {
+	p := NewPoolMorsel(4, 8)
+	var ran atomic.Int64
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		p.ForEach(8*400, func(m, _, _ int) {
+			if m%7 == 3 {
+				panic("morsel panic")
+			}
+			ran.Add(1)
+		})
+		return nil
+	}()
+	if got != "morsel panic" {
+		t.Fatalf("caller recovered %v, want the morsel's panic", got)
+	}
+	if want := int64(400 - 57); ran.Load() != want { // 57 of 400 morsels have m%7 == 3
+		t.Fatalf("%d healthy morsels ran before the re-panic, want %d", ran.Load(), want)
+	}
+	if d := p.QueueDepth(); d != 0 {
+		t.Fatalf("queue depth %d after the set, want 0", d)
+	}
+}
+
+// TestPoolServingShapeStress is the serving shape: many goroutines submit
+// task sets to one small pool at once. Every morsel of every set runs
+// once, each set's per-morsel outputs concatenate in morsel order to its
+// input, and nothing is left unclaimed afterwards.
+func TestPoolServingShapeStress(t *testing.T) {
+	p := NewPoolMorsel(2, 16)
+	const submitters, sets, total = 8, 50, 16*28 + 5
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := 0; s < sets; s++ {
+				outs := make([][]int, (total+15)/16)
+				var hits [(total + 15) / 16]atomic.Int32
+				p.ForEach(total, func(m, start, end int) {
+					hits[m].Add(1)
+					for i := start; i < end; i++ {
+						outs[m] = append(outs[m], i)
+					}
+				})
+				var merged []int
+				for m := range outs {
+					if n := hits[m].Load(); n != 1 {
+						t.Errorf("set %d: morsel %d ran %d times", s, m, n)
+						return
+					}
+					merged = append(merged, outs[m]...)
+				}
+				if len(merged) != total {
+					t.Errorf("set %d: merged %d values, want %d", s, len(merged), total)
+					return
+				}
+				for i, v := range merged {
+					if v != i {
+						t.Errorf("set %d: merged output holds %d at %d", s, v, i)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if d := p.QueueDepth(); d != 0 {
+		t.Fatalf("queue depth %d after every set finished, want 0", d)
+	}
+}
+
+// TestPoolJobsNilPoolRunsInOrderOnCaller pins the replica path of a run
+// without a pool: exec.Run hands DMR/TMR replicas to Jobs on a nil pool,
+// which must run them one after another on the calling goroutine.
+func TestPoolJobsNilPoolRunsInOrderOnCaller(t *testing.T) {
+	var p *Pool
+	caller := goroutineID()
+	var order []int
+	jobs := make([]func(), 4)
+	for i := range jobs {
+		i := i
+		jobs[i] = func() {
+			if id := goroutineID(); id != caller {
+				t.Errorf("job %d ran on goroutine %s, caller is %s", i, id, caller)
+			}
+			order = append(order, i)
+		}
+	}
+	p.Jobs(jobs...)
+	if !slices.Equal(order, []int{0, 1, 2, 3}) {
+		t.Fatalf("jobs ran in order %v", order)
+	}
+}
+
+// goroutineID returns the running goroutine's id from its stack header
+// ("goroutine 17 [running]: ...").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
 }
 
 // TestPoolFilterMatchesSerial runs the hardened continuous-detection

@@ -61,8 +61,8 @@ func WithDegradedFallback(on bool) RecoveryOption {
 	return func(c *recoveryCfg) { c.fallback = on }
 }
 
-// WithRecoveryRunOptions forwards Run options (WithPool, WithParallelism)
-// to every attempt, including the degraded fallback.
+// WithRecoveryRunOptions forwards Run options (WithPool, WithContext,
+// WithFusion, ...) to every attempt, including the degraded fallback.
 func WithRecoveryRunOptions(opts ...RunOption) RecoveryOption {
 	return func(c *recoveryCfg) { c.runOpts = append(c.runOpts, opts...) }
 }

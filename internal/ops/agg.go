@@ -46,9 +46,6 @@ func GroupBy(keys []*Vec, o *Opts) (gids []uint32, groups [][]uint64, err error)
 			return nil, nil, fmt.Errorf("ops: group-by key vectors of unequal length")
 		}
 	}
-	for _, k := range keys {
-		o.access(k.Name, n)
-	}
 	widths, shifts, err := groupKeyLayout(keys)
 	if err != nil {
 		return nil, nil, err
@@ -205,7 +202,6 @@ func SumGrouped(vals *Vec, gids []uint32, numGroups int, o *Opts) (*Vec, error) 
 	if err := o.ctxErr(); err != nil {
 		return nil, err
 	}
-	o.access(vals.Name, vals.Len())
 	acc, err := wideCode(vals.Code)
 	if err != nil {
 		return nil, err
@@ -293,8 +289,6 @@ func SumProduct(a, b *Vec, o *Opts) (*Vec, error) {
 	if err := o.ctxErr(); err != nil {
 		return nil, err
 	}
-	o.access(a.Name, a.Len())
-	o.access(b.Name, b.Len())
 	detect := o.detect()
 	log := o.log()
 	var invB uint64
@@ -387,8 +381,6 @@ func SumDiffGrouped(a, b *Vec, gids []uint32, numGroups int, o *Opts) (*Vec, err
 	if err := o.ctxErr(); err != nil {
 		return nil, err
 	}
-	o.access(a.Name, a.Len())
-	o.access(b.Name, b.Len())
 	acc, err := wideCode(a.Code)
 	if err != nil {
 		return nil, err

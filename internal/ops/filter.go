@@ -39,24 +39,10 @@ type Opts struct {
 	// new work within one morsel boundary. Completed runs are
 	// unaffected - the error-log merge stays byte-identical to serial.
 	Ctx context.Context
-	// Access, when non-nil, is called once per operator entry with the
-	// base column's name and the number of rows the operator touches.
-	// exec wires it to the per-column access counters that feed the
-	// adaptive-hardening controller; intermediate vectors are ignored by
-	// the receiver, so operators call it unconditionally.
-	Access func(column string, rows int)
 
 	// lease, when non-nil, keeps operator outputs in the arena for the
 	// query's lifetime (KeepIn, scratch.go).
 	lease *Lease
-}
-
-// access reports an operator touching rows of a named column to the
-// hotness hook, if one is installed.
-func (o *Opts) access(column string, rows int) {
-	if o != nil && o.Access != nil {
-		o.Access(column, rows)
-	}
 }
 
 // ctxErr reports the cancellation state of the query's context, nil when
@@ -106,7 +92,6 @@ func Filter(col *storage.Column, lo, hi uint64, o *Opts) (*Sel, error) {
 	if err := o.ctxErr(); err != nil {
 		return nil, err
 	}
-	o.access(col.Name(), col.Len())
 	f := makeFusedPred(RangePred{Col: col, Lo: lo, Hi: hi}, o)
 	if f.empty {
 		return out, nil
@@ -144,7 +129,6 @@ func FilterSel(col *storage.Column, lo, hi uint64, sel *Sel, o *Opts) (*Sel, err
 	if err := o.ctxErr(); err != nil {
 		return nil, err
 	}
-	o.access(col.Name(), sel.Len())
 	f := makeFusedPred(RangePred{Col: col, Lo: lo, Hi: hi}, o)
 	if f.empty {
 		return out, nil

@@ -117,7 +117,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	if s.cfg.Pool != nil {
 		depth = s.cfg.Pool.QueueDepth()
 	}
-	gauge("ahead_pool_queue_depth", "Morsel jobs queued in the worker pool.", int64(depth))
+	gauge("ahead_pool_queue_depth", "Morsels submitted to the pool but not yet claimed.", int64(depth))
 	gauge("ahead_scratch_live_buffers", "Scratch-arena buffers currently borrowed.", ops.LiveScratch())
 	gauge("ahead_goroutines", "Goroutines in the serving process.", int64(runtime.NumGoroutine()))
 

@@ -31,10 +31,10 @@ type Suite struct {
 	pool *exec.Pool
 }
 
-// WithParallelism attaches a shared worker pool of n workers (n <= 0
-// means GOMAXPROCS) that every subsequent Measure uses; n == 1 removes
-// the pool and returns the suite to serial execution. Close releases the
-// workers.
+// WithParallelism attaches a shared morsel pool whose task sets fan out
+// to at most n goroutines (n <= 0 means GOMAXPROCS) and that every
+// subsequent Measure uses; n == 1 removes the pool and returns the suite
+// to serial execution. The pool holds no goroutines between runs.
 func (s *Suite) WithParallelism(n int) *Suite {
 	if s.pool != nil {
 		s.pool.Close()

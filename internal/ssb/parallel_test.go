@@ -11,7 +11,7 @@ import (
 
 // newParallelSuite builds a suite over sf-0.01 data (60K lineorder rows)
 // with a small-morsel pool attached, so every query splits into many
-// morsels across few workers and the stealing and merge paths are
+// morsels across few workers and the claiming and merge paths are
 // genuinely exercised.
 func newParallelSuite(t *testing.T) *Suite {
 	t.Helper()
@@ -115,20 +115,20 @@ func TestParallelFaultAttributedToGlobalRow(t *testing.T) {
 	}
 }
 
-// TestWithParallelismTransientPool covers the one-shot option: a run with
-// WithParallelism must produce the serial answer and tear its pool down.
+// TestWithParallelismTransientPool covers a one-shot pool: a run on a
+// freshly built default-morsel pool must produce the serial answer.
 func TestWithParallelismTransientPool(t *testing.T) {
 	s := newParallelSuite(t)
 	sr, _, err := exec.Run(s.DB, exec.Continuous, ops.Blocked, Queries["Q1.1"])
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, _, err := exec.Run(s.DB, exec.Continuous, ops.Blocked, Queries["Q1.1"], exec.WithParallelism(2))
+	pr, _, err := exec.Run(s.DB, exec.Continuous, ops.Blocked, Queries["Q1.1"], exec.WithPool(exec.NewPool(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sr.Equal(pr) {
-		t.Fatal("WithParallelism run diverges from serial")
+		t.Fatal("run on a one-shot pool diverges from serial")
 	}
 }
 
