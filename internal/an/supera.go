@@ -120,16 +120,18 @@ func LargestKnown(dataBits, maxCodeBits uint) (*Code, error) {
 // the largest |A| strictly below the current code's |A| - the "decrease
 // the bit width of A by one per operator" reencoding policy of Section
 // 6.2. ok is false when no smaller constant is published (e.g. the width
-// is outside the table, or the code already uses A=3).
+// is outside the table, or the code already uses A=3). A width whose row
+// the paper elides uses the next wider published row, as ForMinBFW does.
 func NextSmaller(cur *Code) (*Code, bool) {
 	d := cur.DataBits()
-	if d == 0 || d > MaxTableDataBits {
+	row, ok := publishedRow(d)
+	if !ok {
 		return nil, false
 	}
 	var best uint64
 	var bestBits uint
 	for w := 1; w <= MaxMinBFW; w++ {
-		a := superATable[d][w-1]
+		a := superATable[row][w-1]
 		if a == 0 {
 			continue
 		}
@@ -155,16 +157,18 @@ func NextSmaller(cur *Code) (*Code, bool) {
 // the smallest |A| strictly above the current code's |A| that still fits
 // MaxCodeBits - the escalation rung an adaptive controller climbs when a
 // column's observed error rate pushes its silent-corruption hazard over
-// budget. ok is false when no stronger constant is published.
+// budget. ok is false when no stronger constant is published. Elided
+// rows fall back as in NextSmaller.
 func NextLarger(cur *Code) (*Code, bool) {
 	d := cur.DataBits()
-	if d == 0 || d > MaxTableDataBits {
+	row, ok := publishedRow(d)
+	if !ok {
 		return nil, false
 	}
 	var best uint64
 	var bestBits uint
 	for w := 1; w <= MaxMinBFW; w++ {
-		a := superATable[d][w-1]
+		a := superATable[row][w-1]
 		if a == 0 {
 			continue
 		}
@@ -186,16 +190,36 @@ func NextLarger(cur *Code) (*Code, bool) {
 	return c, true
 }
 
+// publishedRow returns the narrowest data width at least dataBits whose
+// table row the paper publishes: dataBits itself except for the elided
+// rows, which defer to the next wider one (sound by the subset argument
+// of ForMinBFW).
+func publishedRow(dataBits uint) (uint, bool) {
+	if dataBits == 0 {
+		return 0, false
+	}
+	for d := dataBits; d <= MaxTableDataBits; d++ {
+		if superATable[d][0] != 0 {
+			return d, true
+		}
+	}
+	return 0, false
+}
+
 // GuaranteedBFW returns the guaranteed minimum bit-flip weight the
 // published tables attribute to constant a at the given data width, or 0 if
-// a is not a published super A for that width.
+// a is not a published super A for that width or any wider one. A
+// constant published for wider data keeps its guarantee on narrower data
+// by the subset argument of ForMinBFW.
 func GuaranteedBFW(a uint64, dataBits uint) int {
 	if dataBits == 0 || dataBits > MaxTableDataBits {
 		return 0
 	}
 	for w := MaxMinBFW; w >= 1; w-- {
-		if superATable[dataBits][w-1] == a {
-			return w
+		for d := dataBits; d <= MaxTableDataBits; d++ {
+			if superATable[d][w-1] == a {
+				return w
+			}
 		}
 	}
 	return 0

@@ -213,3 +213,33 @@ func TestNextLargerOutsideTable(t *testing.T) {
 		t.Fatal("48-bit data is outside the published tables")
 	}
 }
+
+// A constant published for wider data keeps that width's guarantee on
+// narrower data, and widths whose rows the paper elides use the next
+// wider published row - the subset argument of ForMinBFW.
+func TestNarrowerDataInheritsWiderRows(t *testing.T) {
+	for _, c := range []struct {
+		a    uint64
+		bits uint
+		want int
+	}{
+		{63877, 10, 5}, // published at |D| 14..16
+		{15993, 18, 4}, // published at |D| 24
+		{27425, 10, 5}, // the exact row still answers
+		{32417, 33, 0}, // beyond the table
+	} {
+		if got := GuaranteedBFW(c.a, c.bits); got != c.want {
+			t.Errorf("GuaranteedBFW(%d, %d) = %d, want %d", c.a, c.bits, got, c.want)
+		}
+	}
+	// |D| = 20 has no published row: the ladder is row 24's.
+	cur := MustNew(3, 20)
+	up, ok := NextLarger(cur)
+	if !ok || up.A() != 61 || up.DataBits() != 20 {
+		t.Fatalf("NextLarger(%v) = %v, %v; want A=61 at |D|=20", cur, up, ok)
+	}
+	down, ok := NextSmaller(MustNew(15993, 20))
+	if !ok || down.A() != 981 || down.DataBits() != 20 {
+		t.Fatalf("NextSmaller(15993@20) = %v, %v; want A=981", down, ok)
+	}
+}

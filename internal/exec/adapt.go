@@ -23,7 +23,8 @@ type ColumnCoding struct {
 	Column string `json:"column"`
 	Rows   int    `json:"rows"`
 	// DataBits is the width class the column hardens at: the code's data
-	// width for AN columns, the width Table.Harden would assign otherwise.
+	// width for AN columns (narrowed or declared), the declared width
+	// (storage.Column.DeclaredBits) otherwise.
 	DataBits uint `json:"data_bits"`
 	// Scheme is "an", "residue" or "plain".
 	Scheme string `json:"scheme"`
@@ -32,31 +33,6 @@ type ColumnCoding struct {
 	CodeBits uint   `json:"code_bits,omitempty"`
 	// ResidueBits is the check width c of modulus 2^c-1 ("residue" only).
 	ResidueBits uint `json:"residue_bits,omitempty"`
-}
-
-// hardenDataBits mirrors Table.Harden's width-class derivation for a
-// column that currently carries no AN code: kind width, dictionary
-// columns at their byte-compressed dictionary width, clamped to the
-// 48-bit resbig/heap limit.
-func hardenDataBits(c *storage.Column) uint {
-	bits := c.Kind().DataBits()
-	if c.Kind() == storage.Str {
-		bits = c.Dict().Bits()
-		switch {
-		case bits <= 8:
-			bits = 8
-		case bits <= 16:
-			bits = 16
-		case bits <= 32:
-			bits = 32
-		default:
-			bits = 64
-		}
-	}
-	if bits > 48 {
-		bits = 48
-	}
-	return bits
 }
 
 // ColumnCodings returns the coding of every base column in every
@@ -75,10 +51,10 @@ func (db *DB) ColumnCodings() []ColumnCoding {
 			case hc.IsResidueHardened():
 				cc.Scheme = "residue"
 				cc.ResidueBits = hc.ResidueCode().CheckBits()
-				cc.DataBits = hardenDataBits(hc)
+				cc.DataBits = hc.DeclaredBits()
 			default:
 				cc.Scheme = "plain"
-				cc.DataBits = hardenDataBits(hc)
+				cc.DataBits = hc.DeclaredBits()
 			}
 			out = append(out, cc)
 		}

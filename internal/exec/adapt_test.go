@@ -31,8 +31,9 @@ func codingFor(t *testing.T, db *DB, column string) ColumnCoding {
 
 func TestColumnCodingsReflectState(t *testing.T) {
 	db := adaptDB(t)
+	// w's values (at most 9900) occupy 14 bits: Table.Harden narrows it.
 	cc := codingFor(t, db, "w")
-	if cc.Scheme != "an" || cc.A == 0 || cc.DataBits != 32 || cc.Rows != 100 {
+	if cc.Scheme != "an" || cc.A != 63877 || cc.DataBits != 14 || cc.CodeBits != 30 || cc.Rows != 100 {
 		t.Fatalf("unexpected coding %+v", cc)
 	}
 	if _, err := db.ResidueHardenColumn("t", "w", 8); err != nil {

@@ -28,6 +28,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"ahead/internal/an"
 	"ahead/internal/ops"
@@ -116,12 +117,20 @@ func ParseMode(s string) (Mode, error) {
 func (m Mode) UsesHardenedData() bool { return m >= EarlyOnetime && m != TMR }
 
 // DB holds the physical data for all modes: the plain tables, the DMR
-// replica, and the hardened tables.
+// replica, the hardened tables and, once a TMR query has run, the TMR
+// replica.
 type DB struct {
 	plain    map[string]*storage.Table
 	replica  map[string]*storage.Table
-	replica2 map[string]*storage.Table
 	hardened map[string]*storage.Table
+
+	// replica2 is TMR's third copy, built by the first TMR query
+	// (tmrReplica) under recoverMu and published by tmrBuilt; nil
+	// until then, so a DB that never runs TMR holds no third copy.
+	replica2 map[string]*storage.Table
+	tmrBuilt atomic.Bool
+	// tmrBuilds counts completed builds (tests assert there is one).
+	tmrBuilds int
 
 	// colTable maps a column name to its owning table, the attribution
 	// the recovery loop needs to turn an error-log column into a repair
@@ -151,13 +160,13 @@ type DB struct {
 
 // NewDB builds the per-mode physical storage from plain base tables,
 // hardening columns with the given chooser (Section 6.2 uses
-// storage.LargestCodeChooser). The replica is a deep copy for DMR. The
-// plain tables head the repair chain.
+// storage.LargestCodeChooser). The replica is a deep copy for DMR; TMR's
+// third copy waits for the first TMR query. The plain tables head the
+// repair chain.
 func NewDB(tables []*storage.Table, choose storage.CodeChooser) (*DB, error) {
 	db := &DB{
 		plain:       make(map[string]*storage.Table),
 		replica:     make(map[string]*storage.Table),
-		replica2:    make(map[string]*storage.Table),
 		hardened:    make(map[string]*storage.Table),
 		colTable:    make(map[string]string),
 		quarantined: make(map[string]bool),
@@ -181,11 +190,6 @@ func NewDB(tables []*storage.Table, choose storage.CodeChooser) (*DB, error) {
 			return nil, err
 		}
 		db.replica[t.Name()] = r
-		r2, err := t.Replicate()
-		if err != nil {
-			return nil, err
-		}
-		db.replica2[t.Name()] = r2
 		h, err := t.Harden(choose)
 		if err != nil {
 			return nil, err
@@ -215,6 +219,89 @@ func (db *DB) Hardened(name string) *storage.Table { return db.hardened[name] }
 // Replica returns the DMR replica table (exposed for fault-injection
 // experiments and tests).
 func (db *DB) Replica(name string) *storage.Table { return db.replica[name] }
+
+// tmrReplica builds TMR's third copy once, for every table, the first
+// time a TMR query needs it. The copy is check-decoded from the hardened
+// tables (storage.Column.PlainCopy), positions failing the check healed
+// through the repair chain first - never copied from the plain mirror,
+// whose flips since boot would then sit in two of the three voters. The
+// build holds recoverMu, so repairs, scrubs, swaps and HealChunk's
+// mirror loop see either no third copy or a complete one.
+func (db *DB) tmrReplica() error {
+	if db.tmrBuilt.Load() {
+		return nil
+	}
+	db.recoverMu.Lock()
+	defer db.recoverMu.Unlock()
+	if db.tmrBuilt.Load() {
+		return nil
+	}
+	replica := make(map[string]*storage.Table, len(db.hardened))
+	for _, name := range db.Tables() {
+		t := storage.NewTable(name)
+		for _, hc := range db.hardened[name].Columns() {
+			c, err := db.verifiedCopy(name, hc)
+			if err != nil {
+				return fmt.Errorf("exec: building the TMR replica: %w", err)
+			}
+			if err := t.AddColumn(c); err != nil {
+				return err
+			}
+		}
+		replica[name] = t
+	}
+	db.replica2 = replica
+	db.tmrBuilds++
+	db.tmrBuilt.Store(true)
+	return nil
+}
+
+// verifiedCopy returns the plain copy of hardened column hc, repairing
+// the positions that fail verification first. The caller holds
+// recoverMu.
+func (db *DB) verifiedCopy(table string, hc *storage.Column) (*storage.Column, error) {
+	c, bad := hc.PlainCopy()
+	if len(bad) == 0 {
+		return c, nil
+	}
+	if _, _, err := db.repair(context.TODO(), table, hc.Name(), bad); err != nil {
+		return nil, err
+	}
+	if c, bad = hc.PlainCopy(); len(bad) > 0 {
+		return nil, fmt.Errorf("%s.%s still fails verification at %d positions after repair", table, hc.Name(), len(bad))
+	}
+	return c, nil
+}
+
+// ResidentCopies is the data-array footprint of each resident copy of
+// the base data, read from the copies themselves. Dictionaries and
+// string heaps, shared by every copy, count once, under Plain.
+type ResidentCopies struct {
+	Plain, DMR, TMR, Hardened int
+}
+
+// ResidentBytes reports the bytes of the copies actually resident - TMR
+// reads 0 until the first TMR query builds its replica - unlike
+// StorageBytes, which models a mode's footprint.
+func (db *DB) ResidentBytes() ResidentCopies {
+	arrays := func(tables map[string]*storage.Table) int {
+		total := 0
+		for _, t := range tables {
+			for _, c := range t.Columns() {
+				total += c.Bytes()
+			}
+		}
+		return total
+	}
+	r := ResidentCopies{DMR: arrays(db.replica), Hardened: arrays(db.hardened)}
+	for _, t := range db.plain {
+		r.Plain += t.Bytes()
+	}
+	if db.tmrBuilt.Load() {
+		r.TMR = arrays(db.replica2)
+	}
+	return r
+}
 
 // StorageBytes returns the base-data footprint of a mode: plain bytes for
 // Unprotected, twice that for DMR, hardened bytes for the AHEAD modes
@@ -501,6 +588,11 @@ func Run(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc, opts ...RunOption) (
 	if replicas == 1 {
 		r, err := cfg.newQuery(db, m, flavor, log, 0).run(plan)
 		return r, log, err
+	}
+	if m == TMR {
+		if err := db.tmrReplica(); err != nil {
+			return nil, log, err
+		}
 	}
 	results := make([]*ops.Result, replicas)
 	if err := runReplicated(db, m, flavor, plan, log, results, cfg); err != nil {

@@ -223,9 +223,10 @@ func TestReencodingChangesVectorCodes(t *testing.T) {
 	if seenA == 0 {
 		t.Fatal("reencoding did not run")
 	}
-	// The policy drops |A| by (at least) one: 32417 (15 bits) -> 881 (10 bits).
-	if seenA != 881 {
-		t.Fatalf("reencoded to A=%d, want 881", seenA)
+	// The policy drops |A| by (at least) one: w hardens narrowed at
+	// |D|=14, where 63877 (16 bits) -> 6717 (13 bits).
+	if seenA != 6717 {
+		t.Fatalf("reencoded to A=%d, want 6717", seenA)
 	}
 }
 
@@ -269,7 +270,8 @@ func TestStorageBytesAndModeHelpers(t *testing.T) {
 	if db.StorageBytes(DMR) != 2*unp {
 		t.Fatal("DMR bytes")
 	}
-	if db.StorageBytes(Continuous) != 100*2+100*8 {
+	// v in 16-bit words; w's 14-bit values narrowed into 32-bit words.
+	if db.StorageBytes(Continuous) != 100*2+100*4 {
 		t.Fatalf("hardened bytes %d", db.StorageBytes(Continuous))
 	}
 	if db.Plain("t") == nil || db.Hardened("t") == nil || db.Replica("t") == nil {

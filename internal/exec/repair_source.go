@@ -131,6 +131,10 @@ func (db *DB) repair(ctx context.Context, table, column string, positions []uint
 
 // fetch returns the first complete answer of the chain's sources, in
 // order, or every source's reason; the caller's deadline ends the walk.
+// An answer holding a value beyond an AN column's data domain is such a
+// reason: every value the column ever held lies inside it (growth widens
+// the domain first), so the source is corrupt - and writing the value
+// would widen a narrowed column under its concurrent readers.
 func fetch(ctx context.Context, chain []RepairSource, table string, hc *storage.Column, positions []uint64) ([]uint64, error) {
 	if len(chain) == 0 {
 		return nil, errors.New("the repair chain is empty")
@@ -140,6 +144,14 @@ func fetch(ctx context.Context, chain []RepairSource, table string, hc *storage.
 		vals, err := src.Values(ctx, table, hc, positions)
 		if err == nil && len(vals) != len(positions) {
 			err = fmt.Errorf("%d values for %d positions", len(vals), len(positions))
+		}
+		if code := hc.Code(); err == nil && code != nil {
+			for i, v := range vals {
+				if v > code.MaxData() {
+					err = fmt.Errorf("value %d at position %d beyond the %d-bit domain of %v", v, positions[i], code.DataBits(), code)
+					break
+				}
+			}
 		}
 		if err == nil {
 			return vals, nil
@@ -226,8 +238,9 @@ func (db *DB) ChunkWords(table, column string, chunkRows, chunk int) ([]uint64, 
 // from an authoritative peer - the apply step of anti-entropy. The chunk
 // is verified whole under the column's code, the positions whose stored
 // word differs go through the repair chain's write step, and the plain
-// mirrors follow so every execution mode observes the healed values. It
-// returns the number of positions whose stored word changed.
+// mirrors follow so every execution mode observes the healed values -
+// the TMR replica too once built, which recoverMu orders against its
+// build. It returns the number of positions whose stored word changed.
 func (db *DB) HealChunk(table, column string, chunkRows, chunk int, words []uint64) (int, error) {
 	db.recoverMu.Lock()
 	defer db.recoverMu.Unlock()

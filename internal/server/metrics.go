@@ -111,6 +111,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 
+	const stored = "ahead_storage_bytes"
+	fmt.Fprintf(w, "# HELP %s Bytes held by each resident copy of the base data (tmr is 0 until the first TMR query builds it).\n# TYPE %s gauge\n", stored, stored)
+	res := s.cfg.DB.ResidentBytes()
+	for _, c := range []struct {
+		copy  string
+		bytes int
+	}{{"plain", res.Plain}, {"dmr", res.DMR}, {"tmr", res.TMR}, {"hardened", res.Hardened}} {
+		fmt.Fprintf(w, "%s{copy=%q} %d\n", stored, c.copy, c.bytes)
+	}
+
 	gauge("ahead_inflight_queries", "Queries currently executing.", int64(len(s.sem)))
 	gauge("ahead_queued_queries", "Queries waiting for an execution slot.", s.queued.Load())
 	depth := 0

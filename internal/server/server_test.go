@@ -708,3 +708,43 @@ func TestServerNoScratchLeak(t *testing.T) {
 		t.Fatalf("scratch leak across serving burst: %d live before, %d after", before, got)
 	}
 }
+
+// TestStorageBytesGauge reads the resident copies: the TMR replica
+// reports 0 until a TMR query builds it, then the DMR replica's size.
+func TestStorageBytesGauge(t *testing.T) {
+	db := tinyDB(t)
+	srv, err := New(Config{DB: db, Queries: map[string]exec.QueryFunc{"sum": sumPlan}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	scrape := func() string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, _ := io.ReadAll(resp.Body)
+		return string(data)
+	}
+	res := db.ResidentBytes()
+	text := scrape()
+	for _, want := range []string{
+		fmt.Sprintf(`ahead_storage_bytes{copy="plain"} %d`, res.Plain),
+		fmt.Sprintf(`ahead_storage_bytes{copy="dmr"} %d`, res.DMR),
+		`ahead_storage_bytes{copy="tmr"} 0`,
+		fmt.Sprintf(`ahead_storage_bytes{copy="hardened"} %d`, res.Hardened),
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+	if resp, data := postQuery(t, ts.URL, QueryRequest{Query: "sum", Mode: "tmr"}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("TMR query: status %d: %s", resp.StatusCode, data)
+	}
+	if want := fmt.Sprintf(`ahead_storage_bytes{copy="tmr"} %d`, res.DMR); !strings.Contains(scrape(), want) {
+		t.Errorf("after a TMR query, metrics miss %q", want)
+	}
+}

@@ -7,12 +7,12 @@ import (
 )
 
 // Whole-array kernels. Every bulk path of a column - harden, soften,
-// re-encode, verify, Δ, residue fill and check, packed-mirror build, row
-// gather - runs one of the typed loops below, reached through a single
-// dispatch (Column.bulk) that resolves the source and destination widths
-// once per call. Nothing in here touches Get/setU64: the per-element
-// accessors switch on the width for every value and stay reserved for
-// point reads and UDI operations.
+// re-encode, verify, Δ, residue fill and check, packed-mirror build,
+// OR-reduction, row gather - runs one of the typed loops below, reached
+// through a single dispatch (Column.bulk) that resolves the source and
+// destination widths once per call. Nothing in here touches Get/setU64:
+// the per-element accessors switch on the width for every value and stay
+// reserved for point reads and UDI operations.
 
 type bulkKind uint8
 
@@ -24,6 +24,7 @@ const (
 	bulkResidueFill                  // checks[i] = src[i] mod m
 	bulkResidueCheck                 // compare [start, end) against checks
 	bulkPack                         // append src to lanes
+	bulkOr                           // one-element result: every word ORed
 )
 
 // bulkOp is one kernel invocation: the kind and the operands that kind
@@ -86,6 +87,8 @@ func bulkRun[S, D an.Unsigned](src []S, dst []D, op bulkOp) []uint64 {
 		gatherRows(src, dst, op.rows)
 	case bulkPack:
 		bitpack.AppendSlice(op.lanes, src)
+	case bulkOr:
+		bad = []uint64{orAll(src)}
 	case bulkResidueFill:
 		residueFill(op.res, src, op.checks)
 	case bulkCheck:
@@ -115,6 +118,24 @@ func mulMask[S, D an.Unsigned](src []S, dst []D, pre, mul, post uint64) {
 	for i, v := range src {
 		dst[i] = D((uint64(v) & pre) * mul & post)
 	}
+}
+
+// orAll ORs every word, four independent accumulators deep: the bit
+// length of the result is the bit length of the largest word, which is
+// all hardening asks of a column's values.
+func orAll[S an.Unsigned](src []S) uint64 {
+	var a, b, c, d S
+	i := 0
+	for ; i+4 <= len(src); i += 4 {
+		a |= src[i]
+		b |= src[i+1]
+		c |= src[i+2]
+		d |= src[i+3]
+	}
+	for ; i < len(src); i++ {
+		a |= src[i]
+	}
+	return uint64(a | b | c | d)
 }
 
 func gatherRows[S, D an.Unsigned](src []S, dst []D, rows []int) {

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"ahead/internal/an"
@@ -225,12 +226,56 @@ func (c *Column) Get(i int) uint64 {
 // Append adds a plain value to an unprotected column, or hardens and adds
 // a plain value to a hardened column (UDI operations are orthogonal to
 // hardening, Section 4.1: inserting into a hardened column just means
-// inserting hardened data).
+// inserting hardened data). A value beyond a narrowed code's domain
+// first widens the column (see widen).
 func (c *Column) Append(v uint64) {
 	if c.code != nil {
-		v = c.code.Encode(v)
+		v = c.encode(v)
 	}
 	c.AppendRaw(v)
+}
+
+// encode hardens v under the column's code, widening a narrowed column
+// first when v lies beyond its domain, so growth never wraps.
+func (c *Column) encode(v uint64) uint64 {
+	if v > c.code.MaxData() && c.code.DataBits() < c.DeclaredBits() {
+		c.widen()
+	}
+	return c.code.Encode(v)
+}
+
+// widen re-hardens a narrowed column in place at its declared width:
+// under LargestCodeChooser's code for the declared type, or under the
+// declared-width code of the narrowed code's own minimum bit-flip weight
+// where that is stronger and published. A word the narrowed code rejects
+// is rewritten as a word the new code rejects too (its decoded value
+// lifted above the data domain), so widening never launders a
+// corruption into a valid value. Like every mutation, it must not race
+// the column's readers.
+func (c *Column) widen() {
+	bits := c.DeclaredBits()
+	next, err := LargestCodeChooser(bits)
+	if err != nil {
+		return // unreachable: DeclaredBits is at most 48
+	}
+	if bfw := an.GuaranteedBFW(c.code.A(), c.code.DataBits()); bfw > an.GuaranteedBFW(next.A(), bits) {
+		if stronger, err := an.ForMinBFW(bits, bfw); err == nil {
+			next = stronger
+		}
+	}
+	width, _ := widthForBits(next.CodeBits())
+	out := &Column{width: width}
+	out.grow(c.Len())
+	for i := 0; i < c.Len(); i++ {
+		d, ok := c.code.Check(c.Get(i))
+		if !ok {
+			d = next.MaxData() + 1 | d&next.MaxData()
+		}
+		out.storeRaw(i, d*next.A()&next.CodeMask())
+	}
+	c.width, c.code = width, next
+	c.u8, c.u16, c.u32, c.u64 = out.u8, out.u16, out.u32, out.u64
+	c.initPacked()
 }
 
 // AppendRaw adds a raw physical value without encoding. Used by operators
@@ -282,7 +327,7 @@ func (c *Column) Reserve(n int) {
 // hardened columns (the update of UDI).
 func (c *Column) Set(i int, v uint64) {
 	if c.code != nil {
-		v = c.code.Encode(v)
+		v = c.encode(v)
 	}
 	c.setU64(i, v)
 }
@@ -316,13 +361,52 @@ func (c *Column) Heap() *StringHeap { return c.heap }
 // Harden returns a hardened copy of the column: every value multiplied by
 // the code's A and stored in the narrowest native width for |D| + |A|
 // bits. String columns keep their dictionary; their codes are hardened
-// like any integer.
+// like any integer. Every value must lie in the code's data domain; one
+// beyond it is an error, never a truncation.
 func (c *Column) Harden(code *an.Code) (*Column, error) {
+	return c.harden(code, c.usedBits())
+}
+
+// hardenWith is Table.Harden's per-column step: the chooser's code for
+// the declared width, or a narrower one for the bits the values occupy
+// (narrowCode).
+func (c *Column) hardenWith(choose CodeChooser) (*Column, error) {
+	code, err := choose(c.DeclaredBits())
+	if err != nil {
+		return nil, err
+	}
+	used := c.usedBits()
+	if narrow := narrowCode(c, used, code, choose); narrow != nil {
+		code = narrow
+	}
+	return c.harden(code, used)
+}
+
+// usedBits returns the bit length of the column's largest physical
+// value, 0 when every value is 0 or the column is empty.
+func (c *Column) usedBits() uint {
+	return uint(bits.Len64(c.bulk(nil, bulkOp{kind: bulkOr})[0]))
+}
+
+// DeclaredBits returns the data width the column hardens at before any
+// narrowing: its kind's width, a dictionary column's byte-compressed
+// dictionary width, clamped to the 48-bit resbig and heap-reference
+// limit (Section 6.1). A narrowed code covers fewer bits.
+func (c *Column) DeclaredBits() uint {
+	bits := c.kind.DataBits()
+	if c.kind == Str {
+		w, _ := widthForBits(c.dict.Bits())
+		bits = uint(w) * 8
+	}
+	return min(bits, 48)
+}
+
+func (c *Column) harden(code *an.Code, usedBits uint) (*Column, error) {
 	if c.code != nil {
 		return nil, fmt.Errorf("storage: column %q already hardened", c.name)
 	}
-	if bits := c.kind.DataBits(); c.kind != Str && c.kind != BigInt && code.DataBits() < bits {
-		return nil, fmt.Errorf("storage: code covers %d bits, column %q holds %d-bit values", code.DataBits(), c.name, bits)
+	if usedBits > code.DataBits() {
+		return nil, fmt.Errorf("storage: column %q holds %d-bit values, beyond the %d-bit data domain of %v", c.name, usedBits, code.DataBits(), code)
 	}
 	width, err := widthForBits(code.CodeBits())
 	if err != nil {
@@ -368,20 +452,36 @@ func (c *Column) softened() (*Column, error) {
 			return nil, err
 		}
 	}
-	width, err := widthForBits(c.code.DataBits())
-	if err != nil {
-		return nil, err
+	return &Column{name: c.name, kind: kind, width: c.SoftenedWidth(), dict: c.dict, heap: c.heap}, nil
+}
+
+// PlainCopy returns an unprotected copy of the column's values at its
+// declared width, verified on the way: AN code words through the Δ
+// kernel, residue values against their sidecar, an unprotected column
+// copied as it stands. The second result lists the positions that
+// failed verification, in ascending order; their copied values are not
+// to be trusted.
+func (c *Column) PlainCopy() (*Column, []uint64) {
+	switch {
+	case c.code != nil:
+		out, _ := c.softened()
+		out.grow(c.Len())
+		return out, c.CheckDecodeInto(out, 0, c.Len(), true)
+	case c.resCheck != nil:
+		return c.cloneData(), c.ResidueCheckRange(0, c.Len())
 	}
-	return &Column{name: c.name, kind: kind, width: width, dict: c.dict, heap: c.heap}, nil
+	return c.cloneData(), nil
 }
 
 // SoftenedWidth returns the bytes per value Soften produces, 0 for a
-// column that is not AN-hardened.
+// column that is not AN-hardened: the code's data width, or the
+// declared one when that is wider, so a column hardened under a narrowed
+// code softens back to its declared type.
 func (c *Column) SoftenedWidth() int {
 	if c.code == nil {
 		return 0
 	}
-	w, _ := widthForBits(c.code.DataBits())
+	w, _ := widthForBits(max(c.code.DataBits(), c.DeclaredBits()))
 	return w
 }
 

@@ -177,33 +177,63 @@ func MinBFWCodeChooser(minBFW int) CodeChooser {
 	}
 }
 
+// narrowCode extends byte-level compression (Section 6.1) to integer
+// columns (dictionary strings already harden at their byte-compressed
+// width). |D| is the bit length of the column's largest value; the
+// candidates are the chooser's constants for every published data width
+// from |D| up, each carrying at |D| the guarantee the tables give it at
+// its own width (an.GuaranteedBFW). Native registers narrower than
+// declared's code word are tried narrowest first, each with the
+// strongest candidate whose |D|+|A| bits fit it, and the first one
+// guaranteeing at least declared's minimum bit-flip weight (and at least
+// one) wins - so narrowing never weakens a column. It returns nil when
+// no narrower register qualifies.
+func narrowCode(c *Column, usedBits uint, declared *an.Code, choose CodeChooser) *an.Code {
+	if c.Kind() == Str || c.Kind() == StrHeap || c.Len() == 0 {
+		return nil
+	}
+	bits := max(usedBits, 1)
+	floor := max(an.GuaranteedBFW(declared.A(), declared.DataBits()), 1)
+	var cands []*an.Code
+	for d := bits; d <= an.MaxTableDataBits; d++ {
+		if code, err := choose(d); err == nil {
+			if cand, err := an.New(code.A(), bits); err == nil {
+				cands = append(cands, cand)
+			}
+		}
+	}
+	declaredWord, _ := widthForBits(declared.CodeBits())
+	for _, word := range []uint{8, 16, 32} {
+		if word >= uint(declaredWord)*8 {
+			break
+		}
+		var best *an.Code
+		bestBFW := 0
+		for _, cand := range cands {
+			if bfw := an.GuaranteedBFW(cand.A(), bits); cand.CodeBits() <= word && bfw > bestBFW {
+				best, bestBFW = cand, bfw
+			}
+		}
+		if bestBFW >= floor {
+			return best
+		}
+	}
+	return nil
+}
+
 // Harden returns a hardened copy of the table: every column encoded with
-// the code the chooser assigns to its data width. Dictionaries are shared
-// with the source table (they are immutable).
+// the code the chooser assigns it - at the bits its values occupy when
+// that fits a narrower register without weakening the guarantee
+// (narrowCode), else at its declared width. Dictionaries are shared with
+// the source table (they are immutable). A value beyond the declared
+// domain (a bigint above the 48-bit resbig limit) is an error naming the
+// column, never a truncation.
 func (t *Table) Harden(choose CodeChooser) (*Table, error) {
 	out := NewTable(t.name)
 	for _, c := range t.Columns() {
-		bits := c.Kind().DataBits()
-		if c.Kind() == Str {
-			bits = c.Dict().Bits()
-			// Dictionary codes harden at their byte-compressed width so
-			// the table keeps one code per width class.
-			w, err := widthForBits(bits)
-			if err != nil {
-				return nil, err
-			}
-			bits = uint(w) * 8
-		}
-		if bits > 48 {
-			bits = 48 // resbig and heap-reference limit (Section 6.1)
-		}
-		code, err := choose(bits)
+		hc, err := c.hardenWith(choose)
 		if err != nil {
 			return nil, fmt.Errorf("storage: hardening %s.%s: %w", t.name, c.Name(), err)
-		}
-		hc, err := c.Harden(code)
-		if err != nil {
-			return nil, err
 		}
 		if err := out.AddColumn(hc); err != nil {
 			return nil, err
