@@ -85,7 +85,9 @@ func run(k uint, trials int, seed int64, slack, z float64) error {
 		if err != nil {
 			return err
 		}
-		for i := 0; i < 4096; i++ {
+		// The analytic rates average over the whole data domain, so the
+		// column spans all of it: 4096 rows cover only 12 of 16 bits.
+		for i := 0; i < max(4096, 1<<k); i++ {
 			col.Append(uint64(i) & code.MaxData())
 		}
 		hard, err := col.Harden(code)

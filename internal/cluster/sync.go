@@ -1,16 +1,18 @@
 // Anti-entropy replica sync: the wire protocol replicas use to find and
-// heal diverged column chunks. The exchange is three escalating
-// round-trip shapes, each cheaper than shipping data:
+// heal diverged column chunks. The exchange has two round-trip shapes:
 //
-//  1. GET /sync/digests - per-column metadata plus one bloom filter
-//     folding every (table, column, chunk, crc) entry the peer holds.
-//  2. GET /sync/digests?table=T&column=C - the exact per-chunk CRC list
-//     for one column, fetched when the bloom (or local suspicion -
-//     quarantine, AN detections) says the column may differ.
-//  3. GET /sync/chunk?... - one chunk's raw code words. Still
-//     AN-encoded: the receiver re-verifies the transport CRC and every
-//     word against the column's code before writing anything, the same
-//     end-to-end discipline as the query wire format (wire.go).
+//  1. GET /sync/digests - every AN column's rows, code parameters and
+//     exact per-chunk CRC list. A receiver compares the lists chunk by
+//     chunk; any CRC that differs names a chunk to fetch, so no silent
+//     divergence escapes the comparison.
+//  2. GET /sync/chunk?table=&column=&chunk= - one chunk's raw code
+//     words. Still AN-encoded: the receiver re-verifies the transport
+//     CRC and every word against the column's code before writing
+//     anything, the same end-to-end discipline as the query wire format
+//     (wire.go).
+//
+// Chunks are storage.DefaultChunkRows rows on both sides; the digest
+// states the granularity and a receiver refuses a peer that differs.
 //
 // The types here are the versioned JSON bodies; SyncClient is the
 // fetching side; PeerRepairSource adapts a peer to the exec package's
@@ -35,40 +37,29 @@ import (
 
 // SyncVersion is the anti-entropy wire version; mismatches are refused,
 // never guessed at.
-const SyncVersion = 1
+const SyncVersion = 2
 
 // maxSyncResponseBytes bounds one sync response body (a full chunk of
 // 64K words as JSON numbers fits comfortably).
 const maxSyncResponseBytes = 32 << 20
 
-// ColumnDigest summarizes one hardened column on a replica.
+// ColumnDigest summarizes one AN-hardened column on a replica: its
+// shape, its code, and the CRC of every chunk's stored code words.
 type ColumnDigest struct {
-	Table    string `json:"table"`
-	Column   string `json:"column"`
-	Rows     int    `json:"rows"`
-	Chunks   int    `json:"chunks"`
-	CodeA    uint64 `json:"code_a"`
-	CodeBits uint   `json:"code_bits"`
+	Table    string   `json:"table"`
+	Column   string   `json:"column"`
+	Rows     int      `json:"rows"`
+	CodeA    uint64   `json:"code_a"`
+	DataBits uint     `json:"data_bits"`
+	CRCs     []uint32 `json:"crcs"`
 }
 
 // DigestSummary is the body of GET /sync/digests: everything a peer
-// needs to decide which columns to look at closer.
+// needs to tell which chunks differ.
 type DigestSummary struct {
 	Version   int            `json:"version"`
 	ChunkRows int            `json:"chunk_rows"`
 	Columns   []ColumnDigest `json:"columns"`
-	BloomK    int            `json:"bloom_k"`
-	Bloom     string         `json:"bloom"`
-}
-
-// ChunkCRCList is the body of GET /sync/digests?table=&column=: the
-// exact per-chunk CRCs of one column.
-type ChunkCRCList struct {
-	Version   int      `json:"version"`
-	Table     string   `json:"table"`
-	Column    string   `json:"column"`
-	ChunkRows int      `json:"chunk_rows"`
-	CRCs      []uint32 `json:"crcs"`
 }
 
 // ChunkPayload is the body of GET /sync/chunk: one chunk's raw AN code
@@ -76,13 +67,12 @@ type ChunkCRCList struct {
 // encoding, so JSON-level damage is caught before the per-word AN check
 // even runs.
 type ChunkPayload struct {
-	Version   int      `json:"version"`
-	Table     string   `json:"table"`
-	Column    string   `json:"column"`
-	ChunkRows int      `json:"chunk_rows"`
-	Chunk     int      `json:"chunk"`
-	Words     []uint64 `json:"words"`
-	CRC       uint32   `json:"crc"`
+	Version int      `json:"version"`
+	Table   string   `json:"table"`
+	Column  string   `json:"column"`
+	Chunk   int      `json:"chunk"`
+	Words   []uint64 `json:"words"`
+	CRC     uint32   `json:"crc"`
 }
 
 // WordsCRC is the transport checksum of a chunk payload: CRC32 over the
@@ -181,53 +171,36 @@ func (c *SyncClient) get(ctx context.Context, path string, out interface{ versio
 }
 
 func (d *DigestSummary) version() int { return d.Version }
-func (l *ChunkCRCList) version() int  { return l.Version }
 func (p *ChunkPayload) version() int  { return p.Version }
 
-// Digests fetches the peer's digest summary and decodes its bloom
-// filter.
-func (c *SyncClient) Digests(ctx context.Context) (*DigestSummary, *Bloom, error) {
+// Digests fetches the peer's digest summary, refusing one cut at another
+// chunk granularity than storage.DefaultChunkRows.
+func (c *SyncClient) Digests(ctx context.Context) (*DigestSummary, error) {
 	var sum DigestSummary
 	if err := c.get(ctx, "/sync/digests", &sum); err != nil {
-		return nil, nil, err
-	}
-	bloom, err := DecodeBloom(sum.Bloom, sum.BloomK)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &sum, bloom, nil
-}
-
-// ColumnCRCs fetches the exact chunk CRC list of one column.
-func (c *SyncClient) ColumnCRCs(ctx context.Context, table, column string) (*ChunkCRCList, error) {
-	path := "/sync/digests?table=" + url.QueryEscape(table) + "&column=" + url.QueryEscape(column)
-	var list ChunkCRCList
-	if err := c.get(ctx, path, &list); err != nil {
 		return nil, err
 	}
-	if list.Table != table || list.Column != column {
-		return nil, fmt.Errorf("cluster: sync %s: CRC list for %s.%s, asked for %s.%s",
-			c.base, list.Table, list.Column, table, column)
+	if sum.ChunkRows != storage.DefaultChunkRows {
+		return nil, fmt.Errorf("cluster: sync %s: chunk granularity %d, want %d", c.base, sum.ChunkRows, storage.DefaultChunkRows)
 	}
-	return &list, nil
+	return &sum, nil
 }
 
-// FetchChunk fetches one chunk's code words, verifying the envelope
-// (column identity, chunk coordinates) and the transport CRC. The words
-// are still AN-encoded; the caller verifies them against the column's
-// code before use.
-func (c *SyncClient) FetchChunk(ctx context.Context, table, column string, chunkRows, chunk int) ([]uint64, error) {
+// FetchChunk fetches one storage.DefaultChunkRows chunk's code words,
+// verifying the envelope (column identity, chunk index) and the
+// transport CRC. The words are still AN-encoded; the caller verifies
+// them against the column's code before use.
+func (c *SyncClient) FetchChunk(ctx context.Context, table, column string, chunk int) ([]uint64, error) {
 	path := "/sync/chunk?table=" + url.QueryEscape(table) +
 		"&column=" + url.QueryEscape(column) +
-		"&chunk_rows=" + strconv.Itoa(chunkRows) +
 		"&chunk=" + strconv.Itoa(chunk)
 	var p ChunkPayload
 	if err := c.get(ctx, path, &p); err != nil {
 		return nil, err
 	}
-	if p.Table != table || p.Column != column || p.ChunkRows != chunkRows || p.Chunk != chunk {
-		return nil, fmt.Errorf("cluster: sync %s: chunk envelope %s.%s[%d@%d], asked for %s.%s[%d@%d]",
-			c.base, p.Table, p.Column, p.Chunk, p.ChunkRows, table, column, chunk, chunkRows)
+	if p.Table != table || p.Column != column || p.Chunk != chunk {
+		return nil, fmt.Errorf("cluster: sync %s: chunk envelope %s.%s[%d], asked for %s.%s[%d]",
+			c.base, p.Table, p.Column, p.Chunk, table, column, chunk)
 	}
 	if got := WordsCRC(p.Words); got != p.CRC {
 		return nil, fmt.Errorf("cluster: sync %s: chunk %s.%s[%d] failed its transport CRC", c.base, table, column, chunk)
@@ -261,7 +234,7 @@ func (p *PeerRepairSource) Values(ctx context.Context, table string, hc *storage
 		return nil, fmt.Errorf("cluster: %s.%s has no AN code to verify a peer chunk under", table, hc.Name())
 	}
 	chunk := int(positions[0]) / storage.DefaultChunkRows
-	words, err := p.c.FetchChunk(ctx, table, hc.Name(), storage.DefaultChunkRows, chunk)
+	words, err := p.c.FetchChunk(ctx, table, hc.Name(), chunk)
 	if err != nil {
 		return nil, err
 	}

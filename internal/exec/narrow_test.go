@@ -79,11 +79,11 @@ func TestNarrowedDBHealsFromAPeer(t *testing.T) {
 		t.Fatal("identical data narrowed differently")
 	}
 	corruptW(t, db)
-	words, err := twin.ChunkWords("t", "w", 64, 0)
+	words, err := twin.ChunkWords("t", "w", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	changed, err := db.HealChunk("t", "w", 64, 0, words)
+	changed, err := db.HealChunk("t", "w", 0, words)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -205,25 +205,26 @@ func (db *DB) UseHardened(t *storage.Table) error {
 }
 
 // ColumnChunkCRCs returns the per-chunk CRCs of a hardened column's
-// current in-memory contents - the digests the anti-entropy protocol
-// compares across replicas.
-func (db *DB) ColumnChunkCRCs(table, column string, chunkRows int) ([]uint32, error) {
+// current in-memory contents, one per storage.DefaultChunkRows chunk -
+// the digests the anti-entropy protocol compares across replicas.
+func (db *DB) ColumnChunkCRCs(table, column string) ([]uint32, error) {
 	hc, err := db.hardenedColumn(table, column)
 	if err != nil {
 		return nil, err
 	}
-	return storage.ColumnChunkCRCs(hc, chunkRows)
+	return storage.ColumnChunkCRCs(hc, storage.DefaultChunkRows)
 }
 
-// ChunkWords returns the raw code words of one chunk of a hardened
-// column - the payload a replica serves to a syncing peer. Words are
-// served as stored; the receiver AN-verifies them.
-func (db *DB) ChunkWords(table, column string, chunkRows, chunk int) ([]uint64, error) {
+// ChunkWords returns the raw code words of one storage.DefaultChunkRows
+// chunk of a hardened column - the payload a replica serves to a
+// syncing peer. Words are served as stored; the receiver AN-verifies
+// them.
+func (db *DB) ChunkWords(table, column string, chunk int) ([]uint64, error) {
 	hc, err := db.hardenedColumn(table, column)
 	if err != nil {
 		return nil, err
 	}
-	start, n, err := chunkSpan(hc, table, chunkRows, chunk)
+	start, n, err := chunkSpan(hc, table, chunk)
 	if err != nil {
 		return nil, err
 	}
@@ -241,14 +242,14 @@ func (db *DB) ChunkWords(table, column string, chunkRows, chunk int) ([]uint64, 
 // mirrors follow so every execution mode observes the healed values -
 // the TMR replica too once built, which recoverMu orders against its
 // build. It returns the number of positions whose stored word changed.
-func (db *DB) HealChunk(table, column string, chunkRows, chunk int, words []uint64) (int, error) {
+func (db *DB) HealChunk(table, column string, chunk int, words []uint64) (int, error) {
 	db.recoverMu.Lock()
 	defer db.recoverMu.Unlock()
 	hc, err := db.hardenedColumn(table, column)
 	if err != nil {
 		return 0, err
 	}
-	start, n, err := chunkSpan(hc, table, chunkRows, chunk)
+	start, n, err := chunkSpan(hc, table, chunk)
 	if err != nil {
 		return 0, err
 	}
@@ -281,17 +282,14 @@ func (db *DB) HealChunk(table, column string, chunkRows, chunk int, words []uint
 	return len(changed), nil
 }
 
-// chunkSpan resolves chunk coordinates against a column: the first row
-// and the row count of chunk at granularity chunkRows.
-func chunkSpan(hc *storage.Column, table string, chunkRows, chunk int) (start, n int, err error) {
-	if chunkRows <= 0 {
-		return 0, 0, fmt.Errorf("exec: chunk granularity %d", chunkRows)
+// chunkSpan resolves a chunk index against a column: the first row and
+// the row count of storage.DefaultChunkRows chunk number chunk.
+func chunkSpan(hc *storage.Column, table string, chunk int) (start, n int, err error) {
+	if chunk < 0 || chunk >= storage.NumChunks(hc.Len(), storage.DefaultChunkRows) {
+		return 0, 0, fmt.Errorf("exec: %s.%s has no chunk %d", table, hc.Name(), chunk)
 	}
-	start = chunk * chunkRows
-	if chunk < 0 || start >= hc.Len() {
-		return 0, 0, fmt.Errorf("exec: %s.%s has no chunk %d at granularity %d", table, hc.Name(), chunk, chunkRows)
-	}
-	return start, min(hc.Len()-start, chunkRows), nil
+	start = chunk * storage.DefaultChunkRows
+	return start, min(hc.Len()-start, storage.DefaultChunkRows), nil
 }
 
 // baseColumn resolves table.column in the hardened table set, whatever

@@ -44,17 +44,15 @@ func peerHandler(t *testing.T, db *DB) http.Handler {
 			return
 		}
 		q := r.URL.Query()
-		chunkRows, _ := strconv.Atoi(q.Get("chunk_rows"))
 		chunk, _ := strconv.Atoi(q.Get("chunk"))
-		words, err := db.ChunkWords(q.Get("table"), q.Get("column"), chunkRows, chunk)
+		words, err := db.ChunkWords(q.Get("table"), q.Get("column"), chunk)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}
 		json.NewEncoder(w).Encode(&cluster.ChunkPayload{
 			Version: cluster.SyncVersion, Table: q.Get("table"), Column: q.Get("column"),
-			ChunkRows: chunkRows, Chunk: chunk,
-			Words: words, CRC: cluster.WordsCRC(words),
+			Chunk: chunk, Words: words, CRC: cluster.WordsCRC(words),
 		})
 	})
 }

@@ -2,10 +2,13 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -83,43 +86,17 @@ func TestSyncDigestsEndpoints(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/sync/digests", &sum); code != http.StatusOK {
 		t.Fatalf("summary status %d", code)
 	}
-	if sum.Version != cluster.SyncVersion || len(sum.Columns) != 2 {
+	if sum.Version != cluster.SyncVersion || sum.ChunkRows != storage.DefaultChunkRows || len(sum.Columns) != 2 {
 		t.Fatalf("summary: %+v", sum)
 	}
-	bloom, err := cluster.DecodeBloom(sum.Bloom, sum.BloomK)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, c := range sum.Columns {
-		crcs, err := db.ColumnChunkCRCs(c.Table, c.Column, sum.ChunkRows)
+		crcs, err := db.ColumnChunkCRCs(c.Table, c.Column)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(crcs) != c.Chunks {
-			t.Fatalf("%s.%s: %d chunks in digest, %d locally", c.Table, c.Column, c.Chunks, len(crcs))
+		if !slices.Equal(c.CRCs, crcs) {
+			t.Fatalf("%s.%s: digest CRCs %v, local %v", c.Table, c.Column, c.CRCs, crcs)
 		}
-		for chunk, crc := range crcs {
-			if !bloom.Has(cluster.ChunkEntryHash(c.Table, c.Column, chunk, crc)) {
-				t.Fatalf("bloom misses %s.%s chunk %d", c.Table, c.Column, chunk)
-			}
-		}
-	}
-
-	var exact cluster.ChunkCRCList
-	if code := getJSON(t, ts.URL+"/sync/digests?table=t&column=w", &exact); code != http.StatusOK {
-		t.Fatalf("exact status %d", code)
-	}
-	want, _ := db.ColumnChunkCRCs("t", "w", exact.ChunkRows)
-	if len(exact.CRCs) != len(want) || exact.CRCs[0] != want[0] {
-		t.Fatalf("exact CRCs %v, want %v", exact.CRCs, want)
-	}
-
-	var dummy json.RawMessage
-	if code := getJSON(t, ts.URL+"/sync/digests?table=t", &dummy); code != http.StatusBadRequest {
-		t.Fatalf("half-specified column filter must 400, got %d", code)
-	}
-	if code := getJSON(t, ts.URL+"/sync/digests?table=t&column=missing", &dummy); code != http.StatusNotFound {
-		t.Fatalf("unknown column must 404, got %d", code)
 	}
 }
 
@@ -128,18 +105,21 @@ func TestSyncChunkEndpoint(t *testing.T) {
 	_, ts := syncTestServer(t, db)
 
 	var payload cluster.ChunkPayload
-	if code := getJSON(t, ts.URL+"/sync/chunk?table=t&column=w&chunk_rows=65536&chunk=0", &payload); code != http.StatusOK {
+	if code := getJSON(t, ts.URL+"/sync/chunk?table=t&column=w&chunk=0", &payload); code != http.StatusOK {
 		t.Fatalf("chunk status %d", code)
 	}
 	if len(payload.Words) != 256 || payload.CRC != cluster.WordsCRC(payload.Words) {
 		t.Fatalf("payload: %d words, crc %d", len(payload.Words), payload.CRC)
 	}
 	var dummy json.RawMessage
-	if code := getJSON(t, ts.URL+"/sync/chunk?table=t&column=w&chunk_rows=0&chunk=0", &dummy); code != http.StatusBadRequest {
-		t.Fatalf("zero granularity must 400, got %d", code)
+	if code := getJSON(t, ts.URL+"/sync/chunk?table=t&column=w&chunk=-1", &dummy); code != http.StatusBadRequest {
+		t.Fatalf("negative chunk must 400, got %d", code)
 	}
-	if code := getJSON(t, ts.URL+"/sync/chunk?table=t&column=w&chunk_rows=65536&chunk=7", &dummy); code != http.StatusNotFound {
-		t.Fatalf("out-of-range chunk must 404, got %d", code)
+	// 1<<48 chunks of 64K rows wrap to row 0 if multiplied unchecked.
+	for _, chunk := range []string{"7", "281474976710656"} {
+		if code := getJSON(t, ts.URL+"/sync/chunk?table=t&column=w&chunk="+chunk, &dummy); code != http.StatusNotFound {
+			t.Fatalf("out-of-range chunk %s must 404, got %d", chunk, code)
+		}
 	}
 }
 
@@ -261,8 +241,8 @@ func TestSyncFromPeerHealsCorruptReplica(t *testing.T) {
 	}
 }
 
-// TestSyncFromPeerCleanIsNoop: identical replicas agree via the bloom
-// summary alone - nothing fetched, nothing healed, nothing skipped.
+// TestSyncFromPeerCleanIsNoop: identical replicas agree on every chunk
+// CRC of the digest - nothing fetched, nothing healed, nothing skipped.
 func TestSyncFromPeerCleanIsNoop(t *testing.T) {
 	dbPeer, dbVictim := tinyDB(t), tinyDB(t)
 	_, tsPeer := syncTestServer(t, dbPeer)
@@ -293,6 +273,15 @@ func TestSyncFromPeerValidation(t *testing.T) {
 	if code, _, raw := postSync(t, ts.URL, "http://127.0.0.1:1"); code != http.StatusBadGateway {
 		t.Fatalf("unreachable peer must 502, got %d: %s", code, raw)
 	}
+	// A peer cut at another chunk granularity names different chunks by
+	// the same index: refused whole.
+	otherGrain := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(&cluster.DigestSummary{Version: cluster.SyncVersion, ChunkRows: 1024})
+	}))
+	defer otherGrain.Close()
+	if code, _, raw := postSync(t, ts.URL, otherGrain.URL); code != http.StatusBadGateway || !strings.Contains(raw, "chunk granularity") {
+		t.Fatalf("a peer at another chunk granularity must 502, got %d: %s", code, raw)
+	}
 }
 
 // TestSyncFromPeerSchemaMismatch: a peer with a different row count is
@@ -311,5 +300,107 @@ func TestSyncFromPeerSchemaMismatch(t *testing.T) {
 		if cr.Skipped == "" || cr.ChunksHealed != 0 {
 			t.Fatalf("mismatched column must be skipped: %+v", cr)
 		}
+	}
+}
+
+// metricValue reads one unlabelled counter from the server's /metrics.
+func metricValue(t *testing.T, url, name string) uint64 {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("%s missing from /metrics", name)
+	return 0
+}
+
+// TestSyncHealsSilentDivergence: a replica holding a different but
+// valid code word - a divergence no AN check can see - must still be
+// healed, because the digest carries every chunk's exact CRC.
+func TestSyncHealsSilentDivergence(t *testing.T) {
+	peerSuite, _, err := ssb.NewSuite(0.01, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	localSuite, _, err := ssb.NewSuite(0.01, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dbPeer, dbLocal := peerSuite.DB, localSuite.DB
+	_, tsPeer := syncTestServer(t, dbPeer)
+	srv, _ := syncTestServer(t, dbLocal)
+
+	qty := dbLocal.Hardened("lineorder").MustColumn("lo_quantity")
+	qty.Set(3, 1)
+	if bad := qty.BadPositions(); len(bad) != 0 || dbLocal.IsQuarantined("lo_quantity") {
+		t.Fatalf("the divergence must be silent: bad %v, quarantined %v", bad, dbLocal.IsQuarantined("lo_quantity"))
+	}
+	crcs := func(db *exec.DB) []uint32 {
+		c, err := db.ColumnChunkCRCs("lineorder", "lo_quantity")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	if slices.Equal(crcs(dbLocal), crcs(dbPeer)) {
+		t.Fatal("Set(3, 1) left the chunk CRCs equal")
+	}
+
+	report, err := srv.syncFromPeer(context.Background(), tsPeer.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if healed := report.TotalHealed(); healed != 1 {
+		t.Fatalf("healed %d chunks, want 1", healed)
+	}
+	if local, peer := crcs(dbLocal), crcs(dbPeer); !slices.Equal(local, peer) {
+		t.Fatalf("CRCs still differ after sync: %x vs %x", local, peer)
+	}
+}
+
+// TestSyncFetchesOnlyDivergedChunks: one corrupt word in chunk 1 of a
+// three-chunk column costs exactly one chunk fetch, and a second pass
+// over converged replicas fetches nothing.
+func TestSyncFetchesOnlyDivergedChunks(t *testing.T) {
+	rows := uint64(2*storage.DefaultChunkRows + 100)
+	dbPeer, dbLocal := tinyDBRows(t, rows), tinyDBRows(t, rows)
+	_, tsPeer := syncTestServer(t, dbPeer)
+	_, tsLocal := syncTestServer(t, dbLocal)
+
+	w := dbLocal.Hardened("t").MustColumn("w")
+	if _, err := faults.NewInjector(7).FlipAt(w, storage.DefaultChunkRows+5, 2); err != nil {
+		t.Fatal(err)
+	}
+	const fetched = "ahead_sync_chunks_fetched_total"
+	for pass, want := range []uint64{1, 1} {
+		code, report, raw := postSync(t, tsLocal.URL, tsPeer.URL)
+		if code != http.StatusOK {
+			t.Fatalf("pass %d: sync status %d: %s", pass, code, raw)
+		}
+		if got := metricValue(t, tsLocal.URL, fetched); got != want {
+			t.Fatalf("pass %d: %s = %d, want %d: %s", pass, fetched, got, want, raw)
+		}
+		for _, cr := range report.Columns {
+			if cr.Skipped != "" || cr.ChunksChecked != 3 {
+				t.Fatalf("pass %d column report: %+v", pass, cr)
+			}
+		}
+	}
+	if bad := w.BadPositions(); len(bad) != 0 {
+		t.Fatalf("still corrupt at %v", bad)
 	}
 }
