@@ -48,11 +48,15 @@ func main() {
 	soak := flag.Bool("soak", false, "run the injection+recovery soak over all queries instead of the figures")
 	inject := flag.Int("inject", 8, "soak: transient flips injected before each query")
 	soakSeed := flag.Int64("soak-seed", 17, "soak: fault-injector seed")
-	retries := flag.Int("retries", exec.DefaultMaxRetries, "soak: recovery retry budget per query")
+	retries := flag.Int("retries", exec.DefaultMaxRetries, "soak: recovery retry budget per query (at least 1)")
 	flag.Parse()
 
 	if *soak && *inject < 1 {
 		fmt.Fprintln(os.Stderr, "ahead-ssb: -inject must be positive")
+		os.Exit(2)
+	}
+	if *soak && *retries < 1 {
+		fmt.Fprintln(os.Stderr, "ahead-ssb: -retries must be positive")
 		os.Exit(2)
 	}
 	if err := run(*sf, *seed, *runs, *fig, *par, *compare, *jsonPath, *soak, *inject, *soakSeed, *retries); err != nil {

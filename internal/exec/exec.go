@@ -502,6 +502,9 @@ type runCfg struct {
 	noPacked bool
 	ctx      context.Context
 	capture  *Capture
+	// stop marks the supervised first attempt (RunWithRecovery): its
+	// detecting scans stop at their first detecting stride.
+	stop bool
 }
 
 // Capture receives the pre-softening aggregate state of a run: the
@@ -552,12 +555,12 @@ func WithPacked(enabled bool) RunOption {
 }
 
 // WithContext bounds the run: deadlines and cancellations on ctx stop
-// the query at the next operator entry or morsel boundary, returning
-// ctx.Err(). A run that completes before cancellation is untouched -
-// its result and error log are byte-identical to an unbounded run, so
-// serving-layer deadlines never perturb detection determinism. Aborted
-// runs release every borrowed scratch buffer before returning (see
-// ops.LiveScratch).
+// the query at the next operator entry - on a pooled run also at the
+// next morsel boundary - returning ctx.Err(). A run that completes
+// before cancellation is untouched - its result and error log are
+// byte-identical to an unbounded run, so serving-layer deadlines never
+// perturb detection determinism. Aborted runs release every borrowed
+// scratch buffer before returning (see ops.LiveScratch).
 func WithContext(ctx context.Context) RunOption {
 	return func(c *runCfg) { c.ctx = ctx }
 }
@@ -572,6 +575,11 @@ func Run(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc, opts ...RunOption) (
 	for _, o := range opts {
 		o(&cfg)
 	}
+	return cfg.run(db, m, flavor, plan)
+}
+
+// run is Run with its options applied.
+func (cfg runCfg) run(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc) (*ops.Result, *ops.ErrorLog, error) {
 	log := ops.NewErrorLog()
 	if cfg.ctx != nil {
 		if err := cfg.ctx.Err(); err != nil {
@@ -613,7 +621,7 @@ func Run(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc, opts ...RunOption) (
 // (Finish captures from the primary replica only).
 func (cfg *runCfg) newQuery(db *DB, m Mode, flavor ops.Flavor, log *ops.ErrorLog, replicaIdx int) *Query {
 	return &Query{db: db, mode: m, flavor: flavor, log: log, replicaIdx: replicaIdx,
-		pool: cfg.pool, noFuse: cfg.noFuse, noPacked: cfg.noPacked, ctx: cfg.ctx, capture: cfg.capture}
+		pool: cfg.pool, noFuse: cfg.noFuse, noPacked: cfg.noPacked, ctx: cfg.ctx, capture: cfg.capture, stop: cfg.stop}
 }
 
 // runReplicated executes the replica plans as independent pool jobs,
@@ -685,6 +693,7 @@ type Query struct {
 	noPacked bool
 	ctx      context.Context
 	capture  *Capture
+	stop     bool
 }
 
 // Mode returns the execution mode.
@@ -697,16 +706,20 @@ func (q *Query) Log() *ops.ErrorLog { return q.log }
 func (q *Query) Pool() *Pool { return q.pool }
 
 // Opts returns the operator options implementing the mode's detection
-// behaviour.
+// behaviour. On the supervised first attempt the detecting kernels -
+// every kernel under Continuous and Reencoding, Early's Δ (col) - stop
+// at their first detecting stride; Late's kernels and plain scans never
+// stop.
 func (q *Query) Opts() *ops.Opts {
 	detect := q.mode == Continuous || q.mode == ContinuousReencoding
 	o := &ops.Opts{
-		Detect:    detect,
-		HardenIDs: detect,
-		Flavor:    q.flavor,
-		Log:       q.log,
-		NoPacked:  q.noPacked,
-		Ctx:       q.ctx,
+		Detect:       detect,
+		HardenIDs:    detect,
+		Flavor:       q.flavor,
+		Log:          q.log,
+		NoPacked:     q.noPacked,
+		Ctx:          q.ctx,
+		StopOnDetect: q.stop && detect,
 	}
 	// Assign through a typed check so a nil *Pool never becomes a
 	// non-nil Parallel interface value.
@@ -764,7 +777,9 @@ func (q *Query) col(table, column string) (*storage.Column, error) {
 		plain := hc
 		if hc.Code() != nil || hc.IsResidueHardened() {
 			var release func()
-			if plain, release, err = ops.Delta(hc, q.Opts()); err != nil {
+			o := q.Opts()
+			o.StopOnDetect = q.stop
+			if plain, release, err = ops.Delta(hc, o); err != nil {
 				return nil, err
 			}
 			q.deltaRelease = append(q.deltaRelease, release)

@@ -81,8 +81,13 @@ type RecoveryReport struct {
 	// produced the returned result (DMR after a degraded fallback).
 	Mode      Mode
 	FinalMode Mode
-	// Attempts counts query executions under Mode (1 = clean first run).
-	// The degraded fallback run is not counted here.
+	// Attempts counts query executions under Mode (1 = clean first
+	// run), the stopped first attempt included: it ran only to its first
+	// detecting stride, is not charged to the retry budget, and adds one
+	// to the count only when a later attempt still detects (detections
+	// in several strides, a stuck-at word, or a column the stopped
+	// attempt could not repair). Attempts-1 is the number of full
+	// re-executions. The degraded fallback run is not counted here.
 	Attempts int
 	// Repaired maps each base column to the distinct positions repaired
 	// through the repair chain, sorted, unioned across attempts.
@@ -204,10 +209,11 @@ func (e *UnrecoverableError) Unwrap() []error { return []error{e.Repair, e.Fallb
 // RunWithRecovery executes the plan under the given mode with supervised
 // recovery. The state machine:
 //
-//	run ──clean──▶ done
-//	 │ detections
+//	first run, stopping at its first detecting stride ──clean──▶ done
+//	 │ detections (stopped or not)
 //	 ▼
-//	repair base columns through the repair chain, retry (≤ MaxRetries)
+//	repair base columns through the repair chain, then retry as a
+//	full run (≤ MaxRetries; the stopped run is not charged) ──clean──▶ done
 //	 │ corruption persists (stuck-at), column already quarantined,
 //	 │ or the chain cannot heal it
 //	 ▼
@@ -215,6 +221,17 @@ func (e *UnrecoverableError) Unwrap() []error { return []error{e.Repair, e.Fallb
 //	 │ otherwise                                   │ voter disagrees
 //	 ▼                                             ▼
 //	*UnrecoverableError                        *UnrecoverableError
+//
+// The first attempt of Early (its Δ), Continuous and Reencoding runs
+// with ops.Opts.StopOnDetect: a scan that detects finishes its
+// ops.StopStride rows and stops there, since a detection dooms the
+// attempt to a retry anyway. A stopped attempt is not charged to the
+// budget and never escalates: with a zero budget or a quarantined
+// column the first attempt runs to the end (it escalates on any
+// detection), and a column the stopped attempt cannot repair escalates
+// from the log of the full run that follows. So every heal, quarantine
+// and fallback decision is the one a first attempt run to the end would
+// have led to. Late runs its first attempt to the end.
 //
 // The chain's fetches run under the context of the forwarded Run options
 // (WithContext): a repair that outlives the caller's deadline returns
@@ -237,18 +254,31 @@ func RunWithRecovery(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc, opts ...
 		return res, rep, err
 	}
 
-	var run runCfg
+	var rc runCfg
 	for _, o := range cfg.runOpts {
-		o(&run)
+		o(&rc)
 	}
-	ctx := cmp.Or(run.ctx, context.Background())
+	ctx := cmp.Or(rc.ctx, context.Background())
 	db.recoverMu.Lock()
 	defer db.recoverMu.Unlock()
 
 	repairedSets := make(map[string]map[uint64]bool)
+	uncharged := 0                   // the first attempt, once it has stopped early
+	failed := make(map[string]error) // columns the stopped attempt could not repair
 	for {
 		rep.Attempts++
-		res, log, err := Run(db, m, flavor, plan, cfg.runOpts...)
+		attempt := rc
+		// Stop only where the first attempt's log can lead nowhere but
+		// to repair: a zero budget or a quarantined column escalates on
+		// the first detection, from the log of a full run.
+		attempt.stop = rep.Attempts == 1 && cfg.maxRetries > 0 && len(db.QuarantinedColumns()) == 0
+		res, log, err := attempt.run(db, m, flavor, plan)
+		stopped := errors.Is(err, ops.ErrStopped) && log.Count() > 0
+		if stopped {
+			// The first attempt stopped at its first detecting stride:
+			// a detecting attempt like any other, minus the waste.
+			uncharged, err = 1, nil
+		}
 		if err != nil {
 			// Structural failure (schema error, corrupted error
 			// vector): not a detection, nothing to repair.
@@ -269,7 +299,7 @@ func RunWithRecovery(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc, opts ...
 
 		// Detections mean the computed result is untrusted. Decide
 		// whether another repair-and-retry round is allowed.
-		exhausted := rep.Attempts > cfg.maxRetries
+		exhausted := rep.Attempts-uncharged > cfg.maxRetries
 		for _, c := range base {
 			if db.IsQuarantined(c) {
 				exhausted = true // known-bad column: do not loop again
@@ -286,6 +316,11 @@ func RunWithRecovery(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc, opts ...
 		var unhealed []string
 		var repairErrs []error
 		for _, c := range base {
+			if err, ok := failed[c]; ok {
+				unhealed = append(unhealed, c)
+				repairErrs = append(repairErrs, err)
+				continue
+			}
 			table, ok := db.TableOf(c)
 			if !ok {
 				finalizeRepaired(rep, repairedSets)
@@ -318,6 +353,16 @@ func RunWithRecovery(db *DB, m Mode, flavor ops.Flavor, plan QueryFunc, opts ...
 			finalizeRepaired(rep, repairedSets)
 			if ctx.Err() != nil { // the caller's deadline, not the columns, ended the repair
 				return nil, rep, errors.Join(repairErrs...)
+			}
+			if stopped {
+				// Escalate from a full run's log, as a first attempt run
+				// to the end would have: it repairs the columns detected
+				// beyond the stop point and reports these failures again
+				// without fetching them a second time.
+				for i, c := range unhealed {
+					failed[c] = repairErrs[i]
+				}
+				continue
 			}
 			return escalate(db, m, flavor, plan, &cfg, rep, unhealed, vec, errors.Join(repairErrs...))
 		}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -336,5 +337,201 @@ func TestQuarantineAPI(t *testing.T) {
 	db.ClearQuarantine()
 	if len(db.QuarantinedColumns()) != 0 {
 		t.Fatal("full clear")
+	}
+}
+
+// strideDB is testTables' schema over more than two stop strides, so a
+// supervised first attempt can stop before the end of its scans.
+func strideDB(t *testing.T) *DB {
+	t.Helper()
+	tb := storage.NewTable("t")
+	v, err := storage.NewColumn("v", storage.TinyInt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := storage.NewColumn("w", storage.Int)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 2*ops.StopStride+ops.StopStride/2; i++ {
+		v.Append(i % 50)
+		w.Append(i * 100)
+	}
+	for _, c := range []*storage.Column{v, w} {
+		if err := tb.AddColumn(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db, err := NewDB([]*storage.Table{tb}, storage.LargestCodeChooser)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestRecoveryStoppedFirstAttempt: the supervised first attempt stops at
+// its first detecting stride. One flip heals in two attempts, as before;
+// flips in strides 0 and 2 take one attempt more - the stopped one found
+// only the first - with the same report serial and pooled, and the
+// stopped attempt is not charged to the retry budget.
+func TestRecoveryStoppedFirstAttempt(t *testing.T) {
+	flipV := func(db *DB, positions ...int) {
+		v := db.Hardened("t").MustColumn("v")
+		inj := faults.NewInjector(7)
+		for _, p := range positions {
+			if _, err := inj.FlipAt(v, p, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	early, late := 15, 2*ops.StopStride+15
+	for _, m := range []Mode{EarlyOnetime, Continuous, ContinuousReencoding} {
+		db := strideDB(t)
+		ref := unprotectedRef(t, db)
+		flipV(db, early)
+		res, rep, err := RunWithRecovery(db, m, ops.Blocked, sumPlan)
+		if err != nil {
+			t.Fatalf("%v one flip: %v", m, err)
+		}
+		if rep.Attempts != 2 || rep.RepairedCount() != 1 || !res.Equal(ref) {
+			t.Fatalf("%v one flip: %v, result equal %v", m, rep, res.Equal(ref))
+		}
+
+		dbS, dbP := strideDB(t), strideDB(t)
+		flipV(dbS, early, late)
+		flipV(dbP, early, late)
+		resS, repS, errS := RunWithRecovery(dbS, m, ops.Blocked, sumPlan)
+		pool := NewPoolMorsel(4, 8)
+		resP, repP, errP := RunWithRecovery(dbP, m, ops.Blocked, sumPlan, WithRecoveryRunOptions(WithPool(pool)))
+		pool.Close()
+		if errS != nil || errP != nil {
+			t.Fatalf("%v two strides: %v / %v", m, errS, errP)
+		}
+		if repS.Attempts != 3 || !reflect.DeepEqual(repS.Repaired["v"], []uint64{uint64(early), uint64(late)}) {
+			t.Fatalf("%v two strides: %v", m, repS)
+		}
+		if !repS.Equal(repP) || !resS.Equal(resP) || !resS.Equal(ref) {
+			t.Fatalf("%v two strides:\nserial: %v\npooled: %v", m, repS, repP)
+		}
+
+		db = strideDB(t)
+		flipV(db, early, late)
+		res, rep, err = RunWithRecovery(db, m, ops.Blocked, sumPlan, WithMaxRetries(1))
+		if err != nil || rep.Attempts != 3 || !res.Equal(ref) {
+			t.Fatalf("%v with one retry: %v, %v", m, rep, err)
+		}
+	}
+}
+
+// TestRecoveryStoppedStuckAt: a stuck-at word quarantines after as many
+// full runs as without the stop - the stopped attempt is one more.
+func TestRecoveryStoppedStuckAt(t *testing.T) {
+	db := strideDB(t)
+	set := faults.NewStuckSet()
+	if _, err := set.StickAt(faults.NewInjector(33), db.Hardened("t").MustColumn("v"), 15, 2); err != nil {
+		t.Fatal(err)
+	}
+	_, rep, err := RunWithRecovery(db, Continuous, ops.Blocked, sumPlan, WithReassert(func() { set.Reassert() }))
+	var unrec *UnrecoverableError
+	if !errors.As(err, &unrec) {
+		t.Fatalf("want *UnrecoverableError, got %v", err)
+	}
+	if rep.Attempts != 2+DefaultMaxRetries || !reflect.DeepEqual(rep.Quarantined, []string{"v"}) {
+		t.Fatalf("report %v, want %d attempts and v quarantined", rep, 2+DefaultMaxRetries)
+	}
+}
+
+// flipStrides flips v in stride 0 and w in stride 2 of a strideDB: the
+// stopped first attempt sees the v flip only (the filter on v stops
+// before the gather of w), a full run sees both. wLate is selected by
+// sumPlan's filter (v = 10).
+func flipStrides(t *testing.T, db *DB) (early, wLate uint64) {
+	t.Helper()
+	early, wLate = 15, 2*ops.StopStride+22
+	inj := faults.NewInjector(7)
+	if _, err := inj.FlipAt(db.Hardened("t").MustColumn("v"), int(early), 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := inj.FlipAt(db.Hardened("t").MustColumn("w"), int(wLate), 2); err != nil {
+		t.Fatal(err)
+	}
+	return early, wLate
+}
+
+// TestRecoveryStoppedZeroBudget: a zero budget escalates on the first
+// detection, from the log of a full run - both columns quarantined,
+// nothing repaired, one attempt.
+func TestRecoveryStoppedZeroBudget(t *testing.T) {
+	db := strideDB(t)
+	flipStrides(t, db)
+	_, rep, err := RunWithRecovery(db, Continuous, ops.Blocked, sumPlan, WithMaxRetries(0))
+	var unrec *UnrecoverableError
+	if !errors.As(err, &unrec) {
+		t.Fatalf("zero budget must be unrecoverable on first detection, got %v", err)
+	}
+	if rep.Attempts != 1 || rep.RepairedCount() != 0 || !reflect.DeepEqual(rep.Quarantined, []string{"v", "w"}) {
+		t.Fatalf("report %v, want 1 attempt, nothing repaired, v and w quarantined", rep)
+	}
+}
+
+// TestRecoveryStoppedQuarantined: with a column already quarantined the
+// first attempt escalates from the log of a full run, whichever stride
+// the quarantined column's flip is in - both columns quarantined,
+// nothing repaired.
+func TestRecoveryStoppedQuarantined(t *testing.T) {
+	for _, known := range []string{"v", "w"} {
+		db := strideDB(t)
+		flipStrides(t, db)
+		db.QuarantineColumn(known)
+		_, rep, err := RunWithRecovery(db, Continuous, ops.Blocked, sumPlan)
+		var unrec *UnrecoverableError
+		if !errors.As(err, &unrec) {
+			t.Fatalf("%s quarantined: want *UnrecoverableError, got %v", known, err)
+		}
+		if rep.Attempts != 1 || rep.RepairedCount() != 0 || !reflect.DeepEqual(rep.Quarantined, []string{"v", "w"}) {
+			t.Fatalf("%s quarantined: report %v, want 1 attempt, nothing repaired, v and w quarantined", known, rep)
+		}
+	}
+}
+
+// failingSource is a repair chain that serves the plain mirror of every
+// column but one, counting its fetches.
+type failingSource struct {
+	plain  plainSource
+	column string
+	calls  map[string]int
+}
+
+func (failingSource) Name() string { return "failing" }
+
+func (s failingSource) Values(ctx context.Context, table string, hc *storage.Column, positions []uint64) ([]uint64, error) {
+	s.calls[hc.Name()]++
+	if hc.Name() == s.column {
+		return nil, errors.New("no replica")
+	}
+	return s.plain.Values(ctx, table, hc, positions)
+}
+
+// TestRecoveryStoppedRepairFails: a column the stopped attempt cannot
+// repair escalates from the log of a full run, which repairs the other
+// column's flip beyond the stop point first - what a first attempt run
+// to the end does - without fetching the failed column again.
+func TestRecoveryStoppedRepairFails(t *testing.T) {
+	db := strideDB(t)
+	_, wLate := flipStrides(t, db)
+	src := failingSource{plain: plainSource{db}, column: "v", calls: make(map[string]int)}
+	db.DropPlainRepair()
+	db.RegisterRepairSource(src)
+	_, rep, err := RunWithRecovery(db, Continuous, ops.Blocked, sumPlan)
+	var unrec *UnrecoverableError
+	if !errors.As(err, &unrec) || unrec.Repair == nil {
+		t.Fatalf("want *UnrecoverableError with a repair error, got %v", err)
+	}
+	if rep.Attempts != 2 || !reflect.DeepEqual(rep.Quarantined, []string{"v"}) ||
+		!reflect.DeepEqual(rep.Repaired, map[string][]uint64{"w": {wLate}}) {
+		t.Fatalf("report %v, want 2 attempts, v quarantined, w repaired at %d", rep, wLate)
+	}
+	if src.calls["v"] != 1 || src.calls["w"] != 1 {
+		t.Fatalf("fetches %v, want one per column", src.calls)
 	}
 }

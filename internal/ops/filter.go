@@ -35,10 +35,21 @@ type Opts struct {
 	Par Parallel
 	// Ctx, when non-nil, bounds the execution: every operator entry
 	// point checks it once, and the morsel runner checks it before
-	// dispatching each morsel, so a cancelled query stops scheduling
-	// new work within one morsel boundary. Completed runs are
-	// unaffected - the error-log merge stays byte-identical to serial.
+	// dispatching each morsel. A pooled run therefore stops scheduling
+	// new work within one morsel boundary; a serial run observes
+	// cancellation only at operator entry (and at stride boundaries
+	// under StopOnDetect). Completed runs are unaffected - the
+	// error-log merge stays byte-identical to serial.
 	Ctx context.Context
+	// StopOnDetect makes a scan stop at its first detecting stride: the
+	// kernel finishes the StopStride rows in which it first logged a
+	// detection, merges the log below that boundary, releases its
+	// outputs and returns ErrStopped. A serial scan longer than one
+	// stride is tiled into strides for it (see runMorsels). The
+	// supervised first attempt of exec.RunWithRecovery sets it: a
+	// detection dooms the attempt to a retry, so the rest of its work
+	// is waste.
+	StopOnDetect bool
 
 	// lease, when non-nil, keeps operator outputs in the arena for the
 	// query's lifetime (KeepIn, scratch.go).

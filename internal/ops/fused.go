@@ -925,8 +925,9 @@ func fusedProbeGroup(preds []RangePred, joins []FusedJoin, a, b *storage.Column,
 	flavor := o.flavor()
 
 	// The pass logs into a private log that reaches the caller's only
-	// when it completes: a tail abandoned with ErrFusedKeyDomain is rerun
-	// by the materializing operators, which log it all again.
+	// when it completes or stops (ErrStopped): a tail abandoned with
+	// ErrFusedKeyDomain is rerun by the materializing operators, which
+	// log it all again.
 	var plog *ErrorLog
 	if log != nil {
 		plog = borrowLog()
@@ -938,6 +939,9 @@ func fusedProbeGroup(preds []RangePred, joins []FusedJoin, a, b *storage.Column,
 		parts, err := runMorsels(p, n, o, plog, nil, func(mlog *ErrorLog, start, end int) (fusedGroupPart, error) {
 			return fusedProbeGroupRange(fps, fjs, ac, bc, hasB, nAttrs, detect, flavor, mlog, start, end)
 		})
+		if errors.Is(err, ErrStopped) {
+			log.Merge(plog) // the detections are the retry's repair list
+		}
 		if err != nil {
 			return nil, nil, err
 		}

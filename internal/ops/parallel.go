@@ -1,5 +1,10 @@
 package ops
 
+import (
+	"errors"
+	"sync/atomic"
+)
+
 // Parallel is the contract between the kernels and the morsel scheduler
 // (internal/exec.Pool implements it). A runner splits [0, total) into
 // dense fixed-size morsels - morsel m covers
@@ -19,18 +24,52 @@ type Parallel interface {
 	ForEach(total int, fn func(morsel, start, end int))
 }
 
-// par returns the runner when morsel-parallelism is worthwhile for n
-// input rows: a runner is attached, it has at least two workers, and the
-// input spans more than one morsel (a single morsel gains nothing).
+// par returns the runner for n input rows, or nil for an untiled
+// serial scan. The attached runner is used when morsel-parallelism is
+// worthwhile: it has at least two workers and the input spans more than
+// one morsel (a single morsel gains nothing). Under StopOnDetect a
+// runner must also tile the input along stride boundaries (its morsel
+// size divides StopStride); a scan longer than one stride that no such
+// runner takes is tiled into strides serially, so every scan that can
+// stop goes through runMorsels.
 func (o *Opts) par(n int) Parallel {
-	if o == nil || o.Par == nil {
+	if o == nil {
 		return nil
 	}
-	p := o.Par
-	if p.Workers() < 2 || p.MorselSize() <= 0 || n <= p.MorselSize() {
-		return nil
+	if p := o.Par; p != nil && p.Workers() >= 2 && p.MorselSize() > 0 && n > p.MorselSize() &&
+		(!o.StopOnDetect || StopStride%p.MorselSize() == 0) {
+		return p
 	}
-	return p
+	if o.StopOnDetect && n > StopStride {
+		return strides{}
+	}
+	return nil
+}
+
+// StopStride is the row granularity of StopOnDetect: four default
+// morsels (exec.DefaultMorselSize is 64 Ki rows). The stop point is a
+// multiple of it whatever runner executes the scan, so a serial run, a
+// pool at the default morsel size and a pool of 8-row morsels stop at
+// the same row and merge the same log. Tiling a serial scan costs a
+// supervised first attempt that does not detect 2-4 % at this stride
+// and 5-7 % at 64 Ki (DESIGN.md §5d).
+const StopStride = 256 * 1024
+
+// ErrStopped is what a StopOnDetect scan returns once it has finished
+// its first detecting stride: the log holds every detection below the
+// stop point, and the kernel's outputs are released.
+var ErrStopped = errors.New("ops: scan stopped at its first detecting stride")
+
+// strides is the in-order serial runner of StopOnDetect: one morsel per
+// stride.
+type strides struct{}
+
+func (strides) Workers() int    { return 1 }
+func (strides) MorselSize() int { return StopStride }
+func (strides) ForEach(total int, fn func(m, start, end int)) {
+	for m, start := 0, 0; start < total; m, start = m+1, start+StopStride {
+		fn(m, start, min(start+StopStride, total))
+	}
 }
 
 // morselCount returns the number of morsels a runner splits total into.
@@ -56,6 +95,13 @@ func morselCount(p Parallel, total int) int {
 // including the failing morsel are merged (mirroring how far the serial
 // scan would have come) and the first error in morsel order is returned.
 //
+// Under StopOnDetect (with a log to stop on) the scan ends at limit,
+// the end of the lowest stride in which a morsel logged a detection:
+// morsels starting at or beyond it are not run, those below it always
+// are, so the merged log - every morsel below the limit - is the same
+// for every runner. The scan then returns ErrStopped, unless an earlier
+// morsel failed or the limit lies past the end of the input.
+//
 // When o carries a context, it is checked before each morsel kernel
 // runs: once cancelled, remaining morsels return the context error
 // without touching data, so an aborted run stops within one morsel
@@ -68,7 +114,15 @@ func runMorsels[T any](p Parallel, total int, o *Opts, dst *ErrorLog, drop func(
 	outs := make([]T, count)
 	logs := make([]*ErrorLog, count)
 	errs := make([]error, count)
+	var limit *atomic.Int64 // nil unless the scan can stop
+	if o.StopOnDetect && dst != nil && total > StopStride {
+		limit = new(atomic.Int64)
+		limit.Store(int64(total))
+	}
 	p.ForEach(total, func(m, start, end int) {
+		if limit != nil && int64(start) >= limit.Load() {
+			return
+		}
 		if err := o.ctxErr(); err != nil {
 			errs[m] = err
 			return
@@ -76,6 +130,14 @@ func runMorsels[T any](p Parallel, total int, o *Opts, dst *ErrorLog, drop func(
 		l := borrowLog()
 		logs[m] = l
 		outs[m], errs[m] = fn(l, start, end)
+		if limit != nil && l.Count() > 0 {
+			end := int64(start/StopStride+1) * StopStride
+			for cur := limit.Load(); end < cur; cur = limit.Load() {
+				if limit.CompareAndSwap(cur, end) {
+					break
+				}
+			}
+		}
 	})
 	defer func() {
 		// Merge copies the entries, so the pooled logs can go back
@@ -84,22 +146,34 @@ func runMorsels[T any](p Parallel, total int, o *Opts, dst *ErrorLog, drop func(
 			releaseLog(l)
 		}
 	}()
-	for m, err := range errs {
-		if err != nil {
-			if dst != nil {
-				for _, l := range logs[:m+1] {
-					dst.Merge(l)
-				}
+	// abandon merges the logs of morsels [0, merged), drops every
+	// completed output and returns err.
+	abandon := func(merged int, err error) ([]T, error) {
+		if dst != nil {
+			for _, l := range logs[:merged] {
+				dst.Merge(l)
 			}
-			if drop != nil {
-				for i, e := range errs {
-					if e == nil && logs[i] != nil {
-						drop(outs[i])
-					}
-				}
-			}
-			return nil, err
 		}
+		if drop != nil {
+			for i, e := range errs {
+				if e == nil && logs[i] != nil {
+					drop(outs[i])
+				}
+			}
+		}
+		return nil, err
+	}
+	ran := count
+	if limit != nil {
+		ran = morselCount(p, int(limit.Load())) // morsels starting below the limit
+	}
+	for m, err := range errs[:ran] {
+		if err != nil {
+			return abandon(m+1, err)
+		}
+	}
+	if ran < count {
+		return abandon(ran, ErrStopped)
 	}
 	if dst != nil {
 		for _, l := range logs {

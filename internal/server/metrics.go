@@ -81,7 +81,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("ahead_queries_failed_total", "Queries rejected or failed (4xx/5xx).", m.failed.Load())
 	counter("ahead_queries_canceled_total", "Queries stopped by deadline or disconnect.", m.canceled.Load())
 	counter("ahead_detected_errors_total", "Corrupt positions detected during query execution.", m.detected.Load())
-	counter("ahead_repair_retries_total", "Extra execution attempts spent by healing runs.", m.repairRetries.Load())
+	counter("ahead_repair_retries_total", "Full re-executions spent by healing runs (attempts after the first, which may have stopped at its first detecting stride).", m.repairRetries.Load())
 	counter("ahead_injected_faults_total", "Bit flips planted via /inject.", m.injected.Load())
 	counter("ahead_sync_runs_total", "Completed anti-entropy passes (POST /sync/from-peer).", m.syncRuns.Load())
 	counter("ahead_sync_failed_total", "Failed anti-entropy passes.", m.syncFailed.Load())

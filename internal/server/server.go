@@ -83,9 +83,6 @@ type Config struct {
 	// /adapt/policy are served. Nil disables the endpoints. The caller
 	// owns the manager's tick loop (adapt.Manager.Run).
 	Adapt *adapt.Manager
-	// RecoveryRetries overrides the repair-retry budget for healing
-	// requests; 0 keeps the exec default.
-	RecoveryRetries int
 }
 
 // Server serves queries over HTTP. Create with New; it is safe for
@@ -533,14 +530,8 @@ func (s *Server) run(ctx context.Context, name string, plan exec.QueryFunc, mode
 	}
 
 	if req.Heal {
-		recOpts := []exec.RecoveryOption{
-			exec.WithDegradedFallback(true),
-			exec.WithRecoveryRunOptions(runOpts...),
-		}
-		if s.cfg.RecoveryRetries > 0 {
-			recOpts = append(recOpts, exec.WithMaxRetries(s.cfg.RecoveryRetries))
-		}
-		res, rep, err := exec.RunWithRecovery(s.cfg.DB, mode, flavor, plan, recOpts...)
+		res, rep, err := exec.RunWithRecovery(s.cfg.DB, mode, flavor, plan,
+			exec.WithDegradedFallback(true), exec.WithRecoveryRunOptions(runOpts...))
 		if err != nil {
 			return nil, err
 		}
