@@ -1,8 +1,8 @@
 // Anti-entropy replica sync: the wire protocol replicas use to find and
 // heal diverged column chunks. The exchange has two round-trip shapes:
 //
-//  1. GET /sync/digests - every AN column's rows, code parameters and
-//     exact per-chunk CRC list. A receiver compares the lists chunk by
+//  1. GET /sync/digests - every AN column's rows, code parameters (A,
+//     data width, frame of reference) and exact per-chunk CRC list. A receiver compares the lists chunk by
 //     chunk; any CRC that differs names a chunk to fetch, so no silent
 //     divergence escapes the comparison.
 //  2. GET /sync/chunk?table=&column=&chunk= - one chunk's raw code
@@ -36,21 +36,26 @@ import (
 )
 
 // SyncVersion is the anti-entropy wire version; mismatches are refused,
-// never guessed at.
-const SyncVersion = 2
+// never guessed at. Version 3 added the frame of reference (data_base)
+// to digests and chunks.
+const SyncVersion = 3
 
 // maxSyncResponseBytes bounds one sync response body (a full chunk of
 // 64K words as JSON numbers fits comfortably).
 const maxSyncResponseBytes = 32 << 20
 
 // ColumnDigest summarizes one AN-hardened column on a replica: its
-// shape, its code, and the CRC of every chunk's stored code words.
+// shape, its code, the frame of reference its words are stored from,
+// and the CRC of every chunk's stored code words. Equal words under
+// another base hold other values, so a peer whose base differs holds
+// another coding, not a diverged chunk.
 type ColumnDigest struct {
 	Table    string   `json:"table"`
 	Column   string   `json:"column"`
 	Rows     int      `json:"rows"`
 	CodeA    uint64   `json:"code_a"`
 	DataBits uint     `json:"data_bits"`
+	DataBase uint64   `json:"data_base"` // storage.Column.Base
 	CRCs     []uint32 `json:"crcs"`
 }
 
@@ -63,16 +68,17 @@ type DigestSummary struct {
 }
 
 // ChunkPayload is the body of GET /sync/chunk: one chunk's raw AN code
-// words plus a transport CRC over their canonical little-endian
-// encoding, so JSON-level damage is caught before the per-word AN check
-// even runs.
+// words, the frame of reference they are stored from, and a transport
+// CRC over their canonical little-endian encoding, so JSON-level damage
+// is caught before the per-word AN check even runs.
 type ChunkPayload struct {
-	Version int      `json:"version"`
-	Table   string   `json:"table"`
-	Column  string   `json:"column"`
-	Chunk   int      `json:"chunk"`
-	Words   []uint64 `json:"words"`
-	CRC     uint32   `json:"crc"`
+	Version  int      `json:"version"`
+	Table    string   `json:"table"`
+	Column   string   `json:"column"`
+	Chunk    int      `json:"chunk"`
+	DataBase uint64   `json:"data_base"`
+	Words    []uint64 `json:"words"`
+	CRC      uint32   `json:"crc"`
 }
 
 // WordsCRC is the transport checksum of a chunk payload: CRC32 over the
@@ -187,10 +193,11 @@ func (c *SyncClient) Digests(ctx context.Context) (*DigestSummary, error) {
 }
 
 // FetchChunk fetches one storage.DefaultChunkRows chunk's code words,
-// verifying the envelope (column identity, chunk index) and the
-// transport CRC. The words are still AN-encoded; the caller verifies
-// them against the column's code before use.
-func (c *SyncClient) FetchChunk(ctx context.Context, table, column string, chunk int) ([]uint64, error) {
+// verifying the envelope (column identity, chunk index, the frame of
+// reference base the caller's column is stored from) and the transport
+// CRC. The words are still AN-encoded; the caller verifies them against
+// the column's code before use.
+func (c *SyncClient) FetchChunk(ctx context.Context, table, column string, chunk int, base uint64) ([]uint64, error) {
 	path := "/sync/chunk?table=" + url.QueryEscape(table) +
 		"&column=" + url.QueryEscape(column) +
 		"&chunk=" + strconv.Itoa(chunk)
@@ -201,6 +208,10 @@ func (c *SyncClient) FetchChunk(ctx context.Context, table, column string, chunk
 	if p.Table != table || p.Column != column || p.Chunk != chunk {
 		return nil, fmt.Errorf("cluster: sync %s: chunk envelope %s.%s[%d], asked for %s.%s[%d]",
 			c.base, p.Table, p.Column, p.Chunk, table, column, chunk)
+	}
+	if p.DataBase != base {
+		return nil, fmt.Errorf("cluster: sync %s: chunk %s.%s[%d] is stored from base %d, the column from %d",
+			c.base, table, column, chunk, p.DataBase, base)
 	}
 	if got := WordsCRC(p.Words); got != p.CRC {
 		return nil, fmt.Errorf("cluster: sync %s: chunk %s.%s[%d] failed its transport CRC", c.base, table, column, chunk)
@@ -234,9 +245,9 @@ func (p *PeerRepairSource) Values(ctx context.Context, table string, hc *storage
 		return nil, fmt.Errorf("cluster: %s.%s has no AN code to verify a peer chunk under", table, hc.Name())
 	}
 	chunk := int(positions[0]) / storage.DefaultChunkRows
-	words, err := p.c.FetchChunk(ctx, table, hc.Name(), chunk)
+	words, err := p.c.FetchChunk(ctx, table, hc.Name(), chunk, hc.Base())
 	if err != nil {
 		return nil, err
 	}
-	return storage.VerifiedValues(hc.Code(), words, chunk*storage.DefaultChunkRows, positions)
+	return storage.VerifiedValues(hc.Code(), hc.Base(), words, chunk*storage.DefaultChunkRows, positions)
 }

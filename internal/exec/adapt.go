@@ -31,6 +31,9 @@ type ColumnCoding struct {
 	// A and CodeBits describe the AN code ("an" only).
 	A        uint64 `json:"a,omitempty"`
 	CodeBits uint   `json:"code_bits,omitempty"`
+	// DataBase is the frame of reference an AN column is stored from
+	// (storage.Column.Base): its code words hold v-DataBase.
+	DataBase uint64 `json:"data_base,omitempty"`
 	// ResidueBits is the check width c of modulus 2^c-1 ("residue" only).
 	ResidueBits uint `json:"residue_bits,omitempty"`
 }
@@ -48,6 +51,7 @@ func (db *DB) ColumnCodings() []ColumnCoding {
 				cc.A = hc.Code().A()
 				cc.CodeBits = hc.Code().CodeBits()
 				cc.DataBits = hc.Code().DataBits()
+				cc.DataBase = hc.Base()
 			case hc.IsResidueHardened():
 				cc.Scheme = "residue"
 				cc.ResidueBits = hc.ResidueCode().CheckBits()

@@ -446,4 +446,101 @@ func TestSnapshotRoundTripDifferential(t *testing.T) {
 			t.Fatalf("%v: %d errors logged on a clean reloaded snapshot", mode, log.Count())
 		}
 	}
+	forSnapshotRoundTrip(t)
+}
+
+// forTables is testTables plus a yyyymmdd column d, which hardens from a
+// frame of reference.
+func forTables(t *testing.T) []*storage.Table {
+	t.Helper()
+	tbs := testTables(t)
+	d, err := storage.NewColumn("d", storage.Int)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 100; i++ {
+		d.Append(19920101 + i*i*97%61130)
+	}
+	if err := tbs[0].AddColumn(d); err != nil {
+		t.Fatal(err)
+	}
+	return tbs
+}
+
+// datePlan sums d over the rows whose d lies in a date range - a
+// predicate, a gather and a sum over the frame-of-reference column.
+func datePlan(q *Query) (*ops.Result, error) {
+	dCol, err := q.Col("t", "d")
+	if err != nil {
+		return nil, err
+	}
+	sel, err := ops.Filter(dCol, 19920101+500, 19920101+40000, q.Opts())
+	if err != nil {
+		return nil, err
+	}
+	vec, err := ops.Gather(dCol, sel, q.Opts())
+	if err != nil {
+		return nil, err
+	}
+	sum, err := ops.SumTotal(q.PreAggregate(vec), q.Opts())
+	if err != nil {
+		return nil, err
+	}
+	return q.FinishScalar(sum)
+}
+
+// forSnapshotRoundTrip is TestSnapshotRoundTripDifferential over a
+// fixture with a frame-of-reference column: the snapshot carries its
+// base, and the reloaded DB answers every mode as the in-memory one and
+// as the unprotected reference do.
+func forSnapshotRoundTrip(t *testing.T) {
+	t.Helper()
+	db, err := NewDB(forTables(t), storage.LargestCodeChooser)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base := db.Hardened("t").MustColumn("d").Base(); base != 19920101 {
+		t.Fatalf("setup: d hardened from base %d", base)
+	}
+	dir := t.TempDir()
+	if err := db.SaveSnapshot(dir); err != nil {
+		t.Fatal(err)
+	}
+	loaded, repairable, err := storage.LoadTable(dir + "/t")
+	if err != nil || len(repairable) != 0 {
+		t.Fatalf("load: %v, %v", repairable, err)
+	}
+	if got := loaded.MustColumn("d").Base(); got != 19920101 {
+		t.Fatalf("reloaded d from base %d", got)
+	}
+	db2, err := NewDB(forTables(t), storage.LargestCodeChooser)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db2.UseHardened(loaded); err != nil {
+		t.Fatal(err)
+	}
+	ref, _, err := Run(db, Unprotected, ops.Scalar, datePlan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Aggs[0] == 0 {
+		t.Fatal("the date range selects nothing")
+	}
+	for _, mode := range []Mode{Unprotected, EarlyOnetime, LateOnetime, Continuous, ContinuousReencoding} {
+		want, _, err := Run(db, mode, ops.Scalar, datePlan)
+		if err != nil {
+			t.Fatalf("FOR %v in-memory: %v", mode, err)
+		}
+		got, log, err := Run(db2, mode, ops.Scalar, datePlan)
+		if err != nil {
+			t.Fatalf("FOR %v reloaded: %v", mode, err)
+		}
+		if !want.Equal(got) || !want.Equal(ref) {
+			t.Fatalf("FOR %v: in-memory %v, reloaded %v, reference %v", mode, want.Aggs, got.Aggs, ref.Aggs)
+		}
+		if log.Count() != 0 {
+			t.Fatalf("FOR %v: %d errors logged on a clean reloaded snapshot", mode, log.Count())
+		}
+	}
 }

@@ -226,19 +226,25 @@ func mergeKeyedStages(dst *ErrorLog, stages []keyedLog) {
 	}
 }
 
-// fusedCol is a column with its softening constants precomputed.
+// fusedCol is a column with its softening constants precomputed. A
+// hardened column stored from a frame of reference (storage.Column.Base)
+// softens to d+base, and its word w to the base-0 word w+lift in the
+// 64-bit ring; both constants are 0 otherwise.
 type fusedCol struct {
 	col  *storage.Column
 	code *an.Code
 	inv  uint64
 	mask uint64
 	dmax uint64
+	base uint64
+	lift uint64
 }
 
 func makeFusedCol(c *storage.Column) fusedCol {
 	f := fusedCol{col: c, code: c.Code()}
 	if f.code != nil {
 		f.inv, f.mask, f.dmax = f.code.AInv(), f.code.CodeMask(), f.code.MaxData()
+		f.base, f.lift = c.Base(), c.Base()*f.code.A()
 	}
 	return f
 }
@@ -395,7 +401,7 @@ func fusedSumProduct(a, b fusedCol, invB uint64, detect bool, log *ErrorLog, pos
 				}
 				continue
 			}
-			sum += av[i] * bv[i] * invB
+			sum += (av[i] + a.lift) * (bv[i] + b.lift) * invB
 		}
 	default:
 		// LateOnetime: the PreAggregate Δ folded into the pass - verify
@@ -412,7 +418,7 @@ func fusedSumProduct(a, b fusedCol, invB uint64, detect bool, log *ErrorLog, pos
 					log.Record(VecLogName(b.col.Name()), p)
 				}
 			}
-			sum += da * db
+			sum += (da + a.base) * (db + b.base)
 		}
 	}
 	return sum
@@ -532,12 +538,13 @@ func fetchAttrTyped[T an.Unsigned](data []T, a *fusedCol, bs int, words, pos []u
 				kl.record(VecLogName(a.col.Name()), uint64(bs+rel), uint64(bs+rel))
 			}
 		}
-		if uint64(v) >= 1<<16 {
+		k := uint64(v) + a.base
+		if k >= 1<<16 {
 			return false, ErrFusedKeyDomain
 		}
 		// The 16-bit bound just checked is what lets the staging buffer
 		// live in the arena's u16 class.
-		out[rel] = uint16(v)
+		out[rel] = uint16(k)
 		return true, nil
 	}
 	count := 0
@@ -660,7 +667,7 @@ func (g *fusedGrouper) consume(bs int, pos []uint64, kl *keyedLog) {
 			// they agree), so the accumulator holds a's code word of the
 			// group total (Eq. 5), verified under the widened code by
 			// fusedGroupCheck.
-			g.part.sums[id] += a - b*g.kb
+			g.part.sums[id] += a + g.ma.lift - (b+g.mb.lift)*g.kb
 		default:
 			// LateOnetime: verify, log into the vec: namespace at the
 			// fact row, and accumulate the softened value regardless.
@@ -673,9 +680,9 @@ func (g *fusedGrouper) consume(bs int, pos []uint64, kl *keyedLog) {
 				if db > g.mb.dmax {
 					kl.record(VecLogName(g.mb.col.Name()), p, p)
 				}
-				g.part.sums[id] += da - db
+				g.part.sums[id] += da + g.ma.base - (db + g.mb.base)
 			} else {
-				g.part.sums[id] += da
+				g.part.sums[id] += da + g.ma.base
 			}
 		}
 	}

@@ -20,7 +20,7 @@ import (
 // verified while building when Detect is set.
 func IndexBuild(col *storage.Column, sel *Sel, o *Opts) (*btree.Tree, error) {
 	code := col.Code()
-	treeCode := code
+	treeCode := col.LiftedCode() // the keys' own values, whatever the column's base
 	if treeCode == nil {
 		// An unprotected column still gets a protected index: pick the
 		// default hardening for the column's physical key width.
@@ -51,7 +51,7 @@ func IndexBuild(col *storage.Column, sel *Sel, o *Opts) (*btree.Tree, error) {
 		}
 		v := col.Get(int(pos))
 		if code != nil {
-			d, okv := code.Check(v)
+			d, okv := col.Check(v)
 			if detect && !okv {
 				if log != nil {
 					log.Record(col.Name(), pos)
@@ -79,7 +79,7 @@ func IndexProbe(col *storage.Column, tree *btree.Tree, sel *Sel, o *Opts) (*Sel,
 	probe := func(rawPos uint64, pos uint64, outSel *Sel, matches *[]uint32) error {
 		v := col.Get(int(pos))
 		if code != nil {
-			d, okv := code.Check(v)
+			d, okv := col.Check(v)
 			if !okv {
 				if detect && log != nil {
 					log.Record(col.Name(), pos)

@@ -34,7 +34,9 @@ type RangePred struct {
 // A lower bound beyond the domain selects nothing - clamping it down
 // would select the domain maximum itself, and encoding it would wrap
 // past the comparable code range - and an upper bound beyond it
-// saturates. Narrow hardened columns carrying a packed lane mirror
+// saturates. A column stored from a frame of reference (Column.Base)
+// has both bounds moved down by the base first, so its words compare in
+// their own domain; a range ending below the base selects nothing. Narrow hardened columns carrying a packed lane mirror
 // (DESIGN.md section 5g) scan the mirror instead of the wide array: SWAR
 // over encoded bounds for Late, per-lane Algorithm 1 for Continuous,
 // emitting exactly the positions, error-log entries and entry order of
@@ -55,6 +57,15 @@ func makeFusedPred(p RangePred, o *Opts) fusedPred {
 	code := p.Col.Code()
 	f := fusedPred{col: p.Col, lanes: o.packedLanes(p.Col), checked: code != nil && o.detect()}
 	lo, hi := p.Lo, p.Hi
+	if base := p.Col.Base(); base != 0 {
+		// Frame-of-reference words compare in their own domain: the
+		// bounds move down by the base (Eq. 6 then encodes (lo-base)·A).
+		if hi < base {
+			f.empty = true
+			return f
+		}
+		lo, hi = max(lo, base)-base, hi-base
+	}
 	max := ^uint64(0) >> (64 - 8*uint(p.Col.Width()))
 	if code != nil {
 		max = code.MaxData()

@@ -53,10 +53,26 @@ func TestSemiJoinBitsetMatchesHashProbe(t *testing.T) {
 }
 
 func TestSemiJoinSparseDomainFallsBack(t *testing.T) {
+	// The cap bounds the span of the keys, not their values: 500 keys
+	// just above it are dense, {0, cap+1} is not.
+	far := hashmap.New(500)
+	for k := uint64(1); k <= 500; k++ {
+		far.Put(maxKeyBitsetBits+k, uint32(k))
+	}
+	if bits, lo, hi := buildKeyBits(far); bits == nil || lo != maxKeyBitsetBits+1 || hi != maxKeyBitsetBits+500 {
+		t.Fatalf("keys {cap+1..cap+500}: bitset %v over [%d, %d]", bits != nil, lo, hi)
+	}
+	wide := hashmap.New(2)
+	wide.Put(0, 0)
+	wide.Put(maxKeyBitsetBits+1, 1)
+	if bits, _, _ := buildKeyBits(wide); bits != nil {
+		t.Fatal("keys {0, cap+1} span beyond the cap and must not build a bitset")
+	}
+
 	col, ht := semiJoinFixture(t, 1_000, 500)
-	// One key beyond the bitset cap forces the hash-probe path.
+	// One key a span beyond the bitset cap forces the hash-probe path.
 	ht.Put(maxKeyBitsetBits+1, 0)
-	if bits, _ := buildKeyBits(ht); bits != nil {
+	if bits, _, _ := buildKeyBits(ht); bits != nil {
 		t.Fatal("sparse domain must not build a bitset")
 	}
 	ref, _, err := HashProbe(col, ht, nil, nil)

@@ -32,7 +32,7 @@ func (s *Server) digests() ([]cluster.ColumnDigest, error) {
 		}
 		out = append(out, cluster.ColumnDigest{
 			Table: cc.Table, Column: cc.Column, Rows: cc.Rows,
-			CodeA: cc.A, DataBits: cc.DataBits, CRCs: crcs,
+			CodeA: cc.A, DataBits: cc.DataBits, DataBase: cc.DataBase, CRCs: crcs,
 		})
 	}
 	return out, nil
@@ -66,9 +66,14 @@ func (s *Server) handleSyncChunk(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
+	hc, err := s.cfg.DB.Hardened(table).Column(column)
+	if err != nil {
+		writeError(w, http.StatusNotFound, "%v", err)
+		return
+	}
 	writeJSON(w, http.StatusOK, &cluster.ChunkPayload{
 		Version: cluster.SyncVersion, Table: table, Column: column,
-		Chunk: chunk, Words: words, CRC: cluster.WordsCRC(words),
+		Chunk: chunk, DataBase: hc.Base(), Words: words, CRC: cluster.WordsCRC(words),
 	})
 }
 
@@ -125,7 +130,7 @@ func (s *Server) syncFromPeer(ctx context.Context, peer string) (*cluster.SyncRe
 		switch {
 		case !ok:
 			cr.Skipped = "peer does not hold this column"
-		case pd.CodeA != local.CodeA || pd.DataBits != local.DataBits || pd.Rows != local.Rows:
+		case pd.CodeA != local.CodeA || pd.DataBits != local.DataBits || pd.DataBase != local.DataBase || pd.Rows != local.Rows:
 			cr.Skipped = "peer column schema differs (rows or code parameters)"
 		case len(pd.CRCs) != len(local.CRCs):
 			cr.Skipped = "peer CRC list does not match local chunking"
@@ -139,7 +144,7 @@ func (s *Server) syncFromPeer(ctx context.Context, peer string) (*cluster.SyncRe
 			if crc == pd.CRCs[chunk] {
 				continue
 			}
-			words, err := client.FetchChunk(ctx, local.Table, local.Column, chunk)
+			words, err := client.FetchChunk(ctx, local.Table, local.Column, chunk, local.DataBase)
 			if err != nil {
 				return nil, err
 			}

@@ -404,3 +404,77 @@ func TestSyncFetchesOnlyDivergedChunks(t *testing.T) {
 		t.Fatalf("still corrupt at %v", bad)
 	}
 }
+
+// dateDB is a one-table DB whose column d holds base+3i, hardened from
+// the frame of reference base.
+func dateDB(t *testing.T, base uint64) *exec.DB {
+	t.Helper()
+	tb := storage.NewTable("t")
+	d, err := storage.NewColumn("d", storage.Int)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 300; i++ {
+		d.Append(base + 3*i)
+	}
+	if err := tb.AddColumn(d); err != nil {
+		t.Fatal(err)
+	}
+	db, err := exec.NewDB([]*storage.Table{tb}, storage.LargestCodeChooser)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Hardened("t").MustColumn("d").Base(); got != base {
+		t.Fatalf("setup: d hardened from base %d, want %d", got, base)
+	}
+	return db
+}
+
+// TestSyncDataBaseMismatchIsACodingMismatch: two replicas whose column
+// holds the same words from different frames of reference hold
+// different values. Their digests differ only in data_base - same A,
+// width, rows and chunk CRCs - and the sync must skip the column as a
+// coding mismatch rather than call it in sync (or heal chunk by chunk).
+func TestSyncDataBaseMismatchIsACodingMismatch(t *testing.T) {
+	victim, peer := dateDB(t, 19920101), dateDB(t, 19920102)
+	_, tsPeer := syncTestServer(t, peer)
+	_, tsVictim := syncTestServer(t, victim)
+	var local, remote cluster.DigestSummary
+	getJSON(t, tsVictim.URL+"/sync/digests", &local)
+	getJSON(t, tsPeer.URL+"/sync/digests", &remote)
+	if len(local.Columns) != 1 || len(remote.Columns) != 1 {
+		t.Fatalf("digests: %d and %d columns", len(local.Columns), len(remote.Columns))
+	}
+	l, r := local.Columns[0], remote.Columns[0]
+	if l.DataBase == r.DataBase || l.CodeA != r.CodeA || l.DataBits != r.DataBits || !slices.Equal(l.CRCs, r.CRCs) {
+		t.Fatalf("setup: digests %+v and %+v must differ in data_base only", l, r)
+	}
+	code, report, raw := postSync(t, tsVictim.URL, tsPeer.URL)
+	if code != http.StatusOK {
+		t.Fatalf("sync status %d: %s", code, raw)
+	}
+	if len(report.Columns) != 1 || report.Columns[0].Skipped == "" || report.Columns[0].ChunksChecked != 0 {
+		t.Fatalf("a peer from another base must be skipped as a coding mismatch: %+v", report.Columns)
+	}
+	if got := victim.Hardened("t").MustColumn("d").Value(0); got != 19920101 {
+		t.Fatalf("local data changed: row 0 reads %d", got)
+	}
+}
+
+// TestSyncRefusesAVersion2Peer: a peer speaking SyncVersion 2 publishes
+// digests without data_base; the sync refuses it by version instead of
+// reading every base as 0.
+func TestSyncRefusesAVersion2Peer(t *testing.T) {
+	old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(map[string]any{
+			"version": 2, "chunk_rows": storage.DefaultChunkRows,
+			"columns": []map[string]any{{"table": "t", "column": "d", "rows": 300, "code_a": 63877, "data_bits": 16, "crcs": []uint32{1}}},
+		})
+	}))
+	t.Cleanup(old.Close)
+	_, tsVictim := syncTestServer(t, dateDB(t, 19920101))
+	code, _, raw := postSync(t, tsVictim.URL, old.URL)
+	if code != http.StatusBadGateway || !strings.Contains(raw, "wire version 2, want 3") {
+		t.Fatalf("sync from a version 2 peer: status %d: %s", code, raw)
+	}
+}

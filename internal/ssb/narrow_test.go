@@ -1,6 +1,8 @@
 package ssb
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
 	"ahead/internal/an"
@@ -11,7 +13,10 @@ import (
 // invariant (DESIGN.md §9) to every code Table.Harden narrows the SSB
 // columns to at SF 0.1 and 0.3: for a sample of each narrowed column's
 // code words, every flip pattern of weight up to the code's published
-// minimum bit-flip weight, inside its |C| bits, must fail IsValid.
+// minimum bit-flip weight, inside its |C| bits, must fail IsValid. The
+// offset domains count among them: exactly the three date columns harden
+// from a frame of reference, based at their smallest value, and their
+// sampled words decode to the plain values.
 func TestNarrowedCodesDetectEveryFlipUpToMinBFW(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates SF 0.1 and 0.3")
@@ -22,6 +27,7 @@ func TestNarrowedCodesDetectEveryFlipUpToMinBFW(t *testing.T) {
 			t.Fatal(err)
 		}
 		narrowed := 0
+		var offsets []string
 		for _, tb := range data.Tables() {
 			h, err := tb.Harden(storage.LargestCodeChooser)
 			if err != nil {
@@ -48,10 +54,31 @@ func TestNarrowedCodesDetectEveryFlipUpToMinBFW(t *testing.T) {
 							sf, tb.Name(), hc.Name(), pos, n, bfw, code)
 					}
 				}
+				if hc.Base() == 0 {
+					continue
+				}
+				offsets = append(offsets, tb.Name()+"."+hc.Name())
+				pc := tb.MustColumn(hc.Name())
+				lo := pc.Value(0)
+				for i := 1; i < pc.Len(); i++ {
+					lo = min(lo, pc.Value(i))
+				}
+				if hc.Base() != lo {
+					t.Fatalf("sf %g %s.%s: based at %d, smallest value %d", sf, tb.Name(), hc.Name(), hc.Base(), lo)
+				}
+				for _, pos := range []int{0, hc.Len() / 3, hc.Len() - 1} {
+					if hc.Value(pos) != pc.Value(pos) {
+						t.Fatalf("sf %g %s.%s row %d reads %d, want %d", sf, tb.Name(), hc.Name(), pos, hc.Value(pos), pc.Value(pos))
+					}
+				}
 			}
 		}
 		if narrowed == 0 {
 			t.Fatalf("sf %g: no column narrowed; the test is vacuous", sf)
+		}
+		sort.Strings(offsets)
+		if want := []string{"date.d_datekey", "lineorder.lo_commitdate", "lineorder.lo_orderdate"}; !reflect.DeepEqual(offsets, want) {
+			t.Fatalf("sf %g: hardened from a frame of reference: %v, want %v", sf, offsets, want)
 		}
 	}
 }

@@ -30,6 +30,13 @@ type Column struct {
 	dict *Dict       // non-nil iff the column is dictionary-encoded
 	heap *StringHeap // non-nil iff the column is heap-backed (StrHeap)
 
+	// base is a hardened column's frame of reference: the array holds
+	// the code word of v-base for every value v, 0 for a column hardened
+	// as its values stand. lifted is the code base-0 words of the column
+	// verify under (Lift), nil without a base.
+	base   uint64
+	lifted *an.Code
+
 	// packed is the lane-aligned mirror of a narrow hardened column (see
 	// Packed): same code words, bit-packed so the SWAR kernels can scan
 	// several per 64-bit word. The wide array stays authoritative - Get,
@@ -235,23 +242,23 @@ func (c *Column) Append(v uint64) {
 	c.AppendRaw(v)
 }
 
-// encode hardens v under the column's code, widening a narrowed column
-// first when v lies beyond its domain, so growth never wraps.
+// encode hardens v under the column's code, widening the column first
+// when v lies outside its domain, so growth never wraps.
 func (c *Column) encode(v uint64) uint64 {
-	if v > c.code.MaxData() && c.code.DataBits() < c.DeclaredBits() {
+	if lo, hi := c.Domain(); (v < lo || v > hi) && (c.base != 0 || c.code.DataBits() < c.DeclaredBits()) {
 		c.widen()
 	}
-	return c.code.Encode(v)
+	return c.code.Encode(v - c.base)
 }
 
-// widen re-hardens a narrowed column in place at its declared width:
-// under LargestCodeChooser's code for the declared type, or under the
-// declared-width code of the narrowed code's own minimum bit-flip weight
-// where that is stronger and published. A word the narrowed code rejects
-// is rewritten as a word the new code rejects too (its decoded value
-// lifted above the data domain), so widening never launders a
-// corruption into a valid value. Like every mutation, it must not race
-// the column's readers.
+// widen re-hardens a narrowed or frame-of-reference column in place at
+// its declared width and base 0: under LargestCodeChooser's code for the
+// declared type, or under the declared-width code of the current code's
+// own minimum bit-flip weight where that is stronger and published. A
+// word the current code rejects is rewritten as a word the new code
+// rejects too (poison), so widening never launders a corruption into a
+// valid value. Like every mutation, it must not race the column's
+// readers.
 func (c *Column) widen() {
 	bits := c.DeclaredBits()
 	next, err := LargestCodeChooser(bits)
@@ -268,14 +275,74 @@ func (c *Column) widen() {
 	out.grow(c.Len())
 	for i := 0; i < c.Len(); i++ {
 		d, ok := c.code.Check(c.Get(i))
-		if !ok {
-			d = next.MaxData() + 1 | d&next.MaxData()
+		w := poison(next, d)
+		if ok {
+			w = next.Encode(d + c.base)
 		}
-		out.storeRaw(i, d*next.A()&next.CodeMask())
+		out.storeRaw(i, w)
 	}
-	c.width, c.code = width, next
+	c.width, c.code, c.base, c.lifted = width, next, 0, nil
 	c.u8, c.u16, c.u32, c.u64 = out.u8, out.u16, out.u32, out.u64
 	c.initPacked()
+}
+
+// poison returns a word next rejects, carrying the low bits of the
+// decoded value d above next's data domain: how widen and Lift move a
+// corrupted word into another code without making it valid.
+func poison(next *an.Code, d uint64) uint64 {
+	return (next.MaxData() + 1 | d&next.MaxData()) * next.A() & next.CodeMask()
+}
+
+// Base returns a hardened column's frame of reference: its array holds
+// the code word of v-Base() for every value v. It is 0 for a column
+// hardened as its values stand and for every unprotected column.
+func (c *Column) Base() uint64 { return c.base }
+
+// Domain returns the values a hardened column holds without widening:
+// [Base(), Base()+MaxData].
+func (c *Column) Domain() (lo, hi uint64) { return c.base, c.base + c.code.MaxData() }
+
+// Check verifies code word w of a hardened column and returns the value
+// it holds, the decoded word plus Base().
+func (c *Column) Check(w uint64) (uint64, bool) {
+	d, ok := c.code.Check(w)
+	return d + c.base, ok
+}
+
+// LiftedCode returns the code base-0 words of the column verify under:
+// Code() without a frame of reference, else the code with Code()'s A
+// over [0, Base()+MaxData]. Operators that hand a column's words
+// downstream (Gather) hand them under it, so nothing above storage sees
+// a base.
+func (c *Column) LiftedCode() *an.Code {
+	if c.lifted != nil {
+		return c.lifted
+	}
+	return c.code
+}
+
+// Lift maps a stored code word to its base-0 word under LiftedCode: a
+// valid word gains Base()·A, a corrupted one becomes a word LiftedCode
+// rejects too (poison). Without a frame of reference it returns w.
+func (c *Column) Lift(w uint64) uint64 {
+	if c.lifted == nil {
+		return w
+	}
+	d, ok := c.code.Check(w)
+	if !ok {
+		return poison(c.lifted, d)
+	}
+	return c.lifted.Encode(d + c.base)
+}
+
+// liftCode returns the code of the base-0 words of a column hardened
+// under code with frame of reference base: nil for base 0, else code's A
+// over [0, base+MaxData] - an error when those words do not fit 64 bits.
+func liftCode(code *an.Code, base uint64) (*an.Code, error) {
+	if base == 0 {
+		return nil, nil
+	}
+	return an.New(code.A(), uint(bits.Len64(base+code.MaxData())))
 }
 
 // AppendRaw adds a raw physical value without encoding. Used by operators
@@ -338,7 +405,7 @@ func (c *Column) Set(i int, v uint64) {
 func (c *Column) Value(i int) uint64 {
 	v := c.Get(i)
 	if c.code != nil {
-		return c.code.Decode(v)
+		return c.code.Decode(v) + c.base
 	}
 	return v
 }
@@ -361,31 +428,41 @@ func (c *Column) Heap() *StringHeap { return c.heap }
 // Harden returns a hardened copy of the column: every value multiplied by
 // the code's A and stored in the narrowest native width for |D| + |A|
 // bits. String columns keep their dictionary; their codes are hardened
-// like any integer. Every value must lie in the code's data domain; one
-// beyond it is an error, never a truncation.
+// like any integer. Integer values beyond the code's data domain harden
+// frame-of-reference (v-min) when their span fits it; a value the code
+// cannot hold either way is an error, never a truncation.
 func (c *Column) Harden(code *an.Code) (*Column, error) {
-	return c.harden(code, c.usedBits())
+	lo, hi := c.minMax()
+	if lo == 0 || uint(bits.Len64(hi)) <= code.DataBits() || c.kind == Str || c.kind == StrHeap {
+		return c.harden(code, 0, hi)
+	}
+	return c.harden(code, lo, hi)
 }
 
 // hardenWith is Table.Harden's per-column step: the chooser's code for
 // the declared width, or a narrower one for the bits the values occupy
-// (narrowCode).
+// (narrowCode), or a narrower one still for the bits their span occupies
+// (forCode).
 func (c *Column) hardenWith(choose CodeChooser) (*Column, error) {
 	code, err := choose(c.DeclaredBits())
 	if err != nil {
 		return nil, err
 	}
-	used := c.usedBits()
-	if narrow := narrowCode(c, used, code, choose); narrow != nil {
+	lo, hi := c.minMax()
+	if narrow := narrowCode(c, uint(bits.Len64(hi)), code, choose); narrow != nil {
 		code = narrow
 	}
-	return c.harden(code, used)
+	if offset := forCode(c, lo, hi, code, choose); offset != nil {
+		return c.harden(offset, lo, hi)
+	}
+	return c.harden(code, 0, hi)
 }
 
-// usedBits returns the bit length of the column's largest physical
-// value, 0 when every value is 0 or the column is empty.
-func (c *Column) usedBits() uint {
-	return uint(bits.Len64(c.bulk(nil, bulkOp{kind: bulkOr})[0]))
+// minMax returns the column's smallest and largest physical value, 0 and
+// 0 for an empty column.
+func (c *Column) minMax() (lo, hi uint64) {
+	r := c.bulk(nil, bulkOp{kind: bulkMinMax})
+	return r[0], r[1]
 }
 
 // DeclaredBits returns the data width the column hardens at before any
@@ -401,12 +478,18 @@ func (c *Column) DeclaredBits() uint {
 	return min(bits, 48)
 }
 
-func (c *Column) harden(code *an.Code, usedBits uint) (*Column, error) {
+// harden encodes the column under code in the frame of reference base;
+// hi is its largest value.
+func (c *Column) harden(code *an.Code, base, hi uint64) (*Column, error) {
 	if c.code != nil {
 		return nil, fmt.Errorf("storage: column %q already hardened", c.name)
 	}
-	if usedBits > code.DataBits() {
-		return nil, fmt.Errorf("storage: column %q holds %d-bit values, beyond the %d-bit data domain of %v", c.name, usedBits, code.DataBits(), code)
+	if used := uint(bits.Len64(hi - base)); used > code.DataBits() {
+		return nil, fmt.Errorf("storage: column %q holds %d-bit values, beyond the %d-bit data domain of %v", c.name, used, code.DataBits(), code)
+	}
+	lifted, err := liftCode(code, base)
+	if err != nil {
+		return nil, fmt.Errorf("storage: column %q from base %d: %w", c.name, base, err)
 	}
 	width, err := widthForBits(code.CodeBits())
 	if err != nil {
@@ -419,9 +502,9 @@ func (c *Column) harden(code *an.Code, usedBits uint) (*Column, error) {
 			return nil, err
 		}
 	}
-	out := &Column{name: c.name, kind: kind, width: width, code: code, dict: c.dict, heap: c.heap}
+	out := &Column{name: c.name, kind: kind, width: width, code: code, base: base, lifted: lifted, dict: c.dict, heap: c.heap}
 	out.grow(c.Len())
-	c.bulk(out, bulkOp{kind: bulkMulMask, pre: code.MaxData(), mul: code.A(), post: code.CodeMask()})
+	c.bulk(out, bulkOp{kind: bulkMulMask, sub: base, pre: code.MaxData(), mul: code.A(), post: code.CodeMask()})
 	out.initPacked()
 	return out, nil
 }
@@ -434,7 +517,7 @@ func (c *Column) Soften() (*Column, error) {
 		return nil, err
 	}
 	out.grow(c.Len())
-	c.bulk(out, bulkOp{kind: bulkMulMask, pre: ^uint64(0), mul: c.code.AInv(), post: c.code.CodeMask()})
+	c.bulk(out, bulkOp{kind: bulkMulMask, pre: ^uint64(0), mul: c.code.AInv(), post: c.code.CodeMask(), add: c.base})
 	return out, nil
 }
 
@@ -521,7 +604,7 @@ func SoftenedOver[T an.Unsigned](c *Column, buf []T) (*Column, error) {
 // corrupted positions in ascending order; those decode to whatever the
 // corrupted word softens to. Disjoint ranges may run concurrently.
 func (c *Column) CheckDecodeInto(dst *Column, start, end int, blocked bool) []uint64 {
-	return c.bulk(dst, bulkOp{kind: bulkCheckDecode, code: c.code, blocked: blocked, start: start, end: end})
+	return c.bulk(dst, bulkOp{kind: bulkCheckDecode, code: c.code, add: c.base, blocked: blocked, start: start, end: end})
 }
 
 // CheckAll verifies every code word of a hardened column and returns the
@@ -558,13 +641,17 @@ func (c *Column) Reencode(next *an.Code) (*Column, error) {
 	if err != nil {
 		return nil, err
 	}
+	lifted, err := liftCode(next, c.base)
+	if err != nil {
+		return nil, fmt.Errorf("storage: column %q from base %d: %w", c.name, c.base, err)
+	}
 	out := c
 	if width != c.width {
-		out = &Column{name: c.name, kind: c.kind, width: width, dict: c.dict, heap: c.heap}
+		out = &Column{name: c.name, kind: c.kind, width: width, base: c.base, dict: c.dict, heap: c.heap}
 		out.grow(c.Len())
 	}
 	c.bulk(out, bulkOp{kind: bulkMulMask, pre: ^uint64(0), mul: factor, post: next.CodeMask()})
-	out.code = next
+	out.code, out.lifted = next, lifted
 	out.initPacked()
 	return out, nil
 }
@@ -649,7 +736,7 @@ func (c *Column) DropResidue() (*Column, error) {
 // physical array.
 func (c *Column) cloneData() *Column {
 	return &Column{
-		name: c.name, kind: c.kind, width: c.width, code: c.code, dict: c.dict, heap: c.heap,
+		name: c.name, kind: c.kind, width: c.width, code: c.code, base: c.base, lifted: c.lifted, dict: c.dict, heap: c.heap,
 		u8:  append([]uint8(nil), c.u8...),
 		u16: append([]uint16(nil), c.u16...),
 		u32: append([]uint32(nil), c.u32...),

@@ -10,7 +10,7 @@ import (
 	"ahead/internal/an"
 )
 
-// Column persistence, version 2: a chunked, self-describing snapshot
+// Column persistence, version 3: a chunked, self-describing snapshot
 // format. AHEAD's end-to-end story extends naturally to data at rest: a
 // hardened column is written as its code words, so corruption picked up
 // on disk, on the wire, or in the buffer pool is detected by the same AN
@@ -23,10 +23,12 @@ import (
 // flipped dictionary byte, a flipped code parameter. Version 1 covered
 // those with a single trailing XOR fold over the whole file, which meant
 // one flipped byte condemned the entire column and nothing could be
-// read lazily. Version 2 frames every section with its own CRC instead:
+// read lazily. Version 2 frames every section with its own CRC instead,
+// and version 3 adds the frame of reference of a hardened column
+// (Column.Base) to the header:
 //
-//	magic "AHEADCO2"
-//	header: ULEB128 kind | width | codeA | codeBits | rows | chunkRows
+//	magic "AHEADCO3"
+//	header: ULEB128 kind | width | codeA | codeBits | base | rows | chunkRows
 //	headerCRC u32le   (over magic + header bytes)
 //	dict?: ULEB128 count, then per entry ULEB128 len + bytes
 //	dictCRC u32le     (Str columns; over the dict section bytes)
@@ -50,8 +52,16 @@ import (
 // that chunk accounts for it (that covers a flipped CRC byte itself) -
 // value-granular AN detections are reported as repairable positions,
 // and only the affected chunk's worth of trust is in question.
+//
+// A version 2 file (magic "AHEADCO2", no base field) still loads, as
+// base 0: every column written before frames of reference existed was
+// hardened as its values stand.
 
-var persistMagic = [8]byte{'A', 'H', 'E', 'A', 'D', 'C', 'O', '2'}
+var persistMagic = [8]byte{'A', 'H', 'E', 'A', 'D', 'C', 'O', '3'}
+
+// persistMagicV2 is the magic of version 2 files, whose header has no
+// base field.
+var persistMagicV2 = [8]byte{'A', 'H', 'E', 'A', 'D', 'C', 'O', '2'}
 
 // DefaultChunkRows is the chunk granularity WriteColumn uses: ~64K code
 // words per chunk, so a flipped chunk costs at most 64K values to
@@ -94,9 +104,9 @@ func WriteColumnChunked(w io.Writer, c *Column, chunkRows int) error {
 		codeA = c.code.A()
 		codeBits = uint64(c.code.DataBits())
 	}
-	hdr := make([]byte, 0, 8+6*binary.MaxVarintLen64)
+	hdr := make([]byte, 0, 8+7*binary.MaxVarintLen64)
 	hdr = append(hdr, persistMagic[:]...)
-	for _, v := range []uint64{uint64(c.kind), uint64(c.width), codeA, codeBits, uint64(c.Len()), uint64(chunkRows)} {
+	for _, v := range []uint64{uint64(c.kind), uint64(c.width), codeA, codeBits, c.base, uint64(c.Len()), uint64(chunkRows)} {
 		hdr = binary.AppendUvarint(hdr, v)
 	}
 	bw.Write(hdr)
@@ -223,6 +233,8 @@ type colMeta struct {
 	kind      Kind
 	width     int
 	code      *an.Code
+	base      uint64
+	lifted    *an.Code
 	rows      int
 	chunkRows int
 	dict      *Dict
@@ -236,12 +248,19 @@ func readColumnMeta(br *bufio.Reader) (*colMeta, error) {
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return nil, err
 	}
-	if magic != persistMagic {
+	// hdr holds kind, width, codeA, codeBits, base, rows, chunkRows; a
+	// version 2 header skips base, which stays 0.
+	var hdr [7]uint64
+	fields := []int{0, 1, 2, 3, 4, 5, 6}
+	switch magic {
+	case persistMagic:
+	case persistMagicV2:
+		fields = []int{0, 1, 2, 3, 5, 6}
+	default:
 		return nil, fmt.Errorf("storage: not an AHEAD column file")
 	}
 	cr := &crcReader{r: br, crc: crc32.ChecksumIEEE(magic[:])}
-	var hdr [6]uint64
-	for i := range hdr {
+	for _, i := range fields {
 		v, err := binary.ReadUvarint(cr)
 		if err != nil {
 			return nil, err
@@ -251,7 +270,7 @@ func readColumnMeta(br *bufio.Reader) (*colMeta, error) {
 	if err := readCRC(br, cr.crc, "header"); err != nil {
 		return nil, err
 	}
-	kind, width, codeA, codeBits, rows, chunkRows := hdr[0], hdr[1], hdr[2], hdr[3], hdr[4], hdr[5]
+	kind, width, codeA, codeBits, base, rows, chunkRows := hdr[0], hdr[1], hdr[2], hdr[3], hdr[4], hdr[5], hdr[6]
 	if width != 1 && width != 2 && width != 4 && width != 8 {
 		return nil, fmt.Errorf("storage: corrupt header: width %d", width)
 	}
@@ -271,6 +290,12 @@ func readColumnMeta(br *bufio.Reader) (*colMeta, error) {
 			return nil, fmt.Errorf("storage: corrupt header: %w", err)
 		}
 		m.code = code
+		if m.lifted, err = liftCode(code, base); err != nil {
+			return nil, fmt.Errorf("storage: corrupt header: base %d: %w", base, err)
+		}
+		m.base = base
+	} else if base != 0 {
+		return nil, fmt.Errorf("storage: corrupt header: base %d without a code", base)
 	}
 	metaLen := int64(len(magic)) + cr.n + 4
 	if m.kind == Str {
@@ -346,7 +371,7 @@ func ReadColumn(r io.Reader, name string) (*Column, []uint64, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	c := &Column{name: name, kind: m.kind, width: m.width, code: m.code, dict: m.dict, heap: m.heap}
+	c := &Column{name: name, kind: m.kind, width: m.width, code: m.code, base: m.base, lifted: m.lifted, dict: m.dict, heap: m.heap}
 	var bad []uint64
 	var payload []byte
 	for start, chunk := 0, 0; start < m.rows; start, chunk = start+m.chunkRows, chunk+1 {

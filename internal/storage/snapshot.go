@@ -51,6 +51,10 @@ func (s *ColumnSnapshot) Kind() Kind { return s.meta.kind }
 // unprotected column.
 func (s *ColumnSnapshot) Code() *an.Code { return s.meta.code }
 
+// Base returns the frame of reference recorded in the header (0 for a
+// version 2 file).
+func (s *ColumnSnapshot) Base() uint64 { return s.meta.base }
+
 // Rows returns the row count recorded in the header.
 func (s *ColumnSnapshot) Rows() int { return s.meta.rows }
 
@@ -129,14 +133,13 @@ func (s *ColumnSnapshot) ReadRows(start, n int) ([]uint64, error) {
 }
 
 // VerifiedValues is how a redundant copy answers a repair: it verifies
-// the code words of rows [start, start+len(words)) whole under code -
-// one invalid word refuses the chunk (an.Code.DecodeAll) - and returns
-// the decoded values at positions. A nil code passes the words through
-// as plain values.
-func VerifiedValues(code *an.Code, words []uint64, start int, positions []uint64) ([]uint64, error) {
+// the code words of rows [start, start+len(words)) whole under code
+// (DecodeWords) and returns the values at positions, in the frame of
+// reference base. A nil code passes the words through as plain values.
+func VerifiedValues(code *an.Code, base uint64, words []uint64, start int, positions []uint64) ([]uint64, error) {
 	if code != nil {
 		var err error
-		if words, err = code.DecodeAll(words); err != nil {
+		if words, err = DecodeWords(code, base, words); err != nil {
 			return nil, err
 		}
 	}
@@ -147,6 +150,20 @@ func VerifiedValues(code *an.Code, words []uint64, start int, positions []uint64
 			return nil, fmt.Errorf("storage: position %d outside the %d rows served from row %d", pos, len(words), start)
 		}
 		vals[i] = words[off]
+	}
+	return vals, nil
+}
+
+// DecodeWords verifies code words whole under code - one invalid word
+// refuses them all (an.Code.DecodeAll) - and returns the values they
+// hold in the frame of reference base.
+func DecodeWords(code *an.Code, base uint64, words []uint64) ([]uint64, error) {
+	vals, err := code.DecodeAll(words)
+	if err != nil {
+		return nil, err
+	}
+	for i := range vals {
+		vals[i] += base
 	}
 	return vals, nil
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"ahead/internal/an"
@@ -221,10 +222,33 @@ func narrowCode(c *Column, usedBits uint, declared *an.Code, choose CodeChooser)
 	return nil
 }
 
+// forCode is frame-of-reference hardening (Paper §6.1 compresses before
+// it hardens): an integer column whose values [lo, hi] sit far from zero
+// stores v-lo under a code sized by the bits of the span hi-lo
+// (narrowCode over the span, with code - the declared or narrowed code
+// of the values as they stand - as the guarantee to keep). It returns
+// that code only where it lands in a narrower word than code and the
+// column's base-0 words (Column.LiftedCode) still fit 64 bits; else nil.
+func forCode(c *Column, lo, hi uint64, code *an.Code, choose CodeChooser) *an.Code {
+	if lo == 0 {
+		return nil
+	}
+	cand := narrowCode(c, uint(bits.Len64(hi-lo)), code, choose)
+	if cand == nil {
+		return nil
+	}
+	if _, err := liftCode(cand, lo); err != nil {
+		return nil
+	}
+	return cand
+}
+
 // Harden returns a hardened copy of the table: every column encoded with
 // the code the chooser assigns it - at the bits its values occupy when
 // that fits a narrower register without weakening the guarantee
-// (narrowCode), else at its declared width. Dictionaries are shared with
+// (narrowCode), at the bits of their span from a frame of reference when
+// that fits a narrower register still (forCode), else at its declared
+// width. Dictionaries are shared with
 // the source table (they are immutable). A value beyond the declared
 // domain (a bigint above the 48-bit resbig limit) is an error naming the
 // column, never a truncation.
