@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint reachable bench-smoke bench-compare bench-pairs serve-smoke cluster-smoke adapt-soak clean
+.PHONY: all build test race lint reachable bench-smoke bench-compare bench-pairs bench-pairs-check serve-smoke cluster-smoke adapt-soak clean
 
 all: build test
 
@@ -53,12 +53,18 @@ bench-compare:
 # The sign test behind any "better" or "leans the wrong way" claim:
 # N alternating parent/change pairs of the repo's benchmark against
 # revision REV (scripts/bench_pairs.sh: per metric each side's median and
-# quartiles, the ratio and the pairs won). WORKLOADS narrows the set,
+# quartiles, the ratio, the pairs won and the verdict). WORKLOADS narrows the set,
 # TRACE=1 runs the traced pass for the per-layer rows.
 REV ?= HEAD
 N ?= 10
 bench-pairs:
 	bash scripts/bench_pairs.sh $(REV) $(N) $(WORKLOADS)
+
+# The pairs script's verdict column (claim / worse / unresolved / flat)
+# on a checked-in runs file, against the verdicts it must print.
+bench-pairs-check:
+	bash scripts/bench_pairs.sh --report scripts/testdata/pairs_runs.tsv | \
+		awk '{print $$1, $$NF}' | diff scripts/testdata/pairs_verdicts.txt -
 
 # The serving layer's acceptance gate: boot ahead-serve at SF 0.01
 # with fault injection, drive it with ahead-loadgen, check /metrics

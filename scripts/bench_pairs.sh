@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
 # bench_pairs.sh <rev> <n> [workload...]
+# bench_pairs.sh --report <runs.tsv>
 #
 # Alternating parent/change pairs of the repo's benchmark (ROADMAP item
 # 1(c)): <rev> is archived into .bench_build/pairs/<sha>/ (git archive, so
@@ -12,12 +13,87 @@
 # instead of the end-to-end one; SEED sets the first seed (default 1).
 #
 # Prints, per workload and metric: each side's median and quartiles, the
-# ratio of the medians (change / parent) and how many pairs the change
-# won (ties count for neither), with the manifest's direction deciding
-# what a win is. Raw runs are kept in
-# .bench_build/pairs/runs-<workload>-<time>.tsv.
+# ratio of the medians (change / parent), how many pairs the change won
+# (ties count for neither), with the manifest's direction deciding what
+# a win is, and a verdict - the acceptance rule in one column:
+#
+#   claim       the change won >= ceil(0.9 * pairs) and its median beats
+#               the parent's by more than the parent's interquartile range
+#   worse       the change's median is worse than the parent's by more
+#               than the metric's bound in BENCHMARK.json
+#   unresolved  either side's interquartile range, relative to its median,
+#               is wider than the bound, and not every change run beats
+#               every parent run
+#   flat        anything else
+#
+# Metrics without a bound (the per-layer rows) are only ever claim or
+# flat. Raw runs are kept in .bench_build/pairs/runs-<workload>-<time>.tsv
+# (pair, side, metric, value per line); --report prints the table of
+# such a file again.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# report <runs.tsv>: the per-metric table of a runs file.
+report() {
+	awk -F'\t' '
+		# direction and bound of every metric, from the manifest
+		FNR == NR {
+			if (match($0, /"name": *"[^"]*"/)) { name = substr($0, RSTART, RLENGTH); gsub(/"name": *"|"/, "", name) }
+			if (match($0, /"better": *"[^"]*"/)) { b = substr($0, RSTART, RLENGTH); gsub(/"better": *"|"/, "", b); better[name] = b }
+			if (match($0, /"bound": *[-+.eE0-9]+/)) { b = substr($0, RSTART, RLENGTH); gsub(/"bound": */, "", b); bound[name] = b + 0 }
+			next
+		}
+		{ v[$2, $3, $1] = $4; seen[$3] = 1; if ($1 + 1 > n) n = $1 + 1 }
+		function quart(side, m, q,    k, i, j, t, xs, c, pos, lo) {
+			c = 0
+			for (k = 0; k < n; k++) if ((side, m, k) in v) xs[c++] = v[side, m, k] + 0
+			if (c == 0) return 0
+			for (i = 1; i < c; i++) { t = xs[i]; for (j = i - 1; j >= 0 && xs[j] > t; j--) xs[j + 1] = xs[j]; xs[j + 1] = t }
+			pos = q * (c - 1); lo = int(pos)
+			if (lo + 1 >= c) return xs[c - 1]
+			return xs[lo] + (pos - lo) * (xs[lo + 1] - xs[lo])
+		}
+		# gain(p, c): how much better c is than p, in the metric direction
+		function gain(m, p, c) { return better[m] == "higher" ? c - p : p - c }
+		# rel(x, base): x relative to |base|; any positive x beyond a zero base
+		function rel(x, base) { if (base < 0) base = -base; return base != 0 ? x / base : (x > 0 ? 1e9 : 0) }
+		function verdict(m, wins, pm, cm, piqr, ciqr,    need, all, k, l) {
+			need = int(0.9 * n); if (need < 0.9 * n) need++
+			if (wins >= need && gain(m, pm, cm) > piqr) return "claim"
+			if (!(m in bound)) return "flat"
+			if (rel(-gain(m, pm, cm), pm) > bound[m]) return "worse"
+			all = 1
+			for (k = 0; k < n; k++) for (l = 0; l < n; l++)
+				if ((("change", m, k) in v) && (("parent", m, l) in v) && gain(m, v["parent", m, l], v["change", m, k]) <= 0) all = 0
+			if ((rel(piqr, pm) > bound[m] || rel(ciqr, cm) > bound[m]) && !all) return "unresolved"
+			return "flat"
+		}
+		END {
+			cnt = 0
+			for (m in seen) names[cnt++] = m
+			for (i = 1; i < cnt; i++) { t = names[i]; for (j = i - 1; j >= 0 && names[j] > t; j--) names[j + 1] = names[j]; names[j + 1] = t }
+			for (i = 0; i < cnt; i++) {
+				m = names[i]; wins = 0; losses = 0
+				for (k = 0; k < n; k++) {
+					if (!((("parent", m, k) in v) && (("change", m, k) in v))) continue
+					d = gain(m, v["parent", m, k], v["change", m, k])
+					if (d > 0) wins++; else if (d < 0) losses++
+				}
+				pm = quart("parent", m, 0.5); cm = quart("change", m, 0.5)
+				pq1 = quart("parent", m, 0.25); pq3 = quart("parent", m, 0.75)
+				cq1 = quart("change", m, 0.25); cq3 = quart("change", m, 0.75)
+				ratio = (pm != 0) ? sprintf("x%.3f", cm / pm) : "-"
+				printf "%-34s parent %10.4g [%10.4g %10.4g]  change %10.4g [%10.4g %10.4g]  %-7s won %d/%d (%s)  %s\n",
+					m, pm, pq1, pq3, cm, cq1, cq3, ratio, wins, wins + losses, better[m],
+					verdict(m, wins, pm, cm, pq3 - pq1, cq3 - cq1)
+			}
+		}' BENCHMARK.json "$1"
+}
+
+if [ "${1:-}" = --report ]; then
+	report "${2:?usage: bench_pairs.sh --report <runs.tsv>}"
+	exit 0
+fi
 
 rev=${1:?usage: bench_pairs.sh <rev> <n> [workload...]}
 pairs=${2:?usage: bench_pairs.sh <rev> <n> [workload...]}
@@ -59,40 +135,5 @@ for w in $workloads; do
 		echo "  $w pair $((i + 1))/$pairs done" >&2
 	done
 	echo "== $w: $pairs pairs against $(git rev-parse --short "$sha"), trace $trace (change/parent; median [q1 q3])"
-	awk -F'\t' '
-		# direction of every metric, from the manifest
-		FNR == NR {
-			if (match($0, /"name": *"[^"]*"/)) { name = substr($0, RSTART, RLENGTH); gsub(/"name": *"|"/, "", name) }
-			if (match($0, /"better": *"[^"]*"/)) { b = substr($0, RSTART, RLENGTH); gsub(/"better": *"|"/, "", b); better[name] = b }
-			next
-		}
-		{ v[$2, $3, $1] = $4; seen[$3] = 1; if ($1 + 1 > n) n = $1 + 1 }
-		function quart(side, m, q,    k, i, j, t, xs, c, pos, lo) {
-			c = 0
-			for (k = 0; k < n; k++) if ((side, m, k) in v) xs[c++] = v[side, m, k] + 0
-			if (c == 0) return 0
-			for (i = 1; i < c; i++) { t = xs[i]; for (j = i - 1; j >= 0 && xs[j] > t; j--) xs[j + 1] = xs[j]; xs[j + 1] = t }
-			pos = q * (c - 1); lo = int(pos)
-			if (lo + 1 >= c) return xs[c - 1]
-			return xs[lo] + (pos - lo) * (xs[lo + 1] - xs[lo])
-		}
-		END {
-			cnt = 0
-			for (m in seen) names[cnt++] = m
-			for (i = 1; i < cnt; i++) { t = names[i]; for (j = i - 1; j >= 0 && names[j] > t; j--) names[j + 1] = names[j]; names[j + 1] = t }
-			for (i = 0; i < cnt; i++) {
-				m = names[i]; wins = 0; losses = 0
-				for (k = 0; k < n; k++) {
-					if (!((("parent", m, k) in v) && (("change", m, k) in v))) continue
-					d = v["change", m, k] - v["parent", m, k]
-					if (better[m] == "higher") d = -d
-					if (d < 0) wins++; else if (d > 0) losses++
-				}
-				pm = quart("parent", m, 0.5); cm = quart("change", m, 0.5)
-				ratio = (pm != 0) ? sprintf("x%.3f", cm / pm) : "-"
-				printf "%-34s parent %10.4g [%10.4g %10.4g]  change %10.4g [%10.4g %10.4g]  %-7s won %d/%d (%s)\n",
-					m, pm, quart("parent", m, 0.25), quart("parent", m, 0.75),
-					cm, quart("change", m, 0.25), quart("change", m, 0.75), ratio, wins, wins + losses, better[m]
-			}
-		}' BENCHMARK.json "$runs"
+	report "$runs"
 done
