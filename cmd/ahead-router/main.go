@@ -17,10 +17,12 @@
 // Shard health is probed continuously; a replica that fails
 // consecutive probes (or scatter requests) is quarantined with
 // exponential-backoff re-admission. With replicas configured the
-// router self-heals: policies promote a healthy peer when the
-// preferred replica is lost (optionally invoking -restart-cmd), slow
-// primaries are hedged after -hedge-delay, and shed (429/503) slices
-// are retried on a peer immediately. Only when a whole slice is out
+// router self-heals through one remediation rule set: a healthy peer
+// is promoted when the preferred replica is lost, -sync-on-quarantine
+// orders the lost replica to sync from that peer, and -restart-cmd
+// runs once a replica has stayed down for three quarantine windows.
+// Slow primaries are hedged after -hedge-delay, and shed (429/503)
+// slices are retried on a peer immediately. Only when a whole slice is out
 // does the cluster degrade to partial results - every response
 // carries shards_answered/shards_total so clients see the coverage
 // they got, and GET /alerts exposes the remediation history.

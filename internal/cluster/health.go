@@ -34,6 +34,8 @@ type shardState struct {
 	requestsFailed atomic.Uint64 // scatter requests lost to this replica (metric)
 	sheds          atomic.Uint64 // 429/503 backpressure replies observed (metric)
 	detected       atomic.Uint64 // last scraped shard-local detection counter
+
+	extensionQueued atomic.Bool // a window extension waits in the remediation queue
 }
 
 func newShardState(slice, replica int, url string) *shardState {
@@ -95,31 +97,27 @@ func (s *shardState) reportSuccess(now time.Time, recoverAfter int) (readmitted 
 }
 
 // reportFailure records one failed probe or scatter request, entering
-// or extending quarantine as the policy dictates. It returns true when
-// the replica transitioned healthy -> quarantined.
-func (s *shardState) reportFailure(now time.Time, threshold int, base, max time.Duration) (quarantined bool) {
+// or extending quarantine. entered reports the healthy -> quarantined
+// transition; extended reports that an already quarantined replica
+// failed on or after its window boundary and started a longer window.
+func (s *shardState) reportFailure(now time.Time, threshold int, base, max time.Duration) (entered, extended bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.consecFails++
 	s.consecOks = 0
 	if s.healthy {
 		if s.consecFails < threshold {
-			return false
+			return false, false
 		}
 		s.healthy = false
-		s.until = now.Add(s.backoff(base, max))
-		s.level++
-		s.quarantines.Add(1)
-		return true
+		entered = true
+	} else if now.Before(s.until) {
+		return false, false
 	}
-	// Already quarantined: a failure on or after the window boundary
-	// restarts it with a longer backoff.
-	if !now.Before(s.until) {
-		s.until = now.Add(s.backoff(base, max))
-		s.level++
-		s.quarantines.Add(1)
-	}
-	return false
+	s.until = now.Add(s.backoff(base, max))
+	s.level++
+	s.quarantines.Add(1)
+	return entered, !entered
 }
 
 // window returns the quarantine boundary (test hook; callers hold no

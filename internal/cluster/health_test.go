@@ -33,7 +33,7 @@ func TestShardQuarantineAndBackoff(t *testing.T) {
 		t.Fatal("failure streak must reset on success")
 	}
 	// The threshold-th consecutive failure quarantines.
-	if !s.reportFailure(now, threshold, base, max) {
+	if entered, _ := s.reportFailure(now, threshold, base, max); !entered {
 		t.Fatal("quarantine entry must report a transition")
 	}
 	if s.Healthy() {
@@ -50,8 +50,8 @@ func TestShardQuarantineAndBackoff(t *testing.T) {
 		t.Fatal("re-admitted before the backoff window elapsed")
 	}
 	// A failure past the window extends it with doubled backoff.
-	if s.reportFailure(now.Add(base), threshold, base, max) {
-		t.Fatal("window extension is not a fresh transition")
+	if entered, extended := s.reportFailure(now.Add(base), threshold, base, max); entered || !extended {
+		t.Fatalf("post-window failure: entered=%v extended=%v, want an extension, not a fresh transition", entered, extended)
 	}
 	if s.Healthy() {
 		t.Fatal("must stay quarantined after a post-window failure")

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -55,23 +56,16 @@ type RouterConfig struct {
 	// preferred replica is bypassed immediately regardless.
 	HedgeDelay time.Duration
 
-	// Policies drive remediation on health transitions; nil installs
-	// the defaults (promote + reprobe, plus restart-after-3-quarantines
-	// when RestartCommand is set).
-	Policies []Policy
-	// RestartCommand is the optional shell hook ActionRestart runs,
-	// with AHEAD_SHARD_URL/AHEAD_SLICE/AHEAD_REPLICA in the
-	// environment.
+	// RestartCommand is the optional shell hook the restart action
+	// runs, with AHEAD_SHARD_URL/AHEAD_SLICE/AHEAD_REPLICA in the
+	// environment, once a replica has run through restartAfter
+	// quarantine windows - and again on every later window it stays
+	// down for. Empty disables the restart action.
 	RestartCommand string
-	// SyncOnQuarantine adds SyncFromPeerOnQuarantine to the default
-	// policy stack: every quarantine entry triggers an anti-entropy
-	// pass on the victim, pulling its hardened columns level with a
-	// healthy peer in the slice. Ignored when Policies is set
-	// explicitly.
+	// SyncOnQuarantine turns on the sync-from-peer action: every
+	// quarantine entry with a healthy peer orders the victim to pull
+	// its hardened columns level with that peer.
 	SyncOnQuarantine bool
-	// OnAlert receives every structured alert (transitions and
-	// remediation outcomes) in addition to the /alerts ring.
-	OnAlert AlertFunc
 }
 
 // Router is the scatter-gather front end of a replicated shard
@@ -79,10 +73,11 @@ type RouterConfig struct {
 // (hedging to peers on delay, shed, or failure), verifies and decodes
 // the hardened partials at the merge point (Merger), and answers with
 // the cluster-wide result. Replica health is watched continuously and
-// fed through the policy engine: quarantines promote a peer, trigger
-// an immediate reprobe, optionally run a restart hook, and always
-// raise structured alerts. Only a slice with no live replica degrades
-// the response - explicit in shards_answered/shards_total.
+// every health event is remediated by one rule set (decide):
+// quarantines promote a peer, trigger an immediate reprobe, optionally
+// sync from a peer or run a restart hook, and always raise structured
+// alerts. Only a slice with no live replica degrades the response -
+// explicit in shards_answered/shards_total.
 type Router struct {
 	cfg    RouterConfig
 	mux    *http.ServeMux
@@ -92,9 +87,8 @@ type Router struct {
 	m      routerMetrics
 	rr     atomic.Uint64 // round-robin cursor for /inject
 
-	alerter    *Alerter
-	remediator *Remediator
-	events     chan Transition
+	alerts alertRing
+	events chan Transition
 
 	stop      chan struct{}
 	done      sync.WaitGroup
@@ -134,6 +128,10 @@ type routerMetrics struct {
 	hedgeWins     atomic.Uint64
 	hedgeDups     atomic.Uint64
 	eventsDropped atomic.Uint64
+
+	transitions     [2]atomic.Uint64                // by destination HealthState
+	actions         [len(actionKinds)]atomic.Uint64 // by actionKinds index
+	remediationErrs atomic.Uint64
 }
 
 // NewRouter validates the config, builds the route table, and starts
@@ -175,24 +173,13 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.HedgeDelay == 0 {
 		cfg.HedgeDelay = 100 * time.Millisecond
 	}
-	if cfg.Policies == nil {
-		cfg.Policies = []Policy{PromoteOnQuarantine{}, ReprobeOnQuarantine{}}
-		if cfg.SyncOnQuarantine {
-			cfg.Policies = append(cfg.Policies, SyncFromPeerOnQuarantine{})
-		}
-		if cfg.RestartCommand != "" {
-			cfg.Policies = append(cfg.Policies, RestartAfterQuarantines{After: 3})
-		}
-	}
 	rt := &Router{
-		cfg:     cfg,
-		mux:     http.NewServeMux(),
-		client:  cfg.Client,
-		alerter: NewAlerter(cfg.OnAlert),
-		events:  make(chan Transition, 64),
-		stop:    make(chan struct{}),
+		cfg:    cfg,
+		mux:    http.NewServeMux(),
+		client: cfg.Client,
+		events: make(chan Transition, 64),
+		stop:   make(chan struct{}),
 	}
-	rt.remediator = NewRemediator(rt, rt.alerter)
 	for i, urls := range cfg.Slices {
 		if len(urls) == 0 {
 			return nil, fmt.Errorf("cluster: slice %d has no replica URLs", i)
@@ -231,10 +218,10 @@ func (rt *Router) Close() {
 
 // Alerts returns the retained alert history (oldest first) - the same
 // view GET /alerts serves.
-func (rt *Router) Alerts() []Alert { return rt.alerter.Recent() }
+func (rt *Router) Alerts() []Alert { return rt.alerts.recent() }
 
 // noteSuccess records a healthy probe or request and feeds any
-// re-admission transition to the policy engine.
+// re-admission transition to remediation.
 func (rt *Router) noteSuccess(s *shardState, reason string) {
 	now := time.Now()
 	if s.reportSuccess(now, rt.cfg.RecoverAfter) {
@@ -246,31 +233,46 @@ func (rt *Router) noteSuccess(s *shardState, reason string) {
 }
 
 // noteFailure records a failed probe or request and feeds any
-// quarantine transition to the policy engine.
+// quarantine entry or window extension to remediation.
 func (rt *Router) noteFailure(s *shardState, reason string) {
 	now := time.Now()
-	if s.reportFailure(now, rt.cfg.QuarantineAfter, rt.cfg.BackoffBase, rt.cfg.BackoffMax) {
-		rt.emit(Transition{
-			Slice: s.slice, Replica: s.replica, URL: s.url,
-			From: StateHealthy, To: StateQuarantined, Reason: reason, At: now,
-		})
+	entered, extended := s.reportFailure(now, rt.cfg.QuarantineAfter, rt.cfg.BackoffBase, rt.cfg.BackoffMax)
+	from := StateHealthy
+	if extended {
+		// At most one extension per replica waits in the queue, so a
+		// replica that stays down for windows shorter than its
+		// remediation (a slow restart hook) cannot crowd out the
+		// events of other replicas.
+		if !s.extensionQueued.CompareAndSwap(false, true) {
+			return
+		}
+		from = StateQuarantined
+	} else if !entered {
+		return
+	}
+	if !rt.emit(Transition{
+		Slice: s.slice, Replica: s.replica, URL: s.url,
+		From: from, To: StateQuarantined, Reason: reason, At: now,
+	}) && extended {
+		s.extensionQueued.Store(false)
 	}
 }
 
 // emit hands a transition to the remediation loop without ever
 // blocking the serving or probe path; overflow is counted, not waited
-// on.
-func (rt *Router) emit(tr Transition) {
+// on. It reports whether the transition was queued.
+func (rt *Router) emit(tr Transition) bool {
 	select {
 	case rt.events <- tr:
+		return true
 	default:
 		rt.m.eventsDropped.Add(1)
+		return false
 	}
 }
 
-// remediationLoop is the evaluate -> remediate -> alert pump: each
-// health transition is evaluated by every policy against a fresh
-// cluster view and the decided actions executed.
+// remediationLoop remediates health events one at a time, in the
+// order the probe and serving paths emitted them.
 func (rt *Router) remediationLoop() {
 	defer rt.done.Done()
 	for {
@@ -278,65 +280,51 @@ func (rt *Router) remediationLoop() {
 		case <-rt.stop:
 			return
 		case tr := <-rt.events:
-			view := rt.view()
-			var actions []Action
-			for _, p := range rt.cfg.Policies {
-				actions = append(actions, p.Evaluate(tr, view)...)
+			rt.remediate(tr)
+		}
+	}
+}
+
+// remediate handles one health event end to end: count and alert a
+// state change (a window extension is neither), run decide over a
+// snapshot of the slice, apply each action and alert its outcome. A
+// promote that changes nothing stays silent; a failed action is
+// alerted with its error and counted, never fatal - remediation is
+// best-effort by design.
+func (rt *Router) remediate(tr Transition) {
+	sl := rt.slices[tr.Slice]
+	if tr.From == tr.To {
+		sl.replicas[tr.Replica].extensionQueued.Store(false)
+	} else {
+		rt.m.transitions[tr.To].Add(1)
+		rt.alerts.add(Alert{Kind: "transition", Transition: tr, At: tr.At})
+	}
+	replicas := make([]replicaView, len(sl.replicas))
+	for i, s := range sl.replicas {
+		replicas[i] = replicaView{url: s.url, healthy: s.Healthy(), quarantines: s.quarantines.Load()}
+	}
+	for _, act := range decide(tr, replicas, int(sl.preferred.Load()), rt.cfg.SyncOnQuarantine, rt.cfg.RestartCommand != "") {
+		var err error
+		switch act.Kind {
+		case ActionPromote:
+			if sl.preferred.Swap(int32(act.Replica)) == int32(act.Replica) {
+				continue // already preferred; nothing happened, nothing to alert
 			}
-			rt.remediator.Remediate(tr, actions)
+		case ActionReprobe:
+			rt.probe(sl.replicas[act.Replica], "reprobe")
+		case ActionRestart:
+			err = runRestartCommand(rt.cfg.RestartCommand, act.Slice, act.Replica, act.URL)
+		case ActionSyncFromPeer:
+			err = rt.syncFromPeer(sl, act.Replica)
 		}
-	}
-}
-
-// view snapshots replica health for policy evaluation.
-func (rt *Router) view() *ClusterView {
-	v := &ClusterView{Slices: make([][]ReplicaView, len(rt.slices))}
-	for i, sl := range rt.slices {
-		pref := int(sl.preferred.Load())
-		for _, s := range sl.replicas {
-			v.Slices[i] = append(v.Slices[i], ReplicaView{
-				Slice: s.slice, Replica: s.replica, URL: s.url,
-				Healthy:     s.Healthy(),
-				Preferred:   s.replica == pref,
-				Quarantines: s.quarantines.Load(),
-			})
+		rt.m.actions[slices.Index(actionKinds[:], act.Kind)].Add(1)
+		al := Alert{Kind: "remediation", Transition: tr, Action: &act, At: tr.At}
+		if err != nil {
+			rt.m.remediationErrs.Add(1)
+			al.Err = err.Error()
 		}
+		rt.alerts.add(al)
 	}
-	return v
-}
-
-// Promote implements ClusterOps: point the slice's scatter preference
-// at the replica. Reports whether the preference changed.
-func (rt *Router) Promote(slice, replica int) bool {
-	if slice < 0 || slice >= len(rt.slices) {
-		return false
-	}
-	sl := rt.slices[slice]
-	if replica < 0 || replica >= len(sl.replicas) {
-		return false
-	}
-	return sl.preferred.Swap(int32(replica)) != int32(replica)
-}
-
-// Reprobe implements ClusterOps: health-check the replica now, out of
-// band with the probe loop.
-func (rt *Router) Reprobe(slice, replica int) {
-	if slice < 0 || slice >= len(rt.slices) {
-		return
-	}
-	sl := rt.slices[slice]
-	if replica < 0 || replica >= len(sl.replicas) {
-		return
-	}
-	rt.probe(sl.replicas[replica], "reprobe")
-}
-
-// Restart implements ClusterOps: run the configured restart hook.
-func (rt *Router) Restart(slice, replica int, url string) error {
-	if rt.cfg.RestartCommand == "" {
-		return fmt.Errorf("cluster: no restart command configured")
-	}
-	return runRestartCommand(rt.cfg.RestartCommand, slice, replica, url)
 }
 
 // syncFromPeerTimeout bounds one remediation-driven anti-entropy pass.
@@ -344,32 +332,21 @@ func (rt *Router) Restart(slice, replica int, url string) error {
 // badly diverged column.
 const syncFromPeerTimeout = 2 * time.Minute
 
-// SyncFromPeer implements ClusterOps: tell the quarantined replica to
-// pull its hardened columns level with a healthy peer in its slice.
-// The target does the verifying (every fetched word must AN-check
-// before it is written), so the router only picks the peer and relays
-// the order.
-func (rt *Router) SyncFromPeer(slice, replica int, url string) error {
-	if slice < 0 || slice >= len(rt.slices) {
-		return fmt.Errorf("cluster: sync-from-peer: slice %d out of range", slice)
-	}
-	sl := rt.slices[slice]
-	if replica < 0 || replica >= len(sl.replicas) {
-		return fmt.Errorf("cluster: sync-from-peer: replica %d out of range in slice %d", replica, slice)
-	}
+// syncFromPeer tells a quarantined replica to pull its hardened columns
+// level with a healthy peer in its slice. The target does the verifying
+// (every fetched word must AN-check before it is written), so the
+// router only picks the peer and relays the order.
+func (rt *Router) syncFromPeer(sl *sliceState, replica int) error {
+	target := sl.replicas[replica]
 	var peer *shardState
 	for _, s := range sl.replicas {
-		if s.replica != replica && s.Healthy() {
+		if s != target && s.Healthy() {
 			peer = s
 			break
 		}
 	}
 	if peer == nil {
-		return fmt.Errorf("cluster: sync-from-peer: slice %d has no healthy peer for shard%d.%d", slice, slice, replica)
-	}
-	target := url
-	if target == "" {
-		target = sl.replicas[replica].url
+		return fmt.Errorf("cluster: sync-from-peer: slice %d has no healthy peer for %s", sl.index, target.Name())
 	}
 	body, err := json.Marshal(SyncFromPeerRequest{Peer: peer.url})
 	if err != nil {
@@ -377,19 +354,19 @@ func (rt *Router) SyncFromPeer(slice, replica int, url string) error {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), syncFromPeerTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target+"/sync/from-peer", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target.url+"/sync/from-peer", bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		return fmt.Errorf("cluster: sync-from-peer shard%d.%d from %s: %w", slice, replica, peer.url, err)
+		return fmt.Errorf("cluster: sync-from-peer %s from %s: %w", target.Name(), peer.url, err)
 	}
 	defer resp.Body.Close()
 	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: sync-from-peer shard%d.%d from %s: status %d: %.200s", slice, replica, peer.url, resp.StatusCode, msg)
+		return fmt.Errorf("cluster: sync-from-peer %s from %s: status %d: %.200s", target.Name(), peer.url, resp.StatusCode, msg)
 	}
 	return nil
 }
@@ -827,7 +804,7 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 func (rt *Router) handleAlerts(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		Alerts []Alert `json:"alerts"`
-	}{Alerts: rt.alerter.Recent()})
+	}{Alerts: rt.alerts.recent()})
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -844,8 +821,8 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("ahead_router_hedges_total", "Hedge requests launched after the hedge delay.", rt.m.hedges.Load())
 	counter("ahead_router_hedge_wins_total", "Merged partials won by a non-preferred replica.", rt.m.hedgeWins.Load())
 	counter("ahead_router_hedge_duplicates_total", "Duplicate partials for an already-merged slice, skipped.", rt.m.hedgeDups.Load())
-	counter("ahead_router_alerts_total", "Structured alerts raised by the remediation pipeline.", rt.alerter.Total())
-	counter("ahead_router_remediation_errors_total", "Remediation actions that failed.", rt.remediator.ActionErrors())
+	counter("ahead_router_alerts_total", "Structured alerts raised by remediation.", rt.alerts.count())
+	counter("ahead_router_remediation_errors_total", "Remediation actions that failed.", rt.m.remediationErrs.Load())
 	counter("ahead_router_events_dropped_total", "Health transitions dropped on remediation-queue overflow.", rt.m.eventsDropped.Load())
 
 	labeled := func(name, help, typ string) {
@@ -853,11 +830,11 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	labeled("ahead_router_health_transitions_total", "Replica health transitions remediated, by destination state.", "counter")
 	for _, st := range []HealthState{StateHealthy, StateQuarantined} {
-		fmt.Fprintf(w, "ahead_router_health_transitions_total{to=%q} %d\n", st.String(), rt.remediator.Transitions(st))
+		fmt.Fprintf(w, "ahead_router_health_transitions_total{to=%q} %d\n", st.String(), rt.m.transitions[st].Load())
 	}
 	labeled("ahead_router_remediations_total", "Remediation actions executed, by kind.", "counter")
-	for _, k := range []ActionKind{ActionPromote, ActionReprobe, ActionRestart, ActionSyncFromPeer} {
-		fmt.Fprintf(w, "ahead_router_remediations_total{action=%q} %d\n", k.String(), rt.remediator.Actions(k))
+	for i, k := range actionKinds {
+		fmt.Fprintf(w, "ahead_router_remediations_total{action=%q} %d\n", k, rt.m.actions[i].Load())
 	}
 	labeled("ahead_router_shard_up", "Whether the replica is healthy (1) or quarantined (0).", "gauge")
 	for _, s := range rt.all {

@@ -247,18 +247,42 @@ func TestEnvelopeMismatchFailsSlice(t *testing.T) {
 	}
 }
 
-// TestQuarantinePromoteRestartAlerts drives the full evaluate ->
-// remediate -> alert pipeline against a dead primary: probes
-// quarantine it, the policy promotes the replica (scatter keeps full
-// coverage), the restart hook fires with the replica's identity in the
-// environment, and every step surfaces on /alerts and /metrics.
+// waitAlert polls the router's alert history until one alert matches,
+// failing the test after the deadline.
+func waitAlert(t *testing.T, rt *Router, what string, match func(Alert) bool) Alert {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		for _, al := range rt.Alerts() {
+			if match(al) {
+				return al
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no %s alert within 10s (alerts: %+v)", what, rt.Alerts())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// isAction matches a remediation alert for the given action kind.
+func isAction(kind string) func(Alert) bool {
+	return func(al Alert) bool {
+		return al.Kind == "remediation" && al.Action != nil && al.Action.Kind == kind
+	}
+}
+
+// TestQuarantinePromoteRestartAlerts drives remediation end to end
+// against a dead primary: probes quarantine it, the replica is
+// promoted (scatter keeps full coverage), the restart hook fires with
+// the replica's identity in the environment, and every step surfaces
+// on /alerts and /metrics.
 func TestQuarantinePromoteRestartAlerts(t *testing.T) {
 	dead := newStubShard(t, serveStub(0, http.StatusOK, nil))
 	dead.Close() // connection refused from the start
 	alive := newStubShard(t, serveStub(0, http.StatusOK, stubPartialJSON(t, 0, "Q", 9)))
 
 	restartMark := filepath.Join(t.TempDir(), "restarted")
-	alertc := make(chan Alert, 128)
 	rt := newTestRouter(t, RouterConfig{
 		Slices:          [][]string{{dead.URL, alive.URL}},
 		ProbeInterval:   10 * time.Millisecond,
@@ -268,44 +292,16 @@ func TestQuarantinePromoteRestartAlerts(t *testing.T) {
 		BackoffMax:      40 * time.Millisecond,
 		HedgeDelay:      -1,
 		RestartCommand:  "echo \"$AHEAD_SLICE.$AHEAD_REPLICA\" > " + restartMark,
-		Policies: []Policy{
-			PromoteOnQuarantine{},
-			ReprobeOnQuarantine{},
-			RestartAfterQuarantines{After: 1},
-		},
-		OnAlert: func(al Alert) {
-			select {
-			case alertc <- al:
-			default:
-			}
-		},
 	})
 
-	// The quarantine transition must arrive, then the promotion must
-	// land on the slice preference.
-	deadline := time.After(10 * time.Second)
-	var sawQuarantine, sawPromote, sawRestart bool
-	for !(sawQuarantine && sawPromote && sawRestart) {
-		select {
-		case al := <-alertc:
-			switch {
-			case al.Kind == "transition" && al.Transition.To == StateQuarantined:
-				sawQuarantine = true
-			case al.Kind == "remediation" && al.Action != nil && al.Action.Kind == ActionPromote:
-				sawPromote = true
-				if al.Action.Replica != 1 {
-					t.Fatalf("promoted replica %d, want 1", al.Action.Replica)
-				}
-			case al.Kind == "remediation" && al.Action != nil && al.Action.Kind == ActionRestart:
-				sawRestart = true
-				if al.Err != "" {
-					t.Fatalf("restart hook failed: %s", al.Err)
-				}
-			}
-		case <-deadline:
-			t.Fatalf("pipeline incomplete: quarantine=%v promote=%v restart=%v (alerts: %+v)",
-				sawQuarantine, sawPromote, sawRestart, rt.Alerts())
-		}
+	waitAlert(t, rt, "quarantine transition", func(al Alert) bool {
+		return al.Kind == "transition" && al.Transition.To == StateQuarantined
+	})
+	if al := waitAlert(t, rt, "promote", isAction(ActionPromote)); al.Action.Replica != 1 {
+		t.Fatalf("promoted replica %d, want 1", al.Action.Replica)
+	}
+	if al := waitAlert(t, rt, "restart", isAction(ActionRestart)); al.Err != "" {
+		t.Fatalf("restart hook failed: %s", al.Err)
 	}
 	if got := rt.slices[0].preferred.Load(); got != 1 {
 		t.Fatalf("slice preference %d, want promoted replica 1", got)
@@ -320,11 +316,8 @@ func TestQuarantinePromoteRestartAlerts(t *testing.T) {
 		t.Fatalf("promoted replica must carry the slice, got %+v (status %d)", resp, code)
 	}
 
-	// The pipeline is visible on the endpoints.
-	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
-	w := httptest.NewRecorder()
-	rt.ServeHTTP(w, req)
-	metrics := w.Body.String()
+	// Remediation is visible on the endpoints.
+	metrics := routerMetricsText(t, rt)
 	for _, line := range []string{
 		`ahead_router_shard_up{shard="0",replica="0"} 0`,
 		`ahead_router_shard_up{shard="0",replica="1"} 1`,
@@ -336,10 +329,177 @@ func TestQuarantinePromoteRestartAlerts(t *testing.T) {
 			t.Fatalf("metrics missing %q:\n%s", line, metrics)
 		}
 	}
-	req = httptest.NewRequest(http.MethodGet, "/alerts", nil)
-	w = httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodGet, "/alerts", nil)
+	w := httptest.NewRecorder()
 	rt.ServeHTTP(w, req)
 	if body := w.Body.String(); !strings.Contains(body, `"quarantined"`) || !strings.Contains(body, `"promote"`) {
-		t.Fatalf("/alerts missing the pipeline history: %s", body)
+		t.Fatalf("/alerts missing the remediation history: %s", body)
+	}
+}
+
+// routerMetricsText scrapes the router's /metrics exposition.
+func routerMetricsText(t *testing.T, rt *Router) string {
+	t.Helper()
+	w := httptest.NewRecorder()
+	rt.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	return w.Body.String()
+}
+
+// TestDeadReplicaRestartsByThirdWindow: a replica that never comes back
+// is never re-admitted, so it enters quarantine once and from then on
+// only extends its window. It is its slice's only replica, so no peer
+// can add transitions of its own. Each extension must still reach the restart
+// rule - the hook runs, with the replica's identity, once the replica
+// has run through restartAfter windows - while raising no transition
+// alert and no transition count of its own.
+func TestDeadReplicaRestartsByThirdWindow(t *testing.T) {
+	dead := newStubShard(t, serveStub(0, http.StatusOK, nil))
+	dead.Close()
+
+	restartMark := filepath.Join(t.TempDir(), "restarted")
+	rt := newTestRouter(t, RouterConfig{
+		Slices:         [][]string{{dead.URL}},
+		ProbeInterval:  5 * time.Millisecond,
+		ProbeTimeout:   200 * time.Millisecond,
+		BackoffBase:    10 * time.Millisecond,
+		BackoffMax:     20 * time.Millisecond,
+		HedgeDelay:     -1,
+		RestartCommand: "echo \"$AHEAD_SLICE.$AHEAD_REPLICA\" >> " + restartMark,
+	})
+
+	al := waitAlert(t, rt, "restart", isAction(ActionRestart))
+	if al.Err != "" {
+		t.Fatalf("restart hook failed: %s", al.Err)
+	}
+	if al.Action.Slice != 0 || al.Action.Replica != 0 || al.Transition.From != StateQuarantined {
+		t.Fatalf("restart must come from a window extension of shard0.0, got %+v", al)
+	}
+	if n := rt.all[0].quarantines.Load(); n < restartAfter {
+		t.Fatalf("restart after %d windows, want at least %d", n, restartAfter)
+	}
+	data, err := os.ReadFile(restartMark)
+	if err != nil || !strings.HasPrefix(string(data), "0.0\n") {
+		t.Fatalf("restart hook evidence %q (%v), want \"0.0\" lines", data, err)
+	}
+	entries := 0
+	for _, al := range rt.Alerts() {
+		if al.Kind == "transition" {
+			entries++
+			if al.Transition.From != StateHealthy || al.Transition.Replica != 0 {
+				t.Fatalf("only the one quarantine entry may raise a transition alert, got %+v", al)
+			}
+		}
+	}
+	if entries != 1 || rt.m.transitions[StateQuarantined].Load() != 1 {
+		t.Fatalf("transition alerts %d, transitions_total %d: window extensions must raise neither",
+			entries, rt.m.transitions[StateQuarantined].Load())
+	}
+}
+
+// TestDeadReplicaQueuesOneExtension: a replica whose windows run out
+// faster than remediation keeps up extends on every failure, but only
+// one extension per replica may wait in the remediation queue - the
+// rest would crowd out other replicas' transitions.
+func TestDeadReplicaQueuesOneExtension(t *testing.T) {
+	dead := newStubShard(t, serveStub(0, http.StatusOK, nil))
+	dead.Close()
+	rt := newTestRouter(t, RouterConfig{
+		Slices:          [][]string{{dead.URL}},
+		ProbeInterval:   quietProbes,
+		QuarantineAfter: 1,
+		BackoffBase:     time.Nanosecond,
+		BackoffMax:      time.Nanosecond,
+	})
+	rt.Close() // no remediation loop: the queue only fills
+	s := rt.all[0]
+	for i := 0; i < 2*cap(rt.events); i++ {
+		rt.noteFailure(s, "probe-failures")
+		time.Sleep(time.Microsecond) // past the 1ns window
+	}
+	if n := s.quarantines.Load(); n < 10 {
+		t.Fatalf("setup: only %d windows", n)
+	}
+	if len(rt.events) != 2 || rt.m.eventsDropped.Load() != 0 {
+		t.Fatalf("queued %d events (dropped %d), want the entry plus one extension", len(rt.events), rt.m.eventsDropped.Load())
+	}
+	if entry := <-rt.events; entry.From != StateHealthy {
+		t.Fatalf("first event %v, want the quarantine entry", entry)
+	}
+	ext := <-rt.events
+	rt.remediate(ext) // consuming the extension lets the next one queue
+	rt.noteFailure(s, "probe-failures")
+	if len(rt.events) != 1 {
+		t.Fatalf("after remediating the extension, %d events queued, want 1", len(rt.events))
+	}
+}
+
+// TestRemediatorPipeline runs health events through Router.remediate
+// and checks alerts, counters and effects line up: one transition alert
+// followed by one alert per executed action, in rule order; a failing
+// restart hook alerted with its error and counted; a promote that
+// changes nothing kept silent.
+func TestRemediatorPipeline(t *testing.T) {
+	dead := newStubShard(t, serveStub(0, http.StatusOK, nil))
+	dead.Close()
+	alive := newStubShard(t, serveStub(0, http.StatusOK, stubPartialJSON(t, 0, "Q", 9)))
+	rt := newTestRouter(t, RouterConfig{
+		Slices:         [][]string{{dead.URL, alive.URL}},
+		ProbeInterval:  quietProbes,
+		HedgeDelay:     -1,
+		RestartCommand: "exit 3",
+	})
+
+	// Put the primary through restartAfter windows, the last one far
+	// from over, without the probe loop.
+	victim := rt.all[0]
+	start := time.Now()
+	for i := 0; i < restartAfter; i++ {
+		victim.reportFailure(start.Add(time.Duration(i)*time.Hour), 1, time.Hour, time.Hour)
+	}
+	tr := Transition{Slice: 0, Replica: 0, URL: victim.url, From: StateHealthy, To: StateQuarantined,
+		Reason: "probe-failures", At: time.Unix(9, 0)}
+	rt.remediate(tr)
+
+	got := rt.Alerts()
+	var kinds []string
+	for _, al := range got[1:] {
+		kinds = append(kinds, al.Action.Kind)
+	}
+	if len(got) != 4 || got[0].Kind != "transition" || got[0].Transition.Reason != "probe-failures" ||
+		strings.Join(kinds, ",") != "promote,reprobe,restart" {
+		t.Fatalf("want the transition, then promote, reprobe, restart alerts; got %+v", got)
+	}
+	if got[1].Action.Replica != 1 || rt.slices[0].preferred.Load() != 1 {
+		t.Fatalf("promote not applied: %+v, preferred %d", got[1].Action, rt.slices[0].preferred.Load())
+	}
+	if got[3].Err == "" || !strings.Contains(got[3].Err, "exit status 3") {
+		t.Fatalf("failing restart hook must alert with its error, got %+v", got[3])
+	}
+	metrics := routerMetricsText(t, rt)
+	for _, line := range []string{
+		`ahead_router_health_transitions_total{to="quarantined"} 1`,
+		`ahead_router_remediations_total{action="promote"} 1`,
+		`ahead_router_remediations_total{action="reprobe"} 1`,
+		`ahead_router_remediations_total{action="restart"} 1`,
+		`ahead_router_remediations_total{action="sync-from-peer"} 0`,
+		`ahead_router_remediation_errors_total 1`,
+		`ahead_router_alerts_total 4`,
+	} {
+		if !strings.Contains(metrics, line) {
+			t.Fatalf("metrics missing %q:\n%s", line, metrics)
+		}
+	}
+
+	// A re-admission that relapsed before it was remediated: the
+	// preferred replica is the quarantined one, so decide promotes the
+	// recovering replica - which is already preferred. Nothing changes
+	// and nothing beyond the transition is alerted.
+	rt.slices[0].preferred.Store(0)
+	rt.remediate(Transition{Slice: 0, Replica: 0, URL: victim.url, From: StateQuarantined, To: StateHealthy, Reason: "reprobe"})
+	if got := rt.Alerts(); len(got) != 5 || got[4].Kind != "transition" {
+		t.Fatalf("no-op promote must not alert, got %+v", got[4:])
+	}
+	if line := `ahead_router_remediations_total{action="promote"} 1`; !strings.Contains(routerMetricsText(t, rt), line) {
+		t.Fatalf("no-op promote counted: metrics miss %q", line)
 	}
 }

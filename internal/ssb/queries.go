@@ -349,27 +349,23 @@ func starGroupByFused(q *exec.Query, joins []groupSpec, measure, measureB string
 }
 
 // starGroupBy runs the shared tail of the grouped flights: semijoin the
-// fact table against every dimension (sel nil means the whole fact
-// table), gather the group attributes and the measure, group and sum -
-// measureB empty selects the plain sum, otherwise the Q4.x profit
-// difference measure-measureB. Without a precomputed fact selection the
-// whole tail collapses into the fused probe cascade (all modes except
+// whole fact table against every dimension, gather the group attributes
+// and the measure, group and sum - measureB empty selects the plain sum,
+// otherwise the Q4.x profit difference measure-measureB. The whole tail
+// collapses into the fused probe cascade (all modes except
 // ContinuousReencoding) - unless a group-key component turns out wider
 // than the cascade stages it (ops.ErrFusedKeyDomain: a wide attribute,
 // or under Late a corrupted one), in which case the cascade has logged
 // nothing and the operators below, which size keys by their decoded
-// domain, run the tail instead. A tail entered with a selection always
-// materializes: once a detected corruption makes gatherDim drop an
-// entry, only the materializing gather keeps keys, group ids and
-// measures aligned with sel - a corrupted position contributes zero and
-// a log record instead of skewing its neighbours' groups.
-func starGroupBy(q *exec.Query, sel *ops.Sel, joins []groupSpec, measure, measureB string) (*ops.Result, error) {
-	if sel == nil && q.FuseOperators() {
+// domain, run the tail instead.
+func starGroupBy(q *exec.Query, joins []groupSpec, measure, measureB string) (*ops.Result, error) {
+	if q.FuseOperators() {
 		res, err := starGroupByFused(q, joins, measure, measureB)
 		if !errors.Is(err, ops.ErrFusedKeyDomain) {
 			return res, err
 		}
 	}
+	var sel *ops.Sel
 	var err error
 	for _, j := range joins {
 		fk, err := q.Col("lineorder", j.fkCol)
@@ -440,7 +436,7 @@ func q2Flight(q *exec.Query, partPred pred, sRegion string) (*ops.Result, error)
 	if err != nil {
 		return nil, err
 	}
-	return starGroupBy(q, nil, []groupSpec{
+	return starGroupBy(q, []groupSpec{
 		{fkCol: "lo_partkey", ht: partHT, dimTable: "part", attr: "p_brand1"},
 		{fkCol: "lo_suppkey", ht: suppHT},
 		{fkCol: "lo_orderdate", ht: dateHT, dimTable: "date", attr: "d_year"},
@@ -490,7 +486,7 @@ func q3Flight(q *exec.Query, custSel, suppSel *ops.Sel, datePreds []pred, custAt
 	if err != nil {
 		return nil, err
 	}
-	return starGroupBy(q, nil, []groupSpec{
+	return starGroupBy(q, []groupSpec{
 		{fkCol: "lo_custkey", ht: custHT, dimTable: "customer", attr: custAttr},
 		{fkCol: "lo_suppkey", ht: suppHT, dimTable: "supplier", attr: suppAttr},
 		{fkCol: "lo_orderdate", ht: dateHT, dimTable: "date", attr: "d_year"},
@@ -609,7 +605,7 @@ func Q41(q *exec.Query) (*ops.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return starGroupBy(q, nil, []groupSpec{
+	return starGroupBy(q, []groupSpec{
 		{fkCol: "lo_custkey", ht: custHT, dimTable: "customer", attr: "c_nation"},
 		{fkCol: "lo_suppkey", ht: suppHT},
 		{fkCol: "lo_partkey", ht: partHT},
@@ -648,7 +644,7 @@ func Q42(q *exec.Query) (*ops.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return starGroupBy(q, nil, []groupSpec{
+	return starGroupBy(q, []groupSpec{
 		{fkCol: "lo_custkey", ht: custHT},
 		{fkCol: "lo_suppkey", ht: suppHT, dimTable: "supplier", attr: "s_nation"},
 		{fkCol: "lo_partkey", ht: partHT, dimTable: "part", attr: "p_category"},
@@ -687,7 +683,7 @@ func Q43(q *exec.Query) (*ops.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return starGroupBy(q, nil, []groupSpec{
+	return starGroupBy(q, []groupSpec{
 		{fkCol: "lo_custkey", ht: custHT},
 		{fkCol: "lo_suppkey", ht: suppHT, dimTable: "supplier", attr: "s_city"},
 		{fkCol: "lo_partkey", ht: partHT, dimTable: "part", attr: "p_brand1"},

@@ -8,23 +8,63 @@ import (
 	"ahead/internal/storage"
 )
 
-// selThenGroupBy is the plan shape that used to be mis-planned: a fact
-// selection computed before the grouped star tail. starGroupBy must
-// take the materializing path here - the fused grouped-sum kernels
-// index group ids by selection position, a contract that breaks once a
-// detected corruption shrinks the gathered key vectors.
+// selGroupTail is the materializing grouped tail over a fact selection
+// computed before it: semijoin against the date dimension, gather d_year
+// and the measures at the surviving rows, group and sum (measureB empty:
+// the plain sum, otherwise measure-measureB). No flight plans this shape
+// - starGroupBy always starts from the whole fact table and may fuse -
+// so it pins the materializing operators themselves: once a detected
+// corruption makes a gather drop an entry, keys, group ids and measures
+// must stay aligned with sel, a corrupted position contributing zero and
+// a log record instead of skewing its neighbours' groups.
+func selGroupTail(q *exec.Query, sel *ops.Sel, measure, measureB string) (*ops.Result, error) {
+	dateHT, err := buildDim(q, "date", "d_datekey", []pred{{col: "d_year", lo: 1993, hi: 1994}})
+	if err != nil {
+		return nil, err
+	}
+	fk, err := q.Col("lineorder", "lo_orderdate")
+	if err != nil {
+		return nil, err
+	}
+	if sel, err = ops.SemiJoin(fk, dateHT, sel, q.Opts()); err != nil {
+		return nil, err
+	}
+	year, err := gatherDim(q, sel, "lineorder", "lo_orderdate", dateHT, "date", "d_year")
+	if err != nil {
+		return nil, err
+	}
+	gids, groups, err := ops.GroupBy([]*ops.Vec{q.PreAggregate(year)}, q.Opts())
+	if err != nil {
+		return nil, err
+	}
+	meas, err := gatherFact(q, measure, sel)
+	if err != nil {
+		return nil, err
+	}
+	var sums *ops.Vec
+	if measureB == "" {
+		sums, err = ops.SumGrouped(q.PreAggregate(meas), gids, len(groups), q.Opts())
+	} else {
+		measB, errB := gatherFact(q, measureB, sel)
+		if errB != nil {
+			return nil, errB
+		}
+		sums, err = ops.SumDiffGrouped(q.PreAggregate(meas), q.PreAggregate(measB), gids, len(groups), q.Opts())
+	}
+	if err != nil {
+		return nil, err
+	}
+	return q.Finish(groups, sums)
+}
+
+// selThenGroupBy filters the fact table on lo_discount, then runs the
+// grouped revenue tail over the selection.
 func selThenGroupBy(q *exec.Query) (*ops.Result, error) {
 	sel, err := filterTable(q, "lineorder", []pred{{col: "lo_discount", lo: 1, hi: 3}})
 	if err != nil {
 		return nil, err
 	}
-	dateHT, err := buildDim(q, "date", "d_datekey", []pred{{col: "d_year", lo: 1993, hi: 1994}})
-	if err != nil {
-		return nil, err
-	}
-	return starGroupBy(q, sel, []groupSpec{
-		{fkCol: "lo_orderdate", ht: dateHT, dimTable: "date", attr: "d_year"},
-	}, "lo_revenue", "")
+	return selGroupTail(q, sel, "lo_revenue", "")
 }
 
 // selThenGroupByProfit is the same shape over the Q4.x profit tail.
@@ -33,22 +73,13 @@ func selThenGroupByProfit(q *exec.Query) (*ops.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	dateHT, err := buildDim(q, "date", "d_datekey", []pred{{col: "d_year", lo: 1993, hi: 1994}})
-	if err != nil {
-		return nil, err
-	}
-	return starGroupBy(q, sel, []groupSpec{
-		{fkCol: "lo_orderdate", ht: dateHT, dimTable: "date", attr: "d_year"},
-	}, "lo_revenue", "lo_supplycost")
+	return selGroupTail(q, sel, "lo_revenue", "lo_supplycost")
 }
 
 // TestSelectionThenGroupBy runs both selection-then-group-by shapes
-// under every hardened mode x {fused, materializing} x {serial,
-// pooled} and requires the unprotected reference result exactly, with
-// nothing logged on clean data. Before starGroupBy always materialized
-// its tail for precomputed selections, the fused configurations ran a
-// kernel whose alignment contract does not survive detected
-// corruption.
+// under every hardened mode x {serial, pooled} and requires the
+// unprotected reference result exactly, with nothing logged on clean
+// data.
 func TestSelectionThenGroupBy(t *testing.T) {
 	data, err := Generate(0.01, 7)
 	if err != nil {
@@ -74,24 +105,20 @@ func TestSelectionThenGroupBy(t *testing.T) {
 			t.Fatalf("%s: empty reference result; test is vacuous", name)
 		}
 		for _, mode := range diffModes {
-			for _, fused := range []bool{true, false} {
-				for _, pooled := range []bool{false, true} {
-					opts := []exec.RunOption{exec.WithFusion(fused)}
-					if pooled {
-						opts = append(opts, exec.WithPool(pool))
-					}
-					got, log, err := exec.Run(db, mode, ops.Blocked, plan, opts...)
-					if err != nil {
-						t.Fatalf("%s %v fused=%v pooled=%v: %v", name, mode, fused, pooled, err)
-					}
-					if !ref.Equal(got) {
-						t.Fatalf("%s %v fused=%v pooled=%v diverges: %s",
-							name, mode, fused, pooled, firstDivergence(ref, got))
-					}
-					if log.Count() != 0 {
-						t.Fatalf("%s %v fused=%v pooled=%v: %d errors logged on clean data",
-							name, mode, fused, pooled, log.Count())
-					}
+			for _, pooled := range []bool{false, true} {
+				var opts []exec.RunOption
+				if pooled {
+					opts = append(opts, exec.WithPool(pool))
+				}
+				got, log, err := exec.Run(db, mode, ops.Blocked, plan, opts...)
+				if err != nil {
+					t.Fatalf("%s %v pooled=%v: %v", name, mode, pooled, err)
+				}
+				if !ref.Equal(got) {
+					t.Fatalf("%s %v pooled=%v diverges: %s", name, mode, pooled, firstDivergence(ref, got))
+				}
+				if log.Count() != 0 {
+					t.Fatalf("%s %v pooled=%v: %d errors logged on clean data", name, mode, pooled, log.Count())
 				}
 			}
 		}
@@ -100,7 +127,7 @@ func TestSelectionThenGroupBy(t *testing.T) {
 
 // TestSelectionThenGroupByFaults corrupts the measure columns and
 // requires the selection-then-group-by tail to detect and soften -
-// never to fail - under Continuous, fused and materializing alike.
+// never to fail - under Continuous.
 func TestSelectionThenGroupByFaults(t *testing.T) {
 	data, err := Generate(0.01, 7)
 	if err != nil {
@@ -121,14 +148,12 @@ func TestSelectionThenGroupByFaults(t *testing.T) {
 		"sel+profit":  selThenGroupByProfit,
 	}
 	for name, plan := range plans {
-		for _, fused := range []bool{true, false} {
-			_, log, err := exec.Run(db, exec.Continuous, ops.Blocked, plan, exec.WithFusion(fused))
-			if err != nil {
-				t.Fatalf("%s fused=%v: corrupted run must soften, got error: %v", name, fused, err)
-			}
-			if log.Count() == 0 {
-				t.Fatalf("%s fused=%v: corruption went undetected", name, fused)
-			}
+		_, log, err := exec.Run(db, exec.Continuous, ops.Blocked, plan)
+		if err != nil {
+			t.Fatalf("%s: corrupted run must soften, got error: %v", name, err)
+		}
+		if log.Count() == 0 {
+			t.Fatalf("%s: corruption went undetected", name)
 		}
 	}
 }

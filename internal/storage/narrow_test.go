@@ -87,7 +87,7 @@ func TestNarrowNeverWeakensAGuarantee(t *testing.T) {
 				if code.DataBits() != d {
 					t.Fatalf("%s %v d=%d: narrowed to |D|=%d", name, kind, d, code.DataBits())
 				}
-				got, floor := an.GuaranteedBFW(code.A(), d), an.GuaranteedBFW(declared.A(), declared.DataBits())
+				got, floor := an.GuaranteedBFW(code.A(), d), an.GuaranteedBFW(declared.A(), min(declared.DataBits(), an.MaxTableDataBits))
 				if got < max(floor, 1) {
 					t.Fatalf("%s %v d=%d: %v guarantees %d, declared %v %d", name, kind, d, code, got, declared, floor)
 				}
@@ -158,7 +158,7 @@ func offsetNeverWeakensAGuarantee(t *testing.T, choosers map[string]CodeChooser)
 					if hc.Width() >= asIsWidth {
 						t.Fatalf("%s: frame of reference in %d bytes, as-is %v in %d", id, hc.Width(), asIs, asIsWidth)
 					}
-					got, floor := an.GuaranteedBFW(code.A(), d), an.GuaranteedBFW(declared.A(), declared.DataBits())
+					got, floor := an.GuaranteedBFW(code.A(), d), an.GuaranteedBFW(declared.A(), min(declared.DataBits(), an.MaxTableDataBits))
 					if got < max(floor, 1) {
 						t.Fatalf("%s: %v guarantees %d, declared %v %d", id, code, got, declared, floor)
 					}

@@ -194,7 +194,9 @@ func narrowCode(c *Column, usedBits uint, declared *an.Code, choose CodeChooser)
 		return nil
 	}
 	bits := max(usedBits, 1)
-	floor := max(an.GuaranteedBFW(declared.A(), declared.DataBits()), 1)
+	// A code declared wider than the tables (the 48-bit resbig) keeps at
+	// least the guarantee its A is published with at their widest width.
+	floor := max(an.GuaranteedBFW(declared.A(), min(declared.DataBits(), an.MaxTableDataBits)), 1)
 	var cands []*an.Code
 	for d := bits; d <= an.MaxTableDataBits; d++ {
 		if code, err := choose(d); err == nil {

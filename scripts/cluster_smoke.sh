@@ -14,7 +14,7 @@
 #      quarantine it and keep answering in explicit degraded mode (2/3
 #      coverage), stay ready, and then drain cleanly on SIGTERM.
 #   4. Replica takeover: a second router with two replicas per slice.
-#      Killing a primary must NOT degrade service - the policy engine
+#      Killing a primary must NOT degrade service - the router
 #      quarantines it, promotes the replica, records the transition on
 #      /alerts, and every response stays 3/3 and byte-identical to the
 #      single-node reference.
