@@ -1,6 +1,9 @@
 package an
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Super-A selection (Section 4.2, Table 1 and Table 3).
 //
@@ -132,15 +135,13 @@ func NextSmaller(cur *Code) (*Code, bool) {
 	var bestBits uint
 	for w := 1; w <= MaxMinBFW; w++ {
 		a := superATable[row][w-1]
-		if a == 0 {
+		// Only the winner is built: the width test is New's own bound.
+		aBits := uint(bits.Len64(a))
+		if a == 0 || d+aBits > MaxCodeBits {
 			continue
 		}
-		c, err := New(a, d)
-		if err != nil {
-			continue
-		}
-		if c.ABits() < cur.ABits() && c.ABits() > bestBits {
-			best, bestBits = a, c.ABits()
+		if aBits < cur.ABits() && aBits > bestBits {
+			best, bestBits = a, aBits
 		}
 	}
 	if best == 0 {

@@ -205,9 +205,10 @@ const restartCommandTimeout = 30 * time.Second
 
 // runRestartCommand executes the configured shell hook with the
 // replica's identity in the environment (AHEAD_SHARD_URL, AHEAD_SLICE,
-// AHEAD_REPLICA), so one command template serves every replica.
-func runRestartCommand(command string, slice, replica int, url string) error {
-	ctx, cancel := context.WithTimeout(context.Background(), restartCommandTimeout)
+// AHEAD_REPLICA), so one command template serves every replica. The
+// hook is killed when ctx ends or after restartCommandTimeout.
+func runRestartCommand(ctx context.Context, command string, slice, replica int, url string) error {
+	ctx, cancel := context.WithTimeout(ctx, restartCommandTimeout)
 	defer cancel()
 	cmd := exec.CommandContext(ctx, "/bin/sh", "-c", command)
 	cmd.Env = append(cmd.Environ(),

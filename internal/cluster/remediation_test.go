@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -160,7 +161,7 @@ func TestAlertRingWraps(t *testing.T) {
 // identity reaches it through the environment.
 func TestRunRestartCommand(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "restarted")
-	if err := runRestartCommand("echo \"$AHEAD_SLICE.$AHEAD_REPLICA $AHEAD_SHARD_URL\" > "+out, 2, 1, "http://victim"); err != nil {
+	if err := runRestartCommand(context.Background(), "echo \"$AHEAD_SLICE.$AHEAD_REPLICA $AHEAD_SHARD_URL\" > "+out, 2, 1, "http://victim"); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(out)
@@ -170,7 +171,7 @@ func TestRunRestartCommand(t *testing.T) {
 	if string(data) != "2.1 http://victim\n" {
 		t.Fatalf("hook saw %q", data)
 	}
-	if err := runRestartCommand("exit 3", 0, 0, "u"); err == nil {
+	if err := runRestartCommand(context.Background(), "exit 3", 0, 0, "u"); err == nil {
 		t.Fatal("failing hook must surface its error")
 	}
 }

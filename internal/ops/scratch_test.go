@@ -163,9 +163,11 @@ func TestOperatorAllocsIndependentOfMorselCount(t *testing.T) {
 // (bookkeeping slices and the one-element output Vec), and the probe
 // cascade a constant per morsel (its group table) - neither allocates
 // per block or per row, so 8x the rows in the same number of morsels
-// costs the same.
+// costs the same. The hardened fixture under the Reencoding bit pins the
+// same for the staging step: its re-encode constants and drop bitmap are
+// per call and per morsel, never per block or row.
 func TestFusedKernelZeroAllocs(t *testing.T) {
-	fixture := func(n int) (q1, cascade func()) {
+	fixture := func(n int, reencode bool) (q1, cascade func()) {
 		disc := make([]uint64, n)
 		qty := make([]uint64, n)
 		od := make([]uint64, n)
@@ -184,6 +186,11 @@ func TestFusedKernelZeroAllocs(t *testing.T) {
 		attr := tinyColumn(t, "d_year", []uint64{92, 93, 94})
 
 		o := &Opts{Par: serialMorsels{workers: 4, morsel: n / 8}}
+		if reencode {
+			discC, qtyC, attr = harden(t, discC, code8), harden(t, qtyC, code8), harden(t, attr, code8)
+			odC, priceC = harden(t, odC, code32), harden(t, priceC, code32)
+			o.Detect, o.HardenIDs, o.Reencode, o.Log = true, true, true, NewErrorLog()
+		}
 		preds := []RangePred{{Col: discC, Lo: 1, Hi: 3}, {Col: qtyC, Lo: 0, Hi: 24}}
 		joins := []FusedJoin{{FK: odC, HT: ht, Attr: attr}}
 		return func() {
@@ -200,22 +207,25 @@ func TestFusedKernelZeroAllocs(t *testing.T) {
 		run()
 		return testing.AllocsPerRun(50, run)
 	}
-	q1, cascade := fixture(1 << 13)
-	q1Big, cascadeBig := fixture(1 << 16)
-	q1Allocs, cascadeAllocs := measure(q1), measure(cascade)
-	q1BigAllocs, cascadeBigAllocs := measure(q1Big), measure(cascadeBig)
-	if raceEnabled {
-		t.Skipf("race instrumentation changes alloc counts (measured %.1f, %.1f)", q1Allocs, cascadeAllocs)
-	}
-	if q1Allocs > 16 {
-		t.Fatalf("fused Q1 pass allocated %.1f times, budget 16", q1Allocs)
-	}
-	if cascadeAllocs > 8*24 {
-		t.Fatalf("fused cascade allocated %.1f times over 8 morsels, budget 24 per morsel (its group table)", cascadeAllocs)
-	}
-	if q1BigAllocs > q1Allocs+2 || cascadeBigAllocs > cascadeAllocs+2 {
-		t.Fatalf("allocations grew with the rows per morsel: Q1 %.1f -> %.1f, cascade %.1f -> %.1f",
-			q1Allocs, q1BigAllocs, cascadeAllocs, cascadeBigAllocs)
+	for _, reencode := range []bool{false, true} {
+		q1, cascade := fixture(1<<13, reencode)
+		q1Big, cascadeBig := fixture(1<<16, reencode)
+		q1Allocs, cascadeAllocs := measure(q1), measure(cascade)
+		q1BigAllocs, cascadeBigAllocs := measure(q1Big), measure(cascadeBig)
+		if raceEnabled {
+			t.Skipf("race instrumentation changes alloc counts (measured %.1f, %.1f)", q1Allocs, cascadeAllocs)
+		}
+		t.Logf("reencode=%v: Q1 %.1f -> %.1f, cascade %.1f -> %.1f", reencode, q1Allocs, q1BigAllocs, cascadeAllocs, cascadeBigAllocs)
+		if q1Allocs > 16 {
+			t.Fatalf("reencode=%v: fused Q1 pass allocated %.1f times, budget 16", reencode, q1Allocs)
+		}
+		if cascadeAllocs > 8*24 {
+			t.Fatalf("reencode=%v: fused cascade allocated %.1f times over 8 morsels, budget 24 per morsel (its group table)", reencode, cascadeAllocs)
+		}
+		if q1BigAllocs > q1Allocs+2 || cascadeBigAllocs > cascadeAllocs+2 {
+			t.Fatalf("reencode=%v: allocations grew with the rows per morsel: Q1 %.1f -> %.1f, cascade %.1f -> %.1f",
+				reencode, q1Allocs, q1BigAllocs, cascadeAllocs, cascadeBigAllocs)
+		}
 	}
 }
 

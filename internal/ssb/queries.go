@@ -206,9 +206,10 @@ func gatherFact(q *exec.Query, col string, sel *ops.Sel) (*ops.Vec, error) {
 
 // q1Flight is the shared shape of the three Q1.x flights: lineorder local
 // filters, a date semijoin, and the discounted-revenue scalar aggregate.
-// All modes except ContinuousReencoding take the fused single-pass tail;
-// q1Tail is the operator-at-a-time pipeline (exec.WithFusion(false) runs
-// it under every mode - the baseline fusion is measured against).
+// Every mode takes the fused single-pass tail - ContinuousReencoding
+// re-hardening its staging vectors (ops.Opts.Reencode); q1Tail is the
+// operator-at-a-time pipeline (exec.WithFusion(false) runs it under
+// every mode - the baseline fusion is measured against).
 func q1Flight(q *exec.Query, datePreds []pred, discLo, discHi, qtyLo, qtyHi uint64) (*ops.Result, error) {
 	dateHT, err := buildDim(q, "date", "d_datekey", datePreds)
 	if err != nil {
@@ -243,8 +244,9 @@ func q1Flight(q *exec.Query, datePreds []pred, discLo, discHi, qtyLo, qtyHi uint
 	return q1Tail(q, dateHT, discLo, discHi, qtyLo, qtyHi)
 }
 
-// q1Tail is the materializing filter-semijoin-aggregate tail shared by
-// the unfused path and the ContinuousReencoding variant.
+// q1Tail is the materializing filter-semijoin-aggregate tail of the
+// unfused path; under ContinuousReencoding it re-encodes each gathered
+// vector (exec.Query.Reencode).
 func q1Tail(q *exec.Query, dateHT *hashmap.U64, discLo, discHi, qtyLo, qtyHi uint64) (*ops.Result, error) {
 	sel, err := filterTable(q, "lineorder", []pred{
 		{col: "lo_discount", lo: discLo, hi: discHi},
@@ -352,12 +354,12 @@ func starGroupByFused(q *exec.Query, joins []groupSpec, measure, measureB string
 // whole fact table against every dimension, gather the group attributes
 // and the measure, group and sum - measureB empty selects the plain sum,
 // otherwise the Q4.x profit difference measure-measureB. The whole tail
-// collapses into the fused probe cascade (all modes except
-// ContinuousReencoding) - unless a group-key component turns out wider
-// than the cascade stages it (ops.ErrFusedKeyDomain: a wide attribute,
-// or under Late a corrupted one), in which case the cascade has logged
-// nothing and the operators below, which size keys by their decoded
-// domain, run the tail instead.
+// collapses into the fused probe cascade under every mode - unless
+// exec.WithFusion(false) forces the operators, or a group-key component
+// turns out wider than the cascade stages it (ops.ErrFusedKeyDomain: a
+// wide attribute, or under Late a corrupted one), in which case the
+// cascade has logged nothing and the operators below, which size keys
+// by their decoded domain, run the tail instead.
 func starGroupBy(q *exec.Query, joins []groupSpec, measure, measureB string) (*ops.Result, error) {
 	if q.FuseOperators() {
 		res, err := starGroupByFused(q, joins, measure, measureB)
