@@ -244,3 +244,10 @@ func (c *Code) Reencode(cw uint64, next *Code) uint64 {
 	}
 	return (cw * factor) & mask & next.codeMask
 }
+
+// Poison returns a code word c rejects, carrying the low bits of the
+// softened value d of a corrupted word above c's data domain: how a word
+// that failed its own code's check moves into c without becoming valid.
+func (c *Code) Poison(d uint64) uint64 {
+	return (c.dMaxU + 1 | d&c.dMaxU) * c.a & c.codeMask
+}

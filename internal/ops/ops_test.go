@@ -570,6 +570,15 @@ func TestVecSoftenAndReencode(t *testing.T) {
 	if _, err := s.Reencode(next); err == nil {
 		t.Error("reencoding a plain vector must error")
 	}
+	// A word the current code rejects stays rejected under next - also a
+	// flip above next's 13 code bits, which the multiply alone erases.
+	bad := &Vec{Name: "v", Vals: []uint64{code.Encode(5) ^ 1<<14, code.Encode(7)}, Code: code}
+	if r, err = bad.Reencode(next); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := next.Check(r.Vals[0]); ok || r.Value(1) != 7 {
+		t.Fatalf("reencode of a corrupted word: %#x is valid under A=%d (or its neighbor was lost: %d)", r.Vals[0], next.A(), r.Value(1))
+	}
 	// Corruption is carried through softening and logged.
 	v.Vals[0] ^= 1 << 4
 	log.Reset()

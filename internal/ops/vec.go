@@ -146,7 +146,10 @@ func (v *Vec) Soften(detect bool, log *ErrorLog) *Vec {
 }
 
 // Reencode re-hardens the vector from its current code to next (Eq. 10),
-// the per-operator output adaptation of the Reencoding variant.
+// the per-operator output adaptation of the Reencoding variant. A word
+// its current code rejects becomes a word next rejects (an.Code.Poison):
+// the multiply alone would erase a flip above next's code bits and hand
+// on a valid word, where the fused kernels drop the row.
 func (v *Vec) Reencode(next *an.Code) (*Vec, error) {
 	if v.Code == nil {
 		return nil, fmt.Errorf("ops: cannot reencode plain vector %q", v.Name)
@@ -156,9 +159,14 @@ func (v *Vec) Reencode(next *an.Code) (*Vec, error) {
 		return nil, err
 	}
 	out := &Vec{Name: v.Name, Vals: make([]uint64, len(v.Vals)), Code: next}
-	nextMask := next.CodeMask()
+	mask &= next.CodeMask()
+	inv, cmask, dmax := v.Code.AInv(), v.Code.CodeMask(), v.Code.MaxData()
 	for i, val := range v.Vals {
-		out.Vals[i] = val * factor & mask & nextMask
+		if d := val * inv & cmask; d > dmax {
+			out.Vals[i] = next.Poison(d)
+			continue
+		}
+		out.Vals[i] = val * factor & mask
 	}
 	return out, nil
 }

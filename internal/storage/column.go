@@ -256,8 +256,8 @@ func (c *Column) encode(v uint64) uint64 {
 // declared type, or under the declared-width code of the current code's
 // own minimum bit-flip weight where that is stronger and published. A
 // word the current code rejects is rewritten as a word the new code
-// rejects too (poison), so widening never launders a corruption into a
-// valid value. Like every mutation, it must not race the column's
+// rejects too (an.Code.Poison), so widening never launders a corruption
+// into a valid value. Like every mutation, it must not race the column's
 // readers.
 func (c *Column) widen() {
 	bits := c.DeclaredBits()
@@ -275,7 +275,7 @@ func (c *Column) widen() {
 	out.grow(c.Len())
 	for i := 0; i < c.Len(); i++ {
 		d, ok := c.code.Check(c.Get(i))
-		w := poison(next, d)
+		w := next.Poison(d)
 		if ok {
 			w = next.Encode(d + c.base)
 		}
@@ -284,13 +284,6 @@ func (c *Column) widen() {
 	c.width, c.code, c.base, c.lifted = width, next, 0, nil
 	c.u8, c.u16, c.u32, c.u64 = out.u8, out.u16, out.u32, out.u64
 	c.initPacked()
-}
-
-// poison returns a word next rejects, carrying the low bits of the
-// decoded value d above next's data domain: how widen and Lift move a
-// corrupted word into another code without making it valid.
-func poison(next *an.Code, d uint64) uint64 {
-	return (next.MaxData() + 1 | d&next.MaxData()) * next.A() & next.CodeMask()
 }
 
 // Base returns a hardened column's frame of reference: its array holds
@@ -323,14 +316,14 @@ func (c *Column) LiftedCode() *an.Code {
 
 // Lift maps a stored code word to its base-0 word under LiftedCode: a
 // valid word gains Base()·A, a corrupted one becomes a word LiftedCode
-// rejects too (poison). Without a frame of reference it returns w.
+// rejects too (an.Code.Poison). Without a frame of reference it returns w.
 func (c *Column) Lift(w uint64) uint64 {
 	if c.lifted == nil {
 		return w
 	}
 	d, ok := c.code.Check(w)
 	if !ok {
-		return poison(c.lifted, d)
+		return c.lifted.Poison(d)
 	}
 	return c.lifted.Encode(d + c.base)
 }
