@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint reachable bench-smoke bench-compare bench-pairs bench-pairs-check serve-smoke cluster-smoke adapt-soak clean
+.PHONY: all build test race lint check-run-names reachable bench-smoke bench-compare bench-pairs bench-pairs-check serve-smoke cluster-smoke adapt-soak clean
 
 all: build test
 
@@ -21,6 +21,13 @@ lint:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needs to run on:" >&2; echo "$$out" >&2; exit 1; fi
+
+# Every -run and -fuzz pattern in CI, this Makefile and scripts/ must
+# name an existing test: go test runs nothing - and passes - for a
+# pattern that matches no test, so a renamed test would drop out of the
+# steps that run it by name unnoticed.
+check-run-names:
+	bash scripts/check_run_names.sh
 
 # Every internal package must be imported by at least one non-test file
 # outside itself: code no binary, benchmark or other package reaches is

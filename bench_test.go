@@ -62,9 +62,10 @@ func ssbDB(b *testing.B) *exec.DB {
 	return benchDB
 }
 
-// BenchmarkFusionPerFlight times every SSB query fused (the default:
-// ops.FusedFilterSemiSumProduct for Q1.x, the ops.FusedProbeGroupSum
-// cascade for Q2-Q4) against the materializing operator-at-a-time
+// BenchmarkFusionPerFlight times every SSB query fused (the default: the
+// one fused block kernel of ops, behind FusedFilterSemiSumProduct's
+// scalar sink for Q1.x and FusedProbeGroupSum[Diff]'s grouped sink for
+// Q2-Q4) against the materializing operator-at-a-time
 // pipeline the same plan runs under exec.WithFusion(false), serial,
 // blocked kernels, at SF 0.3 - the table of DESIGN.md section 5f:
 //

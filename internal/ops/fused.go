@@ -10,14 +10,18 @@ import (
 	"ahead/internal/storage"
 )
 
-// Fused kernels (DESIGN.md section 5e).
+// Fused kernels (DESIGN.md sections 5e and 5f).
 //
 // The materializing pipeline of the SSB plans writes every intermediate -
 // selection vectors, gathered value vectors - to memory only for the next
-// operator to read it straight back. The kernels below fuse the
-// scan->semijoin->aggregate tails of the SSB flights into single passes
-// that keep the per-row state in registers, folding Algorithm 1's
-// inverse-based detection into the same pass for the Continuous variant.
+// operator to read it straight back. The fused cascade runs the
+// scan->join->aggregate tail of every SSB flight as a single pass: range
+// predicates, a cascade of FK probes (a join with a dimension attribute
+// contributes a group-key component, one without is a semijoin), one
+// measure step and a sink - a scalar sum-product for Q1.x
+// (FusedFilterSemiSumProduct), a per-group sum or difference for
+// Q2.x-Q4.x (FusedProbeGroupSum[Diff]) - folding Algorithm 1's
+// inverse-based detection into the same pass.
 //
 // Mode semantics mirror the materializing operator chain exactly:
 //
@@ -39,35 +43,36 @@ import (
 // row corrupt in several operators logs once per touched column rather
 // than once per operator. ErrorLog.Positions - the repair interface -
 // returns identical position sets, and fused serial and fused parallel
-// runs produce byte-identical logs for any morsel size: the kernels log
-// per stage and merge the stage logs back into row order per block
-// (mergeStageLogs), so the sequence is chunking-independent.
+// runs produce byte-identical logs for any morsel size: the kernel logs
+// per stage, keys every entry by its fact row and merges the stage logs
+// back into row order per block (mergeKeyedStages), so the sequence is
+// chunking-independent.
 //
 // Internally the row loop is blocked - this is the engine's
 // vector-at-a-time processing model (DESIGN.md section 5): each block of
 // fusedBlockRows fact rows runs the predicate scan Filter runs per morsel
 // (fusedPred.scan, pred.go) column-at-a-time into a pooled position
-// buffer that stays cache-resident, the join probes run the typed
-// kernels of probe.go over the block's bitmap or list, and only the
-// per-match tails (attribute fetch, grouping, accumulation) walk the
-// surviving rows individually. This keeps the typed tight loops (the
-// entire point of the columnar layout) while never materializing a
-// full-size intermediate.
+// buffer or block bitmap that stays cache-resident, the join probes run
+// the typed kernels of probe.go over it, and only the per-match tails
+// (attribute fetch, measure step, sink) walk the surviving rows
+// individually. This keeps the typed tight loops (the entire point of
+// the columnar layout) while never materializing a full-size
+// intermediate.
 //
 // The ContinuousReencoding variant fuses too. Its defining trait is
 // re-hardening every operator *output* under the next-smaller A; in the
 // cascade the outputs that are stored between two steps are the measure
-// staging vectors, written by the staging step and read back by the
-// accumulation. Under Opts.Reencode each staged measure word is verified
-// under its column's A (a failure logs under the base column and drops
-// the row, as under Continuous), re-hardened in place to
-// an.NextSmaller(A) with Vec.Reencode's multiply, and verified again
-// under A* at accumulation (a failure logs under the vec: namespace at
-// the fact row and drops the row); the sums accumulate and are checked
-// under A*. Group-key attributes are fetched as under Continuous: they
-// decode straight into the plain u16 key buffers, so there is no stored
-// code word to re-harden. Block position lists, bitmaps and build
-// positions stay plain, as under Continuous.
+// staging vectors, written by the measure step and read back by the
+// sink. Under Opts.Reencode each staged measure word is verified under
+// its column's A (a failure logs under the base column and drops the
+// row, as under Continuous), re-hardened in place to an.NextSmaller(A)
+// with Vec.Reencode's multiply, and verified again under A* when it is
+// read back (a failure logs under the vec: namespace at the fact row and
+// drops the row); the sums accumulate and are checked under A*.
+// Group-key attributes are fetched as under Continuous: they decode
+// straight into the plain u16 key buffers, so there is no stored code
+// word to re-harden. Block position lists, bitmaps and build positions
+// stay plain, as under Continuous.
 
 // fusedBlockRows is the unit of the blocked row loop: large enough to
 // amortize per-block bookkeeping, small enough that the position buffer
@@ -93,8 +98,9 @@ const bitmapSelThreshold = fusedBlockRows / 8
 const maxFusedStages = 8
 
 // maxFusedLogs bounds the per-kernel stage-log array: a join logs its FK
-// pass and its attribute pass separately, so both stay in fact-row order
-// and the keyed merge interleaves them.
+// pass and its attribute pass separately, and the measure step its
+// staging and (under Reencoding) its read-back, so each stays in
+// fact-row order and the keyed merge interleaves them.
 const maxFusedLogs = 2 * maxFusedStages
 
 // fillBitmap selects the first n rows of a block bitmap and clears the
@@ -137,48 +143,14 @@ func bitmapToList(words []uint64, bs int, out []uint64) []uint64 {
 	return out
 }
 
-// mergeStageLogs interleaves the per-stage logs of one block back into
-// global row order and appends them to dst, then resets the stage logs.
-// PosCode.Encode is monotone, so hardened positions compare like plain
-// ones. A row logs in at most one stage - a row dropped by a predicate
-// never reaches the next stage - so a position merge with stage order as
-// the tiebreak reproduces exactly the sequence a row-at-a-time loop
-// would have written, independent of block and morsel boundaries.
-func mergeStageLogs(dst *ErrorLog, stages []*ErrorLog) {
-	var idx [maxFusedStages]int
-	for {
-		best := -1
-		var bestPos uint64
-		for s, sl := range stages {
-			if idx[s] < len(sl.entries) {
-				if p := sl.entries[idx[s]].HardenedPos; best == -1 || p < bestPos {
-					best, bestPos = s, p
-				}
-			}
-		}
-		if best == -1 {
-			break
-		}
-		sl := stages[best]
-		for idx[best] < len(sl.entries) && sl.entries[idx[best]].HardenedPos == bestPos {
-			dst.entries = append(dst.entries, sl.entries[idx[best]])
-			idx[best]++
-		}
-	}
-	for _, sl := range stages {
-		sl.Reset()
-	}
-}
-
 // keyedLog is a stage log whose entries carry an explicit merge key: the
 // hardened form of the *fact row* that caused the entry. The join stages
-// of the fused probe cascade log dimension-attribute corruptions at their
+// of the fused cascade log dimension-attribute corruptions at their
 // build-side position (the repairable coordinate), which is not monotone
-// in fact-row order - so unlike the scan stages, HardenedPos cannot serve
-// as the merge key. Keying every entry by its fact row lets
-// mergeKeyedStages reproduce the row-at-a-time log order independent of
-// block and morsel boundaries, keeping fused serial and fused pooled
-// logs byte-identical.
+// in fact-row order - so HardenedPos cannot serve as the merge key.
+// Keying every entry by its fact row lets mergeKeyedStages reproduce the
+// row-at-a-time log order independent of block and morsel boundaries,
+// keeping fused serial and fused pooled logs byte-identical.
 type keyedLog struct {
 	log  *ErrorLog
 	keys []uint64
@@ -194,14 +166,6 @@ func (kl *keyedLog) record(col string, pos, factRow uint64) {
 	kl.keys = append(kl.keys, PosCode.Encode(factRow))
 }
 
-// errLog returns the underlying log, nil for a nil receiver.
-func (kl *keyedLog) errLog() *ErrorLog {
-	if kl == nil {
-		return nil
-	}
-	return kl.log
-}
-
 // syncKeys extends the key slice to cover entries the shared scan
 // kernels appended directly to the underlying log. Those kernels log at
 // the global row position, so the entry's own HardenedPos is its key.
@@ -214,10 +178,12 @@ func (kl *keyedLog) syncKeys() {
 	}
 }
 
-// mergeKeyedStages is mergeStageLogs over keyed stage logs: a k-way
-// merge by fact-row key with stage order as the tiebreak, appending to
-// dst and resetting the stages. PosCode.Encode is monotone, so hardened
-// keys compare like plain rows.
+// mergeKeyedStages interleaves the stage logs of one block back into
+// fact-row order and appends them to dst, then resets the stages: a
+// k-way merge by key with stage order as the tiebreak. PosCode.Encode is
+// monotone, so hardened keys compare like plain rows, and a row a stage
+// drops never reaches the next one, so the merge reproduces exactly the
+// sequence a row-at-a-time loop would have written.
 func mergeKeyedStages(dst *ErrorLog, stages []keyedLog) {
 	var idx [maxFusedLogs]int
 	for {
@@ -302,319 +268,158 @@ func (r *reencCol) reencode(w uint64) uint64 { return w * r.factor & r.mask }
 // valid reports whether a word verifies under A*.
 func (r *reencCol) valid(x uint64) bool { return x*r.inv&r.cmask <= r.dmax }
 
-// reencMeasures is the Reencoding variant's hold on the measure staging
-// vectors of a fused aggregation. stage verifies one block's loaded
-// words under their columns' A and re-hardens them in place to A*;
-// valid verifies them again at accumulation.
-type reencMeasures struct {
-	a, b   fusedCol
-	ra, rb reencCol
-	hasB   bool
-	drop   []uint64 // bit i: staged row i failed its base check
+// fusedMeasures is the measure step of the fused cascade, the one place a
+// fused pass reads and checks its aggregate inputs. Per block, stage
+// loads the surviving rows' measure words width-typed into two staging
+// vectors and turns them, in place, into the words the sink adds
+// unchecked:
+//
+//   - plain: the stored values.
+//   - Late: the softened values plus the frame-of-reference base; a word
+//     failing its check logs under VecLogName(column) at the fact row and
+//     is decoded regardless (the PreAggregate Δ).
+//   - Continuous: the verified words masked to their code bits and
+//     lifted to base 0; a failure logs under the base column at the fact
+//     row and zeroes the row's words, so the row adds nothing. The mask
+//     matters for a 64-bit word: bits at and above |C| are not part of
+//     the code word, so the check cannot see a flip there - masking
+//     keeps it out of the sum too.
+//   - Reencoding: Continuous's words, re-hardened in place to A*;
+//     recheck then reads them back and verifies them under A*, logging
+//     a word corrupted since it was staged under VecLogName(column) at
+//     the fact row and zeroing the row.
+//
+// k is the sink's factor on b: Eq. 7c's A_b^-1 for the product, the
+// difference's an.DiffFactor rescale of b into a's code - 1 on decoded
+// and plain values.
+type fusedMeasures struct {
+	a, b       fusedCol
+	hasB       bool
+	detect     bool
+	re         bool // Reencoding: stage re-hardens to A*, recheck verifies
+	ra, rb     reencCol
+	k          uint64
+	sumCode    *an.Code // the code of the sums before widening
+	aBuf, bBuf []uint64 // the block staging vectors, aligned with its position list
 }
 
-func makeReencMeasures(a, b fusedCol, hasB bool) (*reencMeasures, error) {
-	m := &reencMeasures{a: a, b: b, hasB: hasB}
-	var err error
-	if m.ra, err = makeReencCol(a.col); err != nil {
-		return nil, err
+// makeFusedMeasures prepares the measure step over a and, when non-nil,
+// b under o's mode; product selects the sink factor of the Q1.x
+// sum-product over the grouped difference's.
+func makeFusedMeasures(a, b *storage.Column, product bool, o *Opts) (fusedMeasures, error) {
+	m := fusedMeasures{a: makeFusedCol(a), hasB: b != nil, detect: o.detect(), k: 1}
+	if b != nil {
+		m.b = makeFusedCol(b)
 	}
-	if hasB {
-		if m.rb, err = makeReencCol(b.col); err != nil {
-			return nil, err
+	m.sumCode = m.a.code
+	if m.a.code == nil || !m.detect {
+		return m, nil
+	}
+	ca, cb := m.a.code, m.b.code
+	if o.reencode() {
+		var err error
+		if m.ra, err = makeReencCol(a); err != nil {
+			return m, err
 		}
+		if b != nil {
+			if m.rb, err = makeReencCol(b); err != nil {
+				return m, err
+			}
+		}
+		m.re, m.sumCode = true, m.ra.code
+		ca, cb = m.ra.code, m.rb.code
+	}
+	if product {
+		// (d_a·A_a)·(d_b·A_b)·A_b^-1 = d_a·d_b·A_a (Eq. 7c).
+		m.k = an.InverseMod2N(cb.A(), 64)
+	} else {
+		m.k = an.DiffFactor(ca, cb)
 	}
 	return m, nil
 }
 
-// stage verifies the block's staged words av (and bv) under their
-// columns' A - a corrupted word is logged under its base column at the
-// fact row and drops the row, as under Continuous - and re-hardens the
-// surviving rows' words in place to A*.
-func (m *reencMeasures) stage(pos, av, bv []uint64, log *ErrorLog) {
-	clear(m.drop[:(len(pos)+63)>>6])
-	for i, p := range pos {
-		okA := av[i]*m.a.inv&m.a.mask <= m.a.dmax
-		okB := !m.hasB || bv[i]*m.b.inv&m.b.mask <= m.b.dmax
-		if okA && okB {
-			av[i] = m.ra.reencode(av[i] + m.a.lift)
-			if m.hasB {
-				bv[i] = m.rb.reencode(bv[i] + m.b.lift)
-			}
-			continue
-		}
-		m.drop[i>>6] |= 1 << (uint(i) & 63)
-		if log != nil {
-			if !okA {
-				log.Record(m.a.col.Name(), p)
-			}
-			if !okB {
-				log.Record(m.b.col.Name(), p)
-			}
-		}
+// stage is the measure step's load and check over one block's survivors
+// pos; it returns the staging vectors (bv nil without a second measure).
+func (m *fusedMeasures) stage(pos []uint64, kl *keyedLog) (av, bv []uint64) {
+	av = m.aBuf[:len(pos)]
+	loadList(m.a.col, pos, av)
+	if m.hasB {
+		bv = m.bBuf[:len(pos)]
+		loadList(m.b.col, pos, bv)
 	}
-}
-
-// valid reports whether staged row i, at fact row p, enters the
-// accumulation: it survived stage and its words verify under A*. A word
-// corrupted since it was staged is logged under VecLogName(column) at
-// the fact row.
-func (m *reencMeasures) valid(i int, p uint64, av, bv []uint64, log *ErrorLog) bool {
-	if m.drop[i>>6]>>(uint(i)&63)&1 != 0 {
-		return false
-	}
-	okA := m.ra.valid(av[i])
-	okB := !m.hasB || m.rb.valid(bv[i])
-	if okA && okB {
-		return true
-	}
-	if log != nil {
-		if !okA {
-			log.Record(VecLogName(m.a.col.Name()), p)
-		}
-		if !okB {
-			log.Record(VecLogName(m.b.col.Name()), p)
-		}
-	}
-	return false
-}
-
-// sumProduct is the accumulation step of the Reencoding Q1 pass: the
-// staged products reduced into A*_a's code with A*_b's inverse (Eq. 7c).
-func (m *reencMeasures) sumProduct(invB uint64, pos, av, bv []uint64, log *ErrorLog) uint64 {
-	var sum uint64
-	for i, p := range pos {
-		if m.valid(i, p, av, bv, log) {
-			sum += av[i] * bv[i] * invB
-		}
-	}
-	return sum
-}
-
-// FusedFilterSemiSumProduct runs the whole Q1.x tail in one pass over the
-// fact table: conjunctive range predicates, a semijoin of fk against the
-// build table ht, and the sum of a*b over the surviving rows - with no
-// intermediate selection or value vector. Predicates short-circuit left
-// to right, so a row failing the first predicate never touches the later
-// columns, exactly like the materializing filter cascade.
-func FusedFilterSemiSumProduct(preds []RangePred, fk *storage.Column, ht *hashmap.U64, a, b *storage.Column, o *Opts) (*Vec, error) {
-	n := fk.Len()
-	for _, p := range preds {
-		if p.Col.Len() != n {
-			return nil, fmt.Errorf("ops: fused scan over unequal column lengths %d/%d", p.Col.Len(), n)
-		}
-	}
-	if a.Len() != n || b.Len() != n {
-		return nil, fmt.Errorf("ops: fused sum-product over unequal column lengths")
-	}
-	if (a.Code() == nil) != (b.Code() == nil) {
-		return nil, fmt.Errorf("ops: fused sum-product needs both inputs plain or both hardened")
-	}
-	if err := o.ctxErr(); err != nil {
-		return nil, err
-	}
-	detect := o.detect()
-	log := o.log()
-	name := "sum(" + a.Name() + "*" + b.Name() + ")"
-
-	ac, bc := makeFusedCol(a), makeFusedCol(b)
-	sumCode := ac.code
-	var invB uint64
-	var re *reencMeasures
-	if o.reencode() && ac.code != nil {
-		var err error
-		if re, err = makeReencMeasures(ac, bc, true); err != nil {
-			return nil, err
-		}
-		sumCode, invB = re.ra.code, an.InverseMod2N(re.rb.code.A(), 64)
-	} else if bc.code != nil {
-		// (d_a·A_a)·(d_b·A_b)·A_b^-1 = d_a·d_b·A_a (Eq. 7c).
-		invB = an.InverseMod2N(bc.code.A(), 64)
-	}
-	// Stages: the predicates, the probe, the sum - and under Reencoding
-	// the staging step before the sum.
-	nStages := len(preds) + 2
-	if re != nil {
-		nStages++
-	}
-	if nStages > maxFusedStages {
-		return nil, fmt.Errorf("ops: fused scan over %d predicates (max %d)", len(preds), maxFusedStages-nStages+len(preds))
-	}
-	fps := make([]fusedPred, len(preds))
-	for i, p := range preds {
-		fps[i] = makeFusedPred(p, o)
-		if fps[i].empty {
-			return fusedSumOut(name, 0, sumCode, detect, log)
-		}
-	}
-	flavor := o.flavor()
-	fkc := makeFKProbe(fk, ht, false)
-
-	var sum uint64
-	if p := o.par(n); p != nil {
-		// Ring addition commutes, so per-morsel partial sums merged in
-		// any order equal the serial sum exactly (Eq. 5).
-		parts, err := runMorsels(p, n, o, log, nil, func(plog *ErrorLog, start, end int) (uint64, error) {
-			return fusedQ1Range(fps, &fkc, ac, bc, invB, re, detect, flavor, plog, start, end), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range parts {
-			sum += s
-		}
-	} else {
-		sum = fusedQ1Range(fps, &fkc, ac, bc, invB, re, detect, flavor, log, 0, n)
-	}
-	return fusedSumOut(name, sum, sumCode, detect, log)
-}
-
-// fusedQ1Range is the morsel kernel of FusedFilterSemiSumProduct over
-// fact rows [start, end): per block, the first predicate scans
-// column-at-a-time into a pooled position buffer, the remaining
-// predicates and the semijoin probe compact it in place, and the
-// survivors' factors are fetched width-typed into two staging vectors
-// the accumulation walks - under Reencoding (re non-nil) after they are
-// staged: verified under A and re-hardened to A*.
-func fusedQ1Range(preds []fusedPred, fk *fkProbe, a, b fusedCol, invB uint64, re *reencMeasures, detect bool, flavor Flavor, log *ErrorLog, start, end int) uint64 {
-	buf := borrowU64(fusedBlockRows)
-	defer releaseU64(buf)
-	aBuf, bBuf := borrowU64(fusedBlockRows), borrowU64(fusedBlockRows)
-	defer releaseU64(aBuf)
-	defer releaseU64(bBuf)
-	// One pooled log per stage - predicates, probe, sum (under
-	// Reencoding staging, then sum) - merged back into row order per
-	// block, so the entry sequence is independent of block and morsel
-	// boundaries.
-	var stages [maxFusedStages]*ErrorLog
-	nStages := len(preds) + 2
-	if re != nil {
-		nStages++
-		rm := *re // the drop bitmap is the morsel's own
-		re = &rm
-		dropBuf := borrowU64(fusedBlockWords)
-		defer releaseU64(dropBuf)
-		re.drop = (*dropBuf)[:fusedBlockWords]
-	}
-	if log != nil {
-		for s := 0; s < nStages; s++ {
-			stages[s] = borrowLog()
-		}
-		defer func() {
-			for s := 0; s < nStages; s++ {
-				releaseLog(stages[s])
-			}
-		}()
-	}
-	var fkLog *ErrorLog // Late drops a corrupted FK silently
-	if detect {
-		fkLog = stages[len(preds)]
-	}
-
-	var sum uint64
-	for bs := start; bs < end; bs += fusedBlockRows {
-		be := bs + fusedBlockRows
-		if be > end {
-			be = end
-		}
-		var pos []uint64
-		if len(preds) == 0 {
-			pos = (*buf)[:be-bs]
-			for i := range pos {
-				pos[i] = uint64(bs + i)
-			}
-		} else {
-			pos = preds[0].scan(bs, be, 1, flavor, stages[0], *buf)
-			for pi := 1; pi < len(preds); pi++ {
-				pos = preds[pi].refineList(stages[pi], pos)
-			}
-		}
-		pos = fk.probeList(bs, pos, nil, fkLog)
-		av, bv := (*aBuf)[:len(pos)], (*bBuf)[:len(pos)]
-		loadList(a.col, pos, av)
-		loadList(b.col, pos, bv)
-		if re != nil {
-			re.stage(pos, av, bv, stages[nStages-2])
-			sum += re.sumProduct(invB, pos, av, bv, stages[nStages-1])
-		} else {
-			sum += fusedSumProduct(a, b, invB, detect, stages[nStages-1], pos, av, bv)
-		}
-		if log != nil {
-			mergeStageLogs(log, stages[:nStages])
-		}
-	}
-	return sum
-}
-
-// fusedSumProduct accumulates the sum-product over one block's
-// surviving positions; av and bv hold the factors' raw words, aligned
-// with pos.
-func fusedSumProduct(a, b fusedCol, invB uint64, detect bool, log *ErrorLog, pos, av, bv []uint64) uint64 {
-	var sum uint64
+	a, b := &m.a, &m.b
 	switch {
 	case a.code == nil:
-		for i := range pos {
-			sum += av[i] * bv[i]
-		}
-	case detect:
+	case !m.detect:
 		for i, p := range pos {
 			da := av[i] * a.inv & a.mask
-			db := bv[i] * b.inv & b.mask
-			okA, okB := da <= a.dmax, db <= b.dmax
-			if !okA || !okB {
-				if log != nil {
-					if !okA {
-						log.Record(a.col.Name(), p)
-					}
-					if !okB {
-						log.Record(b.col.Name(), p)
-					}
-				}
-				continue
+			if da > a.dmax {
+				kl.record(VecLogName(a.col.Name()), p, p)
 			}
-			sum += (av[i] + a.lift) * (bv[i] + b.lift) * invB
+			av[i] = da + a.base
+			if m.hasB {
+				db := bv[i] * b.inv & b.mask
+				if db > b.dmax {
+					kl.record(VecLogName(b.col.Name()), p, p)
+				}
+				bv[i] = db + b.base
+			}
 		}
 	default:
-		// LateOnetime: the PreAggregate Δ folded into the pass - verify
-		// and log, but decode and accumulate regardless, like Vec.Soften
-		// with detect set.
 		for i, p := range pos {
-			da := av[i] * a.inv & a.mask
-			db := bv[i] * b.inv & b.mask
-			if log != nil {
-				if da > a.dmax {
-					log.Record(VecLogName(a.col.Name()), p)
-				}
-				if db > b.dmax {
-					log.Record(VecLogName(b.col.Name()), p)
-				}
+			wa := av[i] & a.mask
+			okA := wa*a.inv&a.mask <= a.dmax
+			var wb uint64
+			okB := true
+			if m.hasB {
+				wb = bv[i] & b.mask
+				okB = wb*b.inv&b.mask <= b.dmax
 			}
-			sum += (da + a.base) * (db + b.base)
+			if !okA || !okB {
+				if !okA {
+					kl.record(a.col.Name(), p, p)
+				}
+				if !okB {
+					kl.record(b.col.Name(), p, p)
+				}
+				wa, wb = 0, 0
+			} else if wa, wb = wa+a.lift, wb+b.lift; m.re {
+				wa = m.ra.reencode(wa)
+				wb = m.rb.reencode(wb)
+			}
+			av[i] = wa
+			if m.hasB {
+				bv[i] = wb
+			}
 		}
 	}
-	return sum
+	return av, bv
 }
 
-// fusedSumOut wraps a fused scalar sum into the Vec the materializing
-// SumProduct would have produced: plain when the inputs decode to plain
-// (Unprotected/Early/Late), hardened under the widened accumulator code
-// with a final domain check when Continuous.
-func fusedSumOut(name string, sum uint64, code *an.Code, detect bool, log *ErrorLog) (*Vec, error) {
-	if code == nil || !detect {
-		return &Vec{Name: name, Vals: []uint64{sum}}, nil
+// recheck is the Reencoding step that reads the staged A* words back:
+// a word that no longer verifies under A* is logged under
+// VecLogName(column) at the fact row and the row's words are zeroed.
+func (m *fusedMeasures) recheck(pos, av, bv []uint64, kl *keyedLog) {
+	for i, p := range pos {
+		okA := m.ra.valid(av[i])
+		okB := !m.hasB || m.rb.valid(bv[i])
+		if okA && okB {
+			continue
+		}
+		if !okA {
+			kl.record(VecLogName(m.a.col.Name()), p, p)
+		}
+		if !okB {
+			kl.record(VecLogName(m.b.col.Name()), p, p)
+		}
+		av[i] = 0
+		if m.hasB {
+			bv[i] = 0
+		}
 	}
-	acc, err := wideCode(code)
-	if err != nil {
-		return nil, err
-	}
-	out := &Vec{Name: name, Vals: []uint64{sum}, Code: acc}
-	if _, ok := acc.Check(sum); !ok && log != nil {
-		log.Record(VecLogName(name), 0)
-	}
-	return out, nil
 }
 
-// fusedGroupOut allocates the per-group output vector of a fused grouped
+// fusedGroupOut allocates the per-group output vector of a fused
 // aggregate: hardened under the widened accumulator code for Continuous,
 // plain otherwise (Late decodes while accumulating).
 func fusedGroupOut(name string, code *an.Code, numGroups int, detect bool) (*Vec, *an.Code, error) {
@@ -749,170 +554,89 @@ func fetchAttrTyped[T an.Unsigned](data []T, a *fusedCol, bs int, words, pos []u
 	return nil, count, nil
 }
 
-// fusedGroupPart is one morsel's local group table: per local group - in
+// fusedGroupPart is one morsel's share of the sink: per local group - in
 // first-occurrence order - the packed key, the decoded tuple, and the
-// accumulated sum. Unlike groupByPart there are no per-row ids: the
-// fused kernel consumes every surviving row in-pass.
+// accumulated sum; for a sink without group keys the one sum. Unlike
+// groupByPart there are no per-row ids: the fused kernel consumes every
+// surviving row in-pass.
 type fusedGroupPart struct {
 	packed []uint64
 	groups [][]uint64
 	sums   []uint64
+	sum    uint64 // the scalar sink's total
 }
 
-// fusedGrouper is the group/aggregate stage of the fused probe cascade:
-// it packs the per-row attribute components gathered by the join stages
-// into a composite key, assigns morsel-local dense group ids, and
-// accumulates the measure (or measure difference) per group.
-type fusedGrouper struct {
+// fusedSink is the aggregate stage of the fused cascade. Without key
+// attributes it is scalar: it adds a·b·k over the staged words (the Q1.x
+// sum-product). Otherwise it packs the per-row attribute components
+// gathered by the join stages into a composite key, assigns
+// morsel-local dense group ids, and adds a - b·k (or a) per group. The
+// group row is inserted for every staged row, before its contribution
+// is known, mirroring the materializing chain where GroupBy runs ahead
+// of SumGrouped: a group whose only row the measure step dropped still
+// appears, with a zero sum.
+type fusedSink struct {
 	attrBufs [][]uint16
 	nAttrs   int
-	ma, mb   fusedCol
-	maBuf    []uint64 // the block's measure words, aligned with its position list
-	mbBuf    []uint64
-	kb       uint64 // an.DiffFactor(ma, mb): rescales b words into a's code
-	hasB     bool
-	detect   bool
-	re       *reencMeasures // non-nil under Reencoding: stage, then accumulate
+	k        uint64
 	ht       *hashmap.U64
 	part     fusedGroupPart
 }
 
 // groupOf returns the morsel-local group id of the fact row p in the
 // block starting at bs, inserting the group on its first occurrence.
-func (g *fusedGrouper) groupOf(bs int, p uint64) uint32 {
+func (s *fusedSink) groupOf(bs int, p uint64) uint32 {
 	rel := int(p) - bs
 	var packed uint64
-	for c := 0; c < g.nAttrs; c++ {
-		packed |= uint64(g.attrBufs[c][rel]) << (16 * uint(c))
+	for c := 0; c < s.nAttrs; c++ {
+		packed |= uint64(s.attrBufs[c][rel]) << (16 * uint(c))
 	}
-	id, inserted := g.ht.GetOrInsert(packed, uint32(len(g.part.groups)))
+	id, inserted := s.ht.GetOrInsert(packed, uint32(len(s.part.groups)))
 	if inserted {
-		tuple := make([]uint64, g.nAttrs)
+		tuple := make([]uint64, s.nAttrs)
 		for c := range tuple {
-			tuple[c] = uint64(g.attrBufs[c][rel])
+			tuple[c] = uint64(s.attrBufs[c][rel])
 		}
-		g.part.groups = append(g.part.groups, tuple)
-		g.part.packed = append(g.part.packed, packed)
-		g.part.sums = append(g.part.sums, 0)
+		s.part.groups = append(s.part.groups, tuple)
+		s.part.packed = append(s.part.packed, packed)
+		s.part.sums = append(s.part.sums, 0)
 	}
 	return id
 }
 
-// consume folds one block's surviving fact rows into the group table:
-// the measures are fetched width-typed into the staging vectors, then
-// every row finds its group and accumulates. The group row is inserted
-// *before* the measure is validated, mirroring the materializing chain
-// where GroupBy runs ahead of SumGrouped: a group whose only row carries
-// a corrupted measure still appears, with a zero contribution
-// (Continuous logs the measure's base column at the fact row and skips
-// the accumulation only).
-func (g *fusedGrouper) consume(bs int, pos []uint64, kl *keyedLog) {
-	av, bv := g.load(pos)
+// add folds one block's staged words into the sink. Raw code words add
+// and multiply in the 64-bit ring (Eq. 5, 7c), so the sums hold a's code
+// word of the total, verified under the widened code by fusedGroupCheck.
+func (s *fusedSink) add(bs int, pos, av, bv []uint64) {
+	if s.nAttrs == 0 {
+		sum := s.part.sum
+		for i, a := range av {
+			sum += a * bv[i] * s.k
+		}
+		s.part.sum = sum
+		return
+	}
 	for i, p := range pos {
-		id := g.groupOf(bs, p)
-		a := av[i]
-		var b uint64
-		if g.hasB {
-			b = bv[i]
+		id := s.groupOf(bs, p)
+		v := av[i]
+		if bv != nil {
+			v -= bv[i] * s.k
 		}
-		switch {
-		case g.ma.code == nil:
-			g.part.sums[id] += a - b
-		case g.detect:
-			da := a * g.ma.inv & g.ma.mask
-			okA := da <= g.ma.dmax
-			okB := true
-			if g.hasB {
-				db := b * g.mb.inv & g.mb.mask
-				okB = db <= g.mb.dmax
-			}
-			if !okA || !okB {
-				if !okA {
-					kl.record(g.ma.col.Name(), p, p)
-				}
-				if !okB {
-					kl.record(g.mb.col.Name(), p, p)
-				}
-				continue
-			}
-			// Raw code words add and subtract in the 64-bit ring, with b
-			// rescaled into a's code when their As differ (kb is 1 when
-			// they agree), so the accumulator holds a's code word of the
-			// group total (Eq. 5), verified under the widened code by
-			// fusedGroupCheck.
-			g.part.sums[id] += a + g.ma.lift - (b+g.mb.lift)*g.kb
-		default:
-			// LateOnetime: verify, log into the vec: namespace at the
-			// fact row, and accumulate the softened value regardless.
-			da := a * g.ma.inv & g.ma.mask
-			if da > g.ma.dmax {
-				kl.record(VecLogName(g.ma.col.Name()), p, p)
-			}
-			if g.hasB {
-				db := b * g.mb.inv & g.mb.mask
-				if db > g.mb.dmax {
-					kl.record(VecLogName(g.mb.col.Name()), p, p)
-				}
-				g.part.sums[id] += da + g.ma.base - (db + g.mb.base)
-			} else {
-				g.part.sums[id] += da + g.ma.base
-			}
-		}
+		s.part.sums[id] += v
 	}
 }
 
-// load fetches the block's measure words width-typed into the staging
-// vectors, aligned with pos; bv is nil without a second measure.
-func (g *fusedGrouper) load(pos []uint64) (av, bv []uint64) {
-	av = g.maBuf[:len(pos)]
-	loadList(g.ma.col, pos, av)
-	if g.hasB {
-		bv = g.mbBuf[:len(pos)]
-		loadList(g.mb.col, pos, bv)
-	}
-	return av, bv
-}
-
-// stage is consume's first half under Reencoding: the block's measure
-// words are loaded, verified under their columns' A (a failure logs
-// under the base column at the fact row) and re-hardened in place to A*.
-func (g *fusedGrouper) stage(pos []uint64, kl *keyedLog) {
-	av, bv := g.load(pos)
-	g.re.stage(pos, av, bv, kl.errLog())
-	kl.syncKeys()
-}
-
-// accumulate is consume's second half under Reencoding: every staged row
-// finds its group - inserted before the measure is validated, as in
-// consume - and a row whose words verify under A* adds into it (a word
-// corrupted since staging logs under VecLogName(column) at the fact
-// row). The sums are A*_a code words, b rescaled by kb.
-func (g *fusedGrouper) accumulate(bs int, pos []uint64, kl *keyedLog) {
-	av, bv := g.maBuf[:len(pos)], g.mbBuf[:len(pos)]
-	log := kl.errLog()
-	for i, p := range pos {
-		id := g.groupOf(bs, p)
-		if !g.re.valid(i, p, av, bv, log) {
-			continue
-		}
-		s := av[i]
-		if g.hasB {
-			s -= bv[i] * g.kb
-		}
-		g.part.sums[id] += s
-	}
-	kl.syncKeys()
-}
-
-// fusedProbeGroupRange is the morsel kernel of FusedProbeGroupSum[Diff]
-// over fact rows [start, end): per block, the predicates select into a
-// position list or - above bitmapSelThreshold - a block bitmap, the join
-// cascade probes the surviving rows (gathering group-key components as
-// it matches), and the grouper packs keys and accumulates the measure,
-// all without materializing an inter-operator position vector. Stage
-// logs are keyed by fact row and k-way merged back per block, so the
-// entry sequence is independent of block and morsel boundaries.
-func fusedProbeGroupRange(preds []fusedPred, joins []fusedJoinCol, ma, mb fusedCol, hasB bool, re *reencMeasures, nAttrs int, detect bool, flavor Flavor, log *ErrorLog, start, end int) (fusedGroupPart, error) {
+// fusedProbeGroupRange is the one block loop of the fused kernels, their
+// morsel kernel over fact rows [start, end): per block, the predicates
+// select into a position list or - above bitmapSelThreshold - a block
+// bitmap, the join cascade probes the surviving rows (gathering
+// group-key components as it matches), and the measure step and the
+// sink take what survives, all without materializing an inter-operator
+// position vector. Stage logs are keyed by fact row and k-way merged
+// back per block, so the entry sequence is independent of block and
+// morsel boundaries. ms is the call's measure step; the morsel stages
+// into its own buffers.
+func fusedProbeGroupRange(preds []fusedPred, joins []fusedJoinCol, ms *fusedMeasures, nAttrs int, flavor Flavor, log *ErrorLog, start, end int) (fusedGroupPart, error) {
 	posBuf := borrowU64(fusedBlockRows)
 	defer releaseU64(posBuf)
 	bmBuf := borrowU64(fusedBlockWords)
@@ -921,41 +645,28 @@ func fusedProbeGroupRange(preds []fusedPred, joins []fusedJoinCol, ma, mb fusedC
 	bpBuf := borrowU32(fusedBlockRows)
 	defer releaseU32(bpBuf)
 	bp := (*bpBuf)[:fusedBlockRows]
-	maBuf, mbBuf := borrowU64(fusedBlockRows), borrowU64(fusedBlockRows)
-	defer releaseU64(maBuf)
-	defer releaseU64(mbBuf)
+	aBuf, bBuf := borrowU64(fusedBlockRows), borrowU64(fusedBlockRows)
+	defer releaseU64(aBuf)
+	defer releaseU64(bBuf)
+	m := *ms
+	m.aBuf, m.bBuf = (*aBuf)[:fusedBlockRows], (*bBuf)[:fusedBlockRows]
 
-	g := &fusedGrouper{
-		attrBufs: make([][]uint16, nAttrs),
-		nAttrs:   nAttrs,
-		ma:       ma,
-		mb:       mb,
-		maBuf:    (*maBuf)[:fusedBlockRows],
-		mbBuf:    (*mbBuf)[:fusedBlockRows],
-		kb:       an.DiffFactor(ma.code, mb.code),
-		hasB:     hasB,
-		detect:   detect,
-		ht:       hashmap.New(1024),
-	}
-	if re != nil {
-		rm := *re // the drop bitmap is the morsel's own
-		dropBuf := borrowU64(fusedBlockWords)
-		defer releaseU64(dropBuf)
-		rm.drop = (*dropBuf)[:fusedBlockWords]
-		g.re, g.kb = &rm, an.DiffFactor(rm.ra.code, rm.rb.code)
+	sink := fusedSink{attrBufs: make([][]uint16, nAttrs), nAttrs: nAttrs, k: m.k}
+	if nAttrs > 0 {
+		sink.ht = hashmap.New(1024)
 	}
 	var attrPtrs [4]*[]uint16
 	for c := 0; c < nAttrs; c++ {
 		attrPtrs[c] = borrowU16(fusedBlockRows)
-		g.attrBufs[c] = (*attrPtrs[c])[:fusedBlockRows]
+		sink.attrBufs[c] = (*attrPtrs[c])[:fusedBlockRows]
 		defer releaseU16(attrPtrs[c])
 	}
 
 	// Stage logs: one per predicate, two per join (FK pass, attribute
-	// pass), one for the grouper - two under Reencoding (stage,
-	// accumulate).
+	// pass), one for the measure step - two under Reencoding (staging,
+	// read-back).
 	nLogs := len(preds) + 2*len(joins) + 1
-	if re != nil {
+	if m.re {
 		nLogs++
 	}
 	var stages [maxFusedLogs]keyedLog
@@ -981,6 +692,7 @@ func fusedProbeGroupRange(preds []fusedPred, joins []fusedJoinCol, ma, mb fusedC
 		}
 		return stages[s].log
 	}
+	measureStage := len(preds) + 2*len(joins)
 
 	for bs := start; bs < end; bs += fusedBlockRows {
 		be := bs + fusedBlockRows
@@ -1022,7 +734,7 @@ func fusedProbeGroupRange(preds []fusedPred, joins []fusedJoinCol, ma, mb fusedC
 			j := &joins[ji]
 			fkStage := len(preds) + 2*ji
 			var fkLog *ErrorLog // Late drops a corrupted FK silently
-			if detect {
+			if m.detect {
 				fkLog = stageLog(fkStage)
 			}
 			if useBitmap {
@@ -1039,7 +751,7 @@ func fusedProbeGroupRange(preds []fusedPred, joins []fusedJoinCol, ma, mb fusedC
 					list = sel
 				}
 				var err error
-				sel, count, err = j.fetchAttr(bs, words, list, bp, g.attrBufs[j.attrIdx], detect, stageAt(fkStage+1))
+				sel, count, err = j.fetchAttr(bs, words, list, bp, sink.attrBufs[j.attrIdx], m.detect, stageAt(fkStage+1))
 				if err != nil {
 					return fusedGroupPart{}, err
 				}
@@ -1053,18 +765,32 @@ func fusedProbeGroupRange(preds []fusedPred, joins []fusedJoinCol, ma, mb fusedC
 			if useBitmap {
 				sel = bitmapToList(words, bs, (*posBuf)[:0])
 			}
-			if g.re != nil {
-				g.stage(sel, stageAt(nLogs-2))
-				g.accumulate(bs, sel, stageAt(nLogs-1))
-			} else {
-				g.consume(bs, sel, stageAt(nLogs-1))
+			av, bv := m.stage(sel, stageAt(measureStage))
+			if m.re {
+				m.recheck(sel, av, bv, stageAt(measureStage+1))
 			}
+			sink.add(bs, sel, av, bv)
 		}
 		if log != nil {
 			mergeKeyedStages(log, stages[:nLogs])
 		}
 	}
-	return g.part, nil
+	return sink.part, nil
+}
+
+// FusedFilterSemiSumProduct runs the whole Q1.x tail in one pass over the
+// fact table: conjunctive range predicates, a semijoin of fk against the
+// build table ht, and the sum of a*b over the surviving rows - with no
+// intermediate selection or value vector. It is the fused cascade with
+// one attribute-free join and a scalar sink. Predicates short-circuit
+// left to right, so a row failing the first predicate never touches the
+// later columns, exactly like the materializing filter cascade.
+func FusedFilterSemiSumProduct(preds []RangePred, fk *storage.Column, ht *hashmap.U64, a, b *storage.Column, o *Opts) (*Vec, error) {
+	if b == nil {
+		return nil, fmt.Errorf("ops: fused sum-product needs a second factor")
+	}
+	_, out, err := fusedCascade("sum("+a.Name()+"*"+b.Name()+")", preds, []FusedJoin{{FK: fk, HT: ht}}, a, b, true, o)
+	return out, err
 }
 
 // FusedProbeGroupSum runs the whole grouped-flight tail (Q2.x/Q3.x) in
@@ -1075,7 +801,7 @@ func fusedProbeGroupRange(preds []fusedPred, joins []fusedJoinCol, ma, mb fusedC
 // returns the decoded group tuples in first-occurrence order and the
 // per-group sums, the inputs of exec.Query.Finish.
 func FusedProbeGroupSum(preds []RangePred, joins []FusedJoin, measure *storage.Column, o *Opts) ([][]uint64, *Vec, error) {
-	return fusedProbeGroup(preds, joins, measure, nil, o)
+	return fusedCascade("sum("+measure.Name()+")", preds, joins, measure, nil, false, o)
 }
 
 // FusedProbeGroupSumDiff is FusedProbeGroupSum with the Q4.x profit
@@ -1088,21 +814,21 @@ func FusedProbeGroupSumDiff(preds []RangePred, joins []FusedJoin, a, b *storage.
 	if b == nil {
 		return nil, nil, fmt.Errorf("ops: fused sum-diff needs a second measure")
 	}
-	return fusedProbeGroup(preds, joins, a, b, o)
+	return fusedCascade("sum("+a.Name()+"-"+b.Name()+")", preds, joins, a, b, false, o)
 }
 
-// fusedProbeGroup is the shared entry point of the fused probe cascade.
-func fusedProbeGroup(preds []RangePred, joins []FusedJoin, a, b *storage.Column, o *Opts) ([][]uint64, *Vec, error) {
-	hasB := b != nil
+// fusedCascade is the shared entry point of the fused kernels. scalar
+// selects the Q1.x sink - attribute-free joins, the one sum a*b - over
+// the grouped one (1..4 key attributes, the sum of a or a-b per group);
+// a scalar call returns no group tuples and a one-element Vec.
+func fusedCascade(name string, preds []RangePred, joins []FusedJoin, a, b *storage.Column, scalar bool, o *Opts) ([][]uint64, *Vec, error) {
 	n := a.Len()
-	name := "sum(" + a.Name() + ")"
-	if hasB {
-		name = "sum(" + a.Name() + "-" + b.Name() + ")"
+	if b != nil {
 		if b.Len() != n {
-			return nil, nil, fmt.Errorf("ops: fused sum-diff over unequal column lengths %d/%d", n, b.Len())
+			return nil, nil, fmt.Errorf("ops: fused aggregate over unequal column lengths %d/%d", n, b.Len())
 		}
 		if (a.Code() == nil) != (b.Code() == nil) {
-			return nil, nil, fmt.Errorf("ops: fused sum-diff needs both inputs plain or both hardened")
+			return nil, nil, fmt.Errorf("ops: fused aggregate needs both inputs plain or both hardened")
 		}
 	}
 	for _, p := range preds {
@@ -1135,7 +861,10 @@ func fusedProbeGroup(preds []RangePred, joins []FusedJoin, a, b *storage.Column,
 			nAttrs++
 		}
 	}
-	if nAttrs == 0 || nAttrs > 4 {
+	if scalar && nAttrs != 0 {
+		return nil, nil, fmt.Errorf("ops: fused scalar aggregate takes no key attributes, got %d", nAttrs)
+	}
+	if !scalar && (nAttrs == 0 || nAttrs > 4) {
 		return nil, nil, fmt.Errorf("ops: fused group-by supports 1..4 key attributes, got %d", nAttrs)
 	}
 	if len(preds)+len(joins)+1 > maxFusedStages {
@@ -1143,28 +872,20 @@ func fusedProbeGroup(preds []RangePred, joins []FusedJoin, a, b *storage.Column,
 	}
 	detect := o.detect()
 	log := o.log()
-	ac := makeFusedCol(a)
-	var bc fusedCol
-	if hasB {
-		bc = makeFusedCol(b)
+	ms, err := makeFusedMeasures(a, b, scalar, o)
+	if err != nil {
+		return nil, nil, err
 	}
-	// Under Reencoding the measures are staged under their next-smaller
-	// A, so the sums carry A*_a.
-	sumCode := ac.code
-	var re *reencMeasures
-	if o.reencode() && ac.code != nil {
-		var err error
-		if re, err = makeReencMeasures(ac, bc, hasB); err != nil {
-			return nil, nil, err
-		}
-		sumCode = re.ra.code
+	numGroups := 0
+	if scalar {
+		numGroups = 1
 	}
 
 	fps := make([]fusedPred, len(preds))
 	for i, p := range preds {
 		fps[i] = makeFusedPred(p, o)
 		if fps[i].empty {
-			out, acc, err := fusedGroupOut(name, sumCode, 0, detect)
+			out, acc, err := fusedGroupOut(name, ms.sumCode, numGroups, detect)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -1174,10 +895,9 @@ func fusedProbeGroup(preds []RangePred, joins []FusedJoin, a, b *storage.Column,
 	}
 	flavor := o.flavor()
 
-	// The pass logs into a private log that reaches the caller's only
-	// when it completes or stops (ErrStopped): a tail abandoned with
-	// ErrFusedKeyDomain is rerun by the materializing operators, which
-	// log it all again.
+	// The pass logs into a private log that reaches the caller's unless
+	// the pass is abandoned with ErrFusedKeyDomain: that tail is rerun
+	// by the materializing operators, which log it all again.
 	var plog *ErrorLog
 	if log != nil {
 		plog = borrowLog()
@@ -1185,23 +905,28 @@ func fusedProbeGroup(preds []RangePred, joins []FusedJoin, a, b *storage.Column,
 	}
 	var groups [][]uint64
 	var sums []uint64
+	var sum uint64
 	if p := o.par(n); p != nil {
 		parts, err := runMorsels(p, n, o, plog, nil, func(mlog *ErrorLog, start, end int) (fusedGroupPart, error) {
-			return fusedProbeGroupRange(fps, fjs, ac, bc, hasB, re, nAttrs, detect, flavor, mlog, start, end)
+			return fusedProbeGroupRange(fps, fjs, &ms, nAttrs, flavor, mlog, start, end)
 		})
-		if errors.Is(err, ErrStopped) {
-			log.Merge(plog) // the detections are the retry's repair list
-		}
 		if err != nil {
+			if !errors.Is(err, ErrFusedKeyDomain) {
+				log.Merge(plog) // a stopped scan's detections are the retry's repair list
+			}
 			return nil, nil, err
 		}
-		// Merge the per-morsel group tables in morsel order: every local
-		// first occurrence maps onto a global dense id via one shared
-		// table (the GroupBy merge), and the local sums add into the
-		// global accumulator - ring addition, so the totals match the
-		// serial pass exactly (Eq. 5).
-		global := hashmap.New(1024)
+		// Merge the per-morsel sinks in morsel order: every local first
+		// occurrence maps onto a global dense id via one shared table
+		// (the GroupBy merge), and the local sums add into the global
+		// accumulator - ring addition, so the totals match the serial
+		// pass exactly (Eq. 5).
+		var global *hashmap.U64
+		if !scalar {
+			global = hashmap.New(1024)
+		}
 		for _, part := range parts {
+			sum += part.sum
 			for li, pk := range part.packed {
 				id, inserted := global.GetOrInsert(pk, uint32(len(groups)))
 				if inserted {
@@ -1212,21 +937,27 @@ func fusedProbeGroup(preds []RangePred, joins []FusedJoin, a, b *storage.Column,
 			}
 		}
 	} else {
-		part, err := fusedProbeGroupRange(fps, fjs, ac, bc, hasB, re, nAttrs, detect, flavor, plog, 0, n)
+		part, err := fusedProbeGroupRange(fps, fjs, &ms, nAttrs, flavor, plog, 0, n)
 		if err != nil {
 			return nil, nil, err
 		}
-		groups, sums = part.groups, part.sums
+		groups, sums, sum = part.groups, part.sums, part.sum
 	}
 	if log != nil {
 		log.Merge(plog)
 	}
+	if !scalar {
+		numGroups = len(sums)
+	}
 
-	out, acc, err := fusedGroupOut(name, sumCode, len(groups), detect)
+	out, acc, err := fusedGroupOut(name, ms.sumCode, numGroups, detect)
 	if err != nil {
 		return nil, nil, err
 	}
 	copy(out.Vals, sums)
+	if scalar {
+		out.Vals[0] = sum
+	}
 	fusedGroupCheck(out, acc, detect, log)
 	return groups, out, nil
 }

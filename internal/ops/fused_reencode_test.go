@@ -14,12 +14,12 @@ func reencodeOpts(log *ErrorLog) *Opts {
 	return &Opts{Detect: true, HardenIDs: true, Reencode: true, Log: log}
 }
 
-// TestReencodeStagedFlipAttribution feeds the accumulation step of both
-// fused aggregations - the Q1 sum-product and the grouped sum - a staged
-// word flipped after it was re-encoded: the word is logged under
-// vec:<measure> at its fact row and dropped. A flipped base word at the
-// same fact row is instead logged under the base column by the staging
-// step and never reaches the accumulation. Either way the row's group
+// TestReencodeStagedFlipAttribution feeds the measure step of both
+// fused sinks - the Q1 sum-product and the grouped sum - a staged word
+// flipped after it was re-encoded: the read-back logs it under
+// vec:<measure> at its fact row and drops the row. A flipped base word
+// at the same fact row is instead logged under the base column by the
+// staging and never reaches the read-back. Either way the row's group
 // still appears, and the sum is exactly the other rows' total under
 // A*'s widened code.
 func TestReencodeStagedFlipAttribution(t *testing.T) {
@@ -31,7 +31,7 @@ func TestReencodeStagedFlipAttribution(t *testing.T) {
 		name      string
 		flipBase  bool
 		stageWant []ErrorEntry
-		accWant   []ErrorEntry
+		readWant  []ErrorEntry
 	}{
 		{"staged", false, nil, []ErrorEntry{{"vec:lo_revenue", PosCode.Encode(row)}}},
 		{"base", true, []ErrorEntry{{"lo_revenue", PosCode.Encode(row)}}, nil},
@@ -42,37 +42,44 @@ func TestReencodeStagedFlipAttribution(t *testing.T) {
 			if tc.flipBase {
 				revC.Corrupt(row, 1<<9)
 			}
-			re, err := makeReencMeasures(makeFusedCol(revC), makeFusedCol(discC), true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if re.ra.code.A() >= code32.A() {
-				t.Fatalf("fixture vacuous: A*=%d is not smaller than A=%d", re.ra.code.A(), code32.A())
-			}
-			re.drop = make([]uint64, fusedBlockWords)
-			flip := func(staged []uint64) {
-				if !tc.flipBase {
-					staged[row] ^= 1 << 7
-				}
-			}
-			check := func(what string, log *ErrorLog, want []ErrorEntry) {
+			// measure runs the measure step over pos with a flip between
+			// staging and read-back, checking both stage logs.
+			measure := func(what string, m fusedMeasures) (av, bv []uint64) {
 				t.Helper()
-				if got := log.Entries(); !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
-					t.Fatalf("%s logged %v, want %v", what, got, want)
+				if !m.re || m.ra.code.A() >= code32.A() {
+					t.Fatalf("fixture vacuous: A*=%d is not smaller than A=%d", m.ra.code.A(), code32.A())
 				}
+				m.aBuf, m.bBuf = make([]uint64, fusedBlockRows), make([]uint64, fusedBlockRows)
+				stageKL, readKL := &keyedLog{log: NewErrorLog()}, &keyedLog{log: NewErrorLog()}
+				av, bv = m.stage(pos, stageKL)
+				if !tc.flipBase {
+					av[row] ^= 1 << 7
+				}
+				m.recheck(pos, av, bv, readKL)
+				for _, c := range []struct {
+					step string
+					kl   *keyedLog
+					want []ErrorEntry
+				}{{"staging", stageKL, tc.stageWant}, {"read-back", readKL, tc.readWant}} {
+					if got := c.kl.log.Entries(); !reflect.DeepEqual(got, c.want) && len(got)+len(c.want) > 0 {
+						t.Fatalf("%s %s logged %v, want %v", what, c.step, got, c.want)
+					}
+					if len(c.kl.keys) != c.kl.log.Count() {
+						t.Fatalf("%s %s left entries without merge keys", what, c.step)
+					}
+				}
+				return av, bv
 			}
 
 			// Q1: sum(lo_revenue*lo_discount).
-			av, bv := make([]uint64, len(pos)), make([]uint64, len(pos))
-			loadList(revC, pos, av)
-			loadList(discC, pos, bv)
-			stageLog, accLog := NewErrorLog(), NewErrorLog()
-			re.stage(pos, av, bv, stageLog)
-			flip(av)
-			sum := re.sumProduct(an.InverseMod2N(re.rb.code.A(), 64), pos, av, bv, accLog)
-			check("Q1 staging", stageLog, tc.stageWant)
-			check("Q1 accumulation", accLog, tc.accWant)
-			acc, err := wideCode(re.ra.code)
+			m, err := makeFusedMeasures(revC, discC, true, reencodeOpts(nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			av, bv := measure("Q1", m)
+			q1 := fusedSink{k: m.k}
+			q1.add(0, pos, av, bv)
+			acc, err := wideCode(m.sumCode)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,34 +89,20 @@ func TestReencodeStagedFlipAttribution(t *testing.T) {
 					want += rev[i] * disc[i]
 				}
 			}
-			if d, ok := acc.Check(sum); !ok || d != want {
+			if d, ok := acc.Check(q1.part.sum); !ok || d != want {
 				t.Fatalf("Q1 sum decodes to %d (ok=%v) under A*, want %d", d, ok, want)
 			}
 
 			// Grouped: sum(lo_revenue) by a key that gives the flipped
 			// row a group of its own.
+			if m, err = makeFusedMeasures(revC, nil, false, reencodeOpts(nil)); err != nil {
+				t.Fatal(err)
+			}
+			av, bv = measure("grouped", m)
 			key := make([]uint16, fusedBlockRows)
 			key[row] = 1
-			g := &fusedGrouper{
-				attrBufs: [][]uint16{key},
-				nAttrs:   1,
-				ma:       re.a,
-				maBuf:    make([]uint64, fusedBlockRows),
-				mbBuf:    make([]uint64, fusedBlockRows),
-				kb:       1,
-				detect:   true,
-				re:       &reencMeasures{a: re.a, ra: re.ra, drop: re.drop},
-				ht:       hashmap.New(16),
-			}
-			stageKL, accKL := &keyedLog{log: NewErrorLog()}, &keyedLog{log: NewErrorLog()}
-			g.stage(pos, stageKL)
-			flip(g.maBuf)
-			g.accumulate(0, pos, accKL)
-			check("grouped staging", stageKL.log, tc.stageWant)
-			check("grouped accumulation", accKL.log, tc.accWant)
-			if len(stageKL.keys) != stageKL.log.Count() || len(accKL.keys) != accKL.log.Count() {
-				t.Fatal("stage logs left entries without merge keys")
-			}
+			g := fusedSink{attrBufs: [][]uint16{key}, nAttrs: 1, k: m.k, ht: hashmap.New(16)}
+			g.add(0, pos, av, bv)
 			if !reflect.DeepEqual(g.part.groups, [][]uint64{{0}, {1}}) {
 				t.Fatalf("groups %v, want the dropped row's group kept", g.part.groups)
 			}

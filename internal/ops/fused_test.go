@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"ahead/internal/an"
 	"ahead/internal/hashmap"
 	"ahead/internal/storage"
 )
@@ -51,7 +52,9 @@ func newQ1Fixture(t *testing.T, n int) *q1Fixture {
 // materializedQ1 runs the operator-at-a-time pipeline the fused kernel
 // replaces, with the given columns and the mode behaviour o encodes.
 // late applies the PreAggregate Δ (soften with verification) before the
-// final aggregation, mirroring exec.Query.PreAggregate under LateOnetime.
+// final aggregation, mirroring exec.Query.PreAggregate under LateOnetime;
+// under o's Reencode bit the gathered vectors are re-encoded to their
+// next-smaller A, mirroring exec.Query.Reencode.
 func materializedQ1(t *testing.T, discC, qtyC, odC, priceC *storage.Column, ht *hashmap.U64, o *Opts, late bool, log *ErrorLog) *Vec {
 	t.Helper()
 	sel, err := Filter(discC, 1, 3, o)
@@ -77,6 +80,17 @@ func materializedQ1(t *testing.T, discC, qtyC, odC, priceC *storage.Column, ht *
 	if late {
 		price = price.Soften(true, log)
 		disc = disc.Soften(true, log)
+	}
+	if o.reencode() {
+		for _, v := range []**Vec{&price, &disc} {
+			next, ok := an.NextSmaller((*v).Code)
+			if !ok {
+				t.Fatalf("%s: no smaller A to re-encode to", (*v).Name)
+			}
+			if *v, err = (*v).Reencode(next); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	rev, err := SumProduct(price, disc, o)
 	if err != nil {
@@ -224,5 +238,133 @@ func TestFusedEmptyPredicate(t *testing.T) {
 	}
 	if rev.Vals[0] != 0 {
 		t.Fatalf("empty predicate must sum to 0, got %d", rev.Vals[0])
+	}
+}
+
+// TestFusedQ1BitmapBlocks runs the Q1 pass over blocks whose first
+// predicate keeps more than bitmapSelThreshold rows - the block turns
+// into a bitmap, the second predicate refines it in place, and the date
+// semijoin thins it back to a list - with faults planted in surviving
+// rows of a predicate column, the FK and both factors. Under Late,
+// Continuous and Reencoding the pass must return the materializing
+// chain's result, log the same base-column positions (and under Late
+// as many vec: entries), and log byte-identically serial and pooled.
+func TestFusedQ1BitmapBlocks(t *testing.T) {
+	const n = 2*fusedBlockRows + 333 // three blocks, the last ragged
+	// The fixture's data by construction (newQ1Fixture): disc i%11,
+	// qty 7i%50, orderdate 100+i%6 against build keys 100..102.
+	first, second, probed := 0, 0, 0
+	var survivors []int
+	for i := 0; i < n; i++ {
+		if d := i % 11; d < 1 || d > 3 {
+			continue
+		}
+		if i < fusedBlockRows {
+			first++
+		}
+		if (i*7)%50 > 24 {
+			continue
+		}
+		if i < fusedBlockRows {
+			second++
+		}
+		if i%6 > 2 {
+			continue
+		}
+		if i < fusedBlockRows {
+			probed++
+		}
+		survivors = append(survivors, i)
+	}
+	if first < bitmapSelThreshold || second < bitmapSelThreshold || probed >= bitmapSelThreshold {
+		t.Fatalf("fixture vacuous: block 0 keeps %d, %d, %d rows; want a bitmap through both predicates and a list after the probe",
+			first, second, probed)
+	}
+	// Surviving rows in every block, the ragged one included.
+	rows := []int{survivors[3], survivors[len(survivors)/2], survivors[len(survivors)-2]}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(f *q1Fixture)
+	}{
+		{"predicate", func(f *q1Fixture) {
+			// The top code bit: Late's raw compare rejects the word too.
+			for _, r := range rows {
+				f.qtyH.Corrupt(r, 1<<(f.qtyH.Code().CodeBits()-1))
+			}
+		}},
+		{"fk", func(f *q1Fixture) {
+			for _, r := range rows {
+				f.odH.Corrupt(r, 1<<5)
+			}
+		}},
+		{"factors", func(f *q1Fixture) {
+			for _, r := range rows {
+				f.priceH.Corrupt(r, 1<<7)
+			}
+			f.discH.Corrupt(rows[1]+66, 1<<2) // the next surviving row
+		}},
+	} {
+		clean := newQ1Fixture(t, n)
+		f := newQ1Fixture(t, n)
+		tc.corrupt(f)
+		for _, mode := range []struct {
+			name string
+			opts func(log *ErrorLog) *Opts
+		}{
+			{"late", func(log *ErrorLog) *Opts { return &Opts{Log: log} }},
+			{"continuous", func(log *ErrorLog) *Opts { return &Opts{Detect: true, HardenIDs: true, Log: log} }},
+			{"reencoding", reencodeOpts},
+		} {
+			id := tc.name + "/" + mode.name
+			late := mode.name == "late"
+			wlog, flog := NewErrorLog(), NewErrorLog()
+			want := materializedQ1(t, f.discH, f.qtyH, f.odH, f.priceH, f.ht, mode.opts(wlog), late, wlog)
+			got := fusedQ1(t, f, f.discH, f.qtyH, f.odH, f.priceH, mode.opts(flog))
+			if !reflect.DeepEqual(got.Vals, want.Vals) || (got.Code == nil) != (want.Code == nil) ||
+				got.Code != nil && got.Code.A() != want.Code.A() {
+				t.Fatalf("%s: fused %v (%v) != materialized %v (%v)", id, got.Vals, got.Code, want.Vals, want.Code)
+			}
+			ref := fusedQ1(t, clean, clean.discH, clean.qtyH, clean.odH, clean.priceH, mode.opts(nil))
+			if flog.Count() == 0 && reflect.DeepEqual(got.Vals, ref.Vals) {
+				t.Fatalf("%s: the faults neither logged nor changed the sum; test is vacuous", id)
+			}
+			fbase, fvec := flog.PartitionColumns()
+			wbase, wvec := wlog.PartitionColumns()
+			if !reflect.DeepEqual(fbase, wbase) {
+				t.Fatalf("%s: fused logged base columns %v, materialized %v", id, fbase, wbase)
+			}
+			for _, col := range fbase {
+				fp, _ := flog.Positions(col)
+				wp, _ := wlog.Positions(col)
+				if !reflect.DeepEqual(fp, wp) {
+					t.Fatalf("%s: %s fused positions %v != materialized %v", id, col, fp, wp)
+				}
+			}
+			if late {
+				// The Δ logs vec: entries at the fact row fused and at the
+				// vector index materialized: the counts agree.
+				if !reflect.DeepEqual(fvec, wvec) {
+					t.Fatalf("%s: fused logged vec columns %v, materialized %v", id, fvec, wvec)
+				}
+				for _, col := range fvec {
+					fp, _ := flog.Positions(col)
+					wp, _ := wlog.Positions(col)
+					if len(fp) != len(wp) {
+						t.Fatalf("%s: %s fused logged %d rows, materialized %d", id, col, len(fp), len(wp))
+					}
+				}
+			} else if len(fvec) != 0 {
+				t.Fatalf("%s: fused pass logged vec: entries %v", id, fvec)
+			}
+			for _, morsel := range []int{999, fusedBlockRows + 7} {
+				plog := NewErrorLog()
+				po := mode.opts(plog)
+				po.Par = serialMorsels{workers: 4, morsel: morsel}
+				par := fusedQ1(t, f, f.discH, f.qtyH, f.odH, f.priceH, po)
+				if !reflect.DeepEqual(par.Vals, got.Vals) || !plog.Equal(flog) {
+					t.Fatalf("%s morsel=%d: pooled pass diverges from serial", id, morsel)
+				}
+			}
+		}
 	}
 }

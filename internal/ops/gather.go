@@ -12,7 +12,10 @@ import (
 // operators keep computing on protected data. Words stored from a frame
 // of reference are handed on as base-0 words under the column's lifted
 // code (storage.Column.Lift), so no Vec carries a base. With Detect set,
-// every fetched value is verified (continuous detection).
+// every fetched value is verified (continuous detection). A hardened
+// word is handed on masked to its code bits (an.Code.CodeMask): bits
+// above |C| of a 64-bit word are no part of the code word, so no check
+// sees a flip there, and no sum may either.
 func Gather(col *storage.Column, sel *Sel, o *Opts) (*Vec, error) {
 	if err := o.ctxErr(); err != nil {
 		return nil, err
@@ -41,6 +44,10 @@ func gatherRange(col *storage.Column, sel *Sel, o *Opts, log *ErrorLog, start, e
 	out := (*buf)[:0]
 	detect := o.detect()
 	code := col.Code()
+	mask := ^uint64(0)
+	if code != nil {
+		mask = code.CodeMask()
+	}
 	lift := col.Base() != 0
 	for i := start; i < end; i++ {
 		pos, ok := sel.At(i, log)
@@ -60,6 +67,7 @@ func gatherRange(col *storage.Column, sel *Sel, o *Opts, log *ErrorLog, start, e
 				log.Record(col.Name(), pos)
 			}
 		}
+		v &= mask
 		if lift {
 			v = col.Lift(v)
 		}
@@ -97,6 +105,10 @@ func gatherAtRange(col *storage.Column, positions []uint32, o *Opts, log *ErrorL
 	out := (*buf)[:0]
 	detect := o.detect()
 	code := col.Code()
+	mask := ^uint64(0)
+	if code != nil {
+		mask = code.CodeMask()
+	}
 	lift := col.Base() != 0
 	for _, p := range positions[start:end] {
 		if int(p) >= col.Len() {
@@ -109,6 +121,7 @@ func gatherAtRange(col *storage.Column, positions []uint32, o *Opts, log *ErrorL
 				log.Record(col.Name(), uint64(p))
 			}
 		}
+		v &= mask
 		if lift {
 			v = col.Lift(v)
 		}

@@ -143,7 +143,7 @@ func TestPackedFilterPooledMatchesSerialLog(t *testing.T) {
 }
 
 // TestScratchWidthClassRoundTrip covers the narrow width classes of the
-// arena (Δ borrows softened columns from them, the fused grouper its
+// arena (Δ borrows softened columns from them, the fused sink its
 // attribute staging): u8 and u16 borrow, fill, release and re-borrow
 // clean, own and concat copy out, and LiveScratch stays balanced.
 func TestScratchWidthClassRoundTrip(t *testing.T) {

@@ -36,8 +36,9 @@ type RangePred struct {
 // past the comparable code range - and an upper bound beyond it
 // saturates. A column stored from a frame of reference (Column.Base)
 // has both bounds moved down by the base first, so its words compare in
-// their own domain; a range ending below the base selects nothing. Narrow hardened columns carrying a packed lane mirror
-// (DESIGN.md section 5g) scan the mirror instead of the wide array: SWAR
+// their own domain; a range ending below the base selects nothing.
+// Narrow hardened columns carrying a packed lane mirror (DESIGN.md
+// section 5g) scan the mirror instead of the wide array: SWAR
 // over encoded bounds for Late, per-lane Algorithm 1 for Continuous,
 // emitting exactly the positions, error-log entries and entry order of
 // the wide kernels, so the choice changes throughput and nothing else.
@@ -263,31 +264,32 @@ func refineListTyped[T an.Unsigned](data []T, f *fusedPred, log *ErrorLog, pos [
 
 func refineBitmapTyped[T an.Unsigned](data []T, f *fusedPred, bs int, log *ErrorLog, words []uint64) int {
 	lo, span := T(f.lo), T(f.span)
-	inv, mask, dmax := T(f.inv), T(f.mask), T(f.dmax)
+	checked, inv, mask, dmax := f.checked, T(f.inv), T(f.mask), T(f.dmax)
 	count := 0
-	for w := range words {
-		word := words[w]
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			row := bs + w*64 + b
-			d := data[row]
-			if f.checked {
-				d = d * inv & mask
-				if d > dmax {
+	for w, word := range words {
+		base := bs + w<<6
+		// Each set row clears its bit by a mask, not by a branch: a
+		// predicate passing about half its rows would mispredict on
+		// every other one.
+		for t := word; t != 0; t &= t - 1 {
+			i := uint(bits.TrailingZeros64(t)) & 63
+			v := data[base+int(i)]
+			var drop uint64
+			if checked {
+				if v = v * inv & mask; v > dmax {
 					if log != nil {
-						log.Record(f.col.Name(), uint64(row))
+						log.Record(f.col.Name(), uint64(base)+uint64(i))
 					}
-					words[w] &^= 1 << uint(b)
-					continue
+					drop = 1
 				}
 			}
-			if d-lo > span {
-				words[w] &^= 1 << uint(b)
-			} else {
-				count++
+			if v-lo > span {
+				drop = 1
 			}
+			word &^= drop << i
 		}
+		words[w] = word
+		count += bits.OnesCount64(word)
 	}
 	return count
 }

@@ -262,7 +262,7 @@ type fusedLoFixture struct {
 // cascade must agree with Filter/FilterSel for bounds beyond, across and
 // inverted around the domain, with the predicate first (block scan),
 // later behind a selective lead (list refine) and later behind an
-// unselective lead (bitmap refine, cascade only), with the other columns
+// unselective lead (bitmap refine), with the other columns
 // plain (Unprotected) or hardened without and with detection (Late,
 // Continuous - the shape a residue-demoted predicate column has).
 func TestFusedPredicateBeyondStorageDomain(t *testing.T) {

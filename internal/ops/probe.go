@@ -35,10 +35,10 @@ import (
 // verified, logged or matched: its words are masked before anything is
 // derived from them.
 //
-// Drivers: probeBitmap/probeList (the cascade's join stages and the Q1
-// pass), probeRange (SemiJoin and HashProbe, row order without a
-// selection, selection order with one). Each switches on the column
-// width once per block or morsel.
+// Entry points: probeBitmap/probeList (the join stages of the fused
+// cascade, every flight's), probeRange (SemiJoin and HashProbe, row
+// order without a selection, selection order with one). Each switches
+// on the column width once per block or morsel.
 
 // maxKeyBitsetBits caps the dense key-membership index: a build table
 // whose keys span this many values or more (keyMax-keyMin) keeps plain
@@ -533,9 +533,9 @@ func probeRangeTyped[T an.Unsigned](data []T, j *fkProbe, sel *Sel, o *Opts, log
 }
 
 // loadList gathers the raw words of col at a block's positions into
-// out[i] - the typed fetch behind the per-match tails (the Q1 pass's
-// factors, the grouper's measures), which then work on one uint64
-// vector whatever the storage width.
+// out[i] - the typed fetch behind the fused measure step
+// (fusedMeasures.stage), which then works on one uint64 vector whatever
+// the storage width.
 func loadList(col *storage.Column, pos []uint64, out []uint64) {
 	switch col.Width() {
 	case 1:

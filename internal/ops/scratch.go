@@ -77,7 +77,7 @@ func newScratchClasses[T any]() []*scratchClass[T] {
 
 // The arena is width-typed: one class set per element width, so a
 // kernel borrows at the narrowest width that holds its values. u8/u16
-// carry narrow attribute payloads (the fused grouper's per-block
+// carry narrow attribute payloads (the fused sink's per-block
 // attribute staging is u16 - group keys are checked against 1<<16 before
 // staging), u32 carries probe-side positions, u64 carries
 // positions/bitmaps/partials.

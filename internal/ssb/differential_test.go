@@ -100,7 +100,11 @@ func TestDifferentialCrossMode(t *testing.T) {
 // corrupted positions in every base column (ErrorLog.Positions, the
 // repair interface). Bit 13 lies in every code's low bits; bit 43 lies
 // in lo_revenue's code word above the code bits of its next-smaller A,
-// where the re-encoding multiply alone would erase the flip.
+// where the re-encoding multiply alone would erase the flip. Bit 50
+// lies above lo_revenue's code word (|C|=47) in the 64-bit padding: no
+// check sees it and no sum may, so every configuration must return the
+// Unprotected reference with an empty log, and RunWithRecovery must
+// answer Q3.1 under Continuous on its first attempt without a repair.
 func TestDifferentialFaultLogs(t *testing.T) {
 	data, err := Generate(0.01, 7)
 	if err != nil {
@@ -112,11 +116,13 @@ func TestDifferentialFaultLogs(t *testing.T) {
 	for _, tc := range []struct {
 		bit       uint
 		aboveNext bool // the bit lies above the code bits of A*
+		padding   bool // the bit lies above the code bits of A, in the storage word
 		cols      []string
 		queries   []string
 	}{
-		{13, false, []string{"lo_revenue", "lo_extendedprice"}, []string{"Q1.1", "Q3.1", "Q4.1"}},
-		{43, true, []string{"lo_revenue"}, []string{"Q3.1", "Q4.1"}},
+		{13, false, false, []string{"lo_revenue", "lo_extendedprice"}, []string{"Q1.1", "Q3.1", "Q4.1"}},
+		{43, true, false, []string{"lo_revenue"}, []string{"Q3.1", "Q4.1"}},
+		{50, true, true, []string{"lo_revenue"}, []string{"Q3.1", "Q4.1"}},
 	} {
 		db, err := exec.NewDB(data.Tables(), storage.LargestCodeChooser)
 		if err != nil {
@@ -125,7 +131,8 @@ func TestDifferentialFaultLogs(t *testing.T) {
 		for _, col := range tc.cols {
 			c := db.Hardened("lineorder").MustColumn(col)
 			next, ok := an.NextSmaller(c.LiftedCode())
-			if tc.bit >= c.Code().CodeBits() || tc.aboveNext && (!ok || tc.bit < next.CodeBits()) {
+			if tc.bit >= 8*uint(c.Width()) || tc.padding != (tc.bit >= c.Code().CodeBits()) ||
+				tc.aboveNext && (!ok || tc.bit < next.CodeBits()) {
 				t.Fatalf("bit %d: fixture vacuous for %s (|C|=%d)", tc.bit, col, c.Code().CodeBits())
 			}
 			for i := 50; i < c.Len(); i += 97 {
@@ -134,7 +141,56 @@ func TestDifferentialFaultLogs(t *testing.T) {
 		}
 		for _, mode := range []exec.Mode{exec.Continuous, exec.ContinuousReencoding} {
 			for _, name := range tc.queries {
-				checkFaultLogs(t, db, pool, mode, name, tc.bit)
+				if tc.padding {
+					checkPaddingFlips(t, db, pool, mode, name, tc.bit)
+				} else {
+					checkFaultLogs(t, db, pool, mode, name, tc.bit)
+				}
+			}
+		}
+		if tc.padding {
+			ref, _, err := exec.Run(db, exec.Unprotected, ops.Blocked, Queries["Q3.1"])
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, rep, err := exec.RunWithRecovery(db, exec.Continuous, ops.Blocked, Queries["Q3.1"])
+			if err != nil {
+				t.Fatalf("bit %d Q3.1 RunWithRecovery: %v", tc.bit, err)
+			}
+			if !ref.Equal(res) || rep.Attempts != 1 || rep.RepairedCount() != 0 || rep.Intermediate != 0 {
+				t.Fatalf("bit %d Q3.1 RunWithRecovery: report %+v, result equals reference: %v", tc.bit, rep, ref.Equal(res))
+			}
+		}
+	}
+}
+
+// checkPaddingFlips runs one query under mode on a database whose flips
+// all lie above the code bits of their words, in all four plan
+// configurations, and requires the Unprotected reference with an empty
+// log from each.
+func checkPaddingFlips(t *testing.T, db *exec.DB, pool *exec.Pool, mode exec.Mode, name string, bit uint) {
+	t.Helper()
+	plan := Queries[name]
+	ref, _, err := exec.Run(db, exec.Unprotected, ops.Blocked, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fused := range []bool{true, false} {
+		for _, pooled := range []bool{false, true} {
+			opts := []exec.RunOption{exec.WithFusion(fused)}
+			if pooled {
+				opts = append(opts, exec.WithPool(pool))
+			}
+			got, log, err := exec.Run(db, mode, ops.Blocked, plan, opts...)
+			if err != nil {
+				t.Fatalf("bit %d %s %v fused=%v pooled=%v: %v", bit, name, mode, fused, pooled, err)
+			}
+			if !ref.Equal(got) {
+				t.Fatalf("bit %d %s %v fused=%v pooled=%v diverges from the reference: %s",
+					bit, name, mode, fused, pooled, firstDivergence(ref, got))
+			}
+			if log.Count() != 0 {
+				t.Fatalf("bit %d %s %v fused=%v pooled=%v: padding flips logged %v", bit, name, mode, fused, pooled, log.Entries())
 			}
 		}
 	}
