@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race lint check-run-names reachable bench-smoke bench-compare bench-pairs bench-pairs-check serve-smoke cluster-smoke adapt-soak clean
+.PHONY: all build test race lint loc check-run-names reachable bench-smoke bench-compare bench-pairs bench-pairs-check serve-smoke cluster-smoke adapt-soak clean
 
 all: build test
 
@@ -21,6 +21,16 @@ lint:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needs to run on:" >&2; echo "$$out" >&2; exit 1; fi
+
+# Non-test Go lines per package, then their total. go list's GoFiles
+# holds no _test.go file, and ./... skips dot directories such as the
+# parent checkouts scripts/bench_pairs.sh leaves under .bench_build/.
+loc:
+	@$(GO) list -f '{{.Dir}} {{.GoFiles}}' ./... | while read -r dir files; do \
+		files=$${files#[}; files=$${files%]}; n=0; \
+		for f in $$files; do n=$$((n + $$(wc -l < "$$dir/$$f"))); done; \
+		rel=$${dir#$(CURDIR)}; rel=$${rel#/}; echo "$$n $${rel:-.}"; \
+	done | awk '{ print; total += $$1 } END { print total, "total" }'
 
 # Every -run and -fuzz pattern in CI, this Makefile and scripts/ must
 # name an existing test: go test runs nothing - and passes - for a

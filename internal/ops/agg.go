@@ -50,45 +50,43 @@ func GroupBy(keys []*Vec, o *Opts) (gids []uint32, groups [][]uint64, err error)
 	if err != nil {
 		return nil, nil, err
 	}
-	if p := o.par(n); p != nil {
-		parts, err := runMorsels(p, n, o, o.log(), nil, func(log *ErrorLog, start, end int) (groupByPart, error) {
-			return groupByRange(keys, widths, shifts, o, log, start, end)
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		// Merge the per-morsel group tables in morsel order: every local
-		// first occurrence maps onto a global dense id via one shared
-		// table, which reproduces the serial first-occurrence order
-		// because morsels tile the rows left to right.
-		gids = make([]uint32, n)
-		global := hashmap.New(1024)
-		ms := p.MorselSize()
-		for m, part := range parts {
-			remap := make([]uint32, len(part.packed))
-			for li, pk := range part.packed {
-				id, inserted := global.GetOrInsert(pk, uint32(len(groups)))
-				if inserted {
-					groups = append(groups, part.groups[li])
-				}
-				remap[li] = id
-			}
-			off := m * ms
-			for j, lg := range part.gids {
-				if lg == ^uint32(0) {
-					gids[off+j] = lg
-				} else {
-					gids[off+j] = remap[lg]
-				}
-			}
-		}
-		return gids, groups, nil
-	}
-	part, err := groupByRange(keys, widths, shifts, o, o.log(), 0, n)
+	p := o.par(n)
+	parts, err := runMorsels(p, n, o, o.log(), nil, func(log *ErrorLog, start, end int) (groupByPart, error) {
+		return groupByRange(keys, widths, shifts, o, log, start, end)
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return part.gids, part.groups, nil
+	if len(parts) == 1 {
+		// One morsel's first-occurrence ids already are the global ids.
+		return parts[0].gids, parts[0].groups, nil
+	}
+	// Merge the per-morsel group tables in morsel order: every local
+	// first occurrence maps onto a global dense id via one shared table,
+	// which reproduces the first-occurrence order of one whole-input
+	// morsel because morsels tile the rows left to right.
+	gids = make([]uint32, n)
+	global := hashmap.New(1024)
+	ms := p.MorselSize()
+	for m, part := range parts {
+		remap := make([]uint32, len(part.packed))
+		for li, pk := range part.packed {
+			id, inserted := global.GetOrInsert(pk, uint32(len(groups)))
+			if inserted {
+				groups = append(groups, part.groups[li])
+			}
+			remap[li] = id
+		}
+		off := m * ms
+		for j, lg := range part.gids {
+			if lg == ^uint32(0) {
+				gids[off+j] = lg
+			} else {
+				gids[off+j] = remap[lg]
+			}
+		}
+	}
+	return gids, groups, nil
 }
 
 // groupKeyLayout assigns each key component its packed-key bit width and
@@ -188,91 +186,19 @@ func groupByRange(keys []*Vec, widths, shifts []uint, o *Opts, log *ErrorLog, st
 	return part, nil
 }
 
-// SumGrouped sums the value vector per group id. Hardened vectors are
-// accumulated as raw code words - yielding the code word of the group sum
-// under the widened accumulator code - and, with detect set, each input is
-// verified first and the final sums are domain-checked, which also catches
-// flips during the additions themselves (computational error detection,
-// requirement R1(iii)). Rows whose gid is ^uint32(0) (corrupted keys) are
-// skipped.
+// SumGrouped sums the value vector per group id (see aggregate). Rows
+// whose gid is ^uint32(0) (corrupted keys) are skipped.
 func SumGrouped(vals *Vec, gids []uint32, numGroups int, o *Opts) (*Vec, error) {
 	if vals.Len() != len(gids) {
 		return nil, fmt.Errorf("ops: %d values vs %d group ids", vals.Len(), len(gids))
 	}
-	if err := o.ctxErr(); err != nil {
-		return nil, err
-	}
-	acc, err := wideCode(vals.Code)
-	if err != nil {
-		return nil, err
-	}
-	out := &Vec{Name: "sum(" + vals.Name + ")", Vals: make([]uint64, numGroups), Code: acc}
-	detect := o.detect()
-	log := o.log()
-	if p := o.par(vals.Len()); p != nil {
-		parts, err := runMorsels(p, vals.Len(), o, log, dropU64, func(plog *ErrorLog, start, end int) (*[]uint64, error) {
-			part := borrowU64Zeroed(numGroups)
-			if err := sumGroupedRange(vals, gids, *part, numGroups, o, plog, start, end); err != nil {
-				releaseU64(part)
-				return nil, err
-			}
-			return part, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Raw code words add in the 64-bit ring, so per-morsel partial
-		// sums merge by addition into exactly the serial totals (Eq. 5).
-		for _, part := range parts {
-			for g, s := range *part {
-				out.Vals[g] += s
-			}
-			releaseU64(part)
-		}
-	} else if err := sumGroupedRange(vals, gids, out.Vals, numGroups, o, log, 0, vals.Len()); err != nil {
-		return nil, err
-	}
-	if acc != nil && detect {
-		for g, s := range out.Vals {
-			if _, ok := acc.Check(s); !ok && log != nil {
-				log.Record(VecLogName(out.Name), uint64(g))
-			}
-		}
-	}
-	return out, nil
-}
-
-// sumGroupedRange is the morsel kernel of SumGrouped: it accumulates
-// rows [start, end) into dst.
-func sumGroupedRange(vals *Vec, gids []uint32, dst []uint64, numGroups int, o *Opts, log *ErrorLog, start, end int) error {
-	detect := o.detect()
-	for i := start; i < end; i++ {
-		g := gids[i]
-		if g == ^uint32(0) {
-			continue
-		}
-		if int(g) >= numGroups {
-			return fmt.Errorf("ops: group id %d out of range %d", g, numGroups)
-		}
-		v := vals.Vals[i]
-		if vals.Code != nil && detect {
-			if _, ok := vals.Code.Check(v); !ok {
-				if log != nil {
-					log.Record(VecLogName(vals.Name), uint64(i))
-				}
-				continue
-			}
-		}
-		dst[g] += v
-	}
-	return nil
+	return aggregate("sum("+vals.Name+")", vals, nil, gids, numGroups, false, o)
 }
 
 // SumTotal sums a whole vector into a single value under the widened
-// accumulator code (see SumGrouped).
+// accumulator code (see aggregate).
 func SumTotal(vals *Vec, o *Opts) (*Vec, error) {
-	gids := make([]uint32, vals.Len())
-	return SumGrouped(vals, gids, 1, o)
+	return aggregate("sum("+vals.Name+")", vals, nil, nil, 1, false, o)
 }
 
 // SumProduct computes Σ a[i]*b[i], the Q1.x revenue aggregate
@@ -286,83 +212,7 @@ func SumProduct(a, b *Vec, o *Opts) (*Vec, error) {
 	if (a.Code == nil) != (b.Code == nil) {
 		return nil, fmt.Errorf("ops: sum-product needs both inputs plain or both hardened")
 	}
-	if err := o.ctxErr(); err != nil {
-		return nil, err
-	}
-	detect := o.detect()
-	log := o.log()
-	var invB uint64
-	if b.Code != nil {
-		// (d_a·A_a)·(d_b·A_b)·A_b^-1 = d_a·d_b·A_a (Eq. 7c). The inverse
-		// is taken in the full 64-bit ring the accumulation runs in, so
-		// the congruence is exact whenever the true product fits 64 bits
-		// - guaranteed by the register mapping of Section 6.1.
-		invB = an.InverseMod2N(b.Code.A(), 64)
-	}
-	var sum uint64
-	if p := o.par(a.Len()); p != nil {
-		// Ring addition is associative and commutative, so per-morsel
-		// partial sums merged in any order equal the serial sum exactly.
-		parts, err := runMorsels(p, a.Len(), o, log, nil, func(plog *ErrorLog, start, end int) (uint64, error) {
-			return sumProductRange(a, b, invB, o, plog, start, end), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range parts {
-			sum += s
-		}
-	} else {
-		sum = sumProductRange(a, b, invB, o, log, 0, a.Len())
-	}
-	name := "sum(" + a.Name + "*" + b.Name + ")"
-	if a.Code == nil {
-		return &Vec{Name: name, Vals: []uint64{sum}}, nil
-	}
-	acc, err := wideCode(a.Code)
-	if err != nil {
-		return nil, err
-	}
-	out := &Vec{Name: name, Vals: []uint64{sum}, Code: acc}
-	if detect && acc != nil {
-		if _, ok := acc.Check(sum); !ok && log != nil {
-			log.Record(VecLogName(out.Name), 0)
-		}
-	}
-	return out, nil
-}
-
-// sumProductRange is the morsel kernel of SumProduct over rows
-// [start, end).
-func sumProductRange(a, b *Vec, invB uint64, o *Opts, log *ErrorLog, start, end int) uint64 {
-	detect := o.detect()
-	var sum uint64
-	if a.Code == nil {
-		for i := start; i < end; i++ {
-			sum += a.Vals[i] * b.Vals[i]
-		}
-		return sum
-	}
-	for i := start; i < end; i++ {
-		av, bv := a.Vals[i], b.Vals[i]
-		if detect {
-			okA := a.Code.IsValid(av)
-			okB := b.Code.IsValid(bv)
-			if !okA || !okB {
-				if log != nil {
-					if !okA {
-						log.Record(VecLogName(a.Name), uint64(i))
-					}
-					if !okB {
-						log.Record(VecLogName(b.Name), uint64(i))
-					}
-				}
-				continue
-			}
-		}
-		sum += av * bv * invB
-	}
-	return sum
+	return aggregate("sum("+a.Name+"*"+b.Name+")", a, b, nil, 1, true, o)
 }
 
 // SumDiffGrouped computes Σ (a[i]-b[i]) per group, the Q4.x profit
@@ -378,6 +228,20 @@ func SumDiffGrouped(a, b *Vec, gids []uint32, numGroups int, o *Opts) (*Vec, err
 	if (a.Code == nil) != (b.Code == nil) {
 		return nil, fmt.Errorf("ops: sum-diff needs both inputs plain or both hardened")
 	}
+	return aggregate("sum("+a.Name+"-"+b.Name+")", a, b, gids, numGroups, false, o)
+}
+
+// aggregate is the one materializing aggregate, in the fused sink's
+// shape (fusedSink.add): per row it adds a·b·k into the row's group when
+// product is set, a - b·k otherwise, and a alone without b; nil gids
+// put every row into group 0. Hardened inputs accumulate as raw code
+// words, so each sum is the code word of the group sum under the
+// widened accumulator code (Eq. 5). With detect set, every input word is
+// verified first - a failure logs under the vec: namespace at its row
+// and drops the row - and the final sums are domain-checked, which also
+// catches flips during the additions themselves (computational error
+// detection, requirement R1(iii)).
+func aggregate(name string, a, b *Vec, gids []uint32, numGroups int, product bool, o *Opts) (*Vec, error) {
 	if err := o.ctxErr(); err != nil {
 		return nil, err
 	}
@@ -385,59 +249,67 @@ func SumDiffGrouped(a, b *Vec, gids []uint32, numGroups int, o *Opts) (*Vec, err
 	if err != nil {
 		return nil, err
 	}
-	out := &Vec{Name: "sum(" + a.Name + "-" + b.Name + ")", Vals: make([]uint64, numGroups), Code: acc}
-	detect := o.detect()
-	log := o.log()
-	if p := o.par(a.Len()); p != nil {
-		parts, err := runMorsels(p, a.Len(), o, log, dropU64, func(plog *ErrorLog, start, end int) (*[]uint64, error) {
-			part := borrowU64Zeroed(numGroups)
-			if err := sumDiffRange(a, b, gids, *part, numGroups, o, plog, start, end); err != nil {
-				releaseU64(part)
-				return nil, err
-			}
-			return part, nil
-		})
-		if err != nil {
+	// k keeps the added words code words under a's code: 1 on plain
+	// inputs and on a difference of one A, an.DiffFactor's rescale of b
+	// into a's code otherwise, and for a product A_b's inverse -
+	// (d_a·A_a)·(d_b·A_b)·A_b^-1 = d_a·d_b·A_a (Eq. 7c). The inverse is
+	// taken in the full 64-bit ring the accumulation runs in, so the
+	// congruence is exact whenever the true product fits 64 bits -
+	// guaranteed by the register mapping of Section 6.1.
+	k := uint64(1)
+	switch {
+	case b == nil || b.Code == nil:
+	case product:
+		k = an.InverseMod2N(b.Code.A(), 64)
+	default:
+		k = an.DiffFactor(a.Code, b.Code)
+	}
+	out := &Vec{Name: name, Vals: make([]uint64, numGroups), Code: acc}
+	detect, log := o.detect(), o.log()
+	parts, err := runMorsels(o.par(a.Len()), a.Len(), o, log, dropU64, func(plog *ErrorLog, start, end int) (*[]uint64, error) {
+		part := borrowU64Zeroed(numGroups)
+		if err := aggregateRange(a, b, gids, k, product, *part, detect, plog, start, end); err != nil {
+			releaseU64(part)
 			return nil, err
 		}
-		for _, part := range parts {
-			for g, s := range *part {
-				out.Vals[g] += s
-			}
-			releaseU64(part)
-		}
-	} else if err := sumDiffRange(a, b, gids, out.Vals, numGroups, o, log, 0, a.Len()); err != nil {
+		return part, nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	if acc != nil && detect {
-		for g, s := range out.Vals {
-			if _, ok := acc.Check(s); !ok && log != nil {
-				log.Record(VecLogName(out.Name), uint64(g))
-			}
+	// Raw code words add in the 64-bit ring, so per-morsel partial sums
+	// merge by addition into exactly the whole-input totals (Eq. 5).
+	for _, part := range parts {
+		for g, s := range *part {
+			out.Vals[g] += s
 		}
+		releaseU64(part)
 	}
+	checkGroupSums(out, acc, detect, log)
 	return out, nil
 }
 
-// sumDiffRange is the morsel kernel of SumDiffGrouped over rows
-// [start, end). Hardened values accumulate raw; the an.DiffFactor
-// rescale keeps b's words in a's code when their As differ (1 when
-// they agree, so the common path is a plain subtraction).
-func sumDiffRange(a, b *Vec, gids []uint32, dst []uint64, numGroups int, o *Opts, log *ErrorLog, start, end int) error {
-	detect := o.detect()
-	k := an.DiffFactor(a.Code, b.Code)
+// aggregateRange is the morsel kernel of aggregate: it accumulates rows
+// [start, end) into dst, one sum per group.
+func aggregateRange(a, b *Vec, gids []uint32, k uint64, product bool, dst []uint64, detect bool, log *ErrorLog, start, end int) error {
+	check := detect && a.Code != nil
 	for i := start; i < end; i++ {
-		g := gids[i]
-		if g == ^uint32(0) {
-			continue
+		var g uint32
+		if gids != nil {
+			if g = gids[i]; g == ^uint32(0) {
+				continue
+			}
+			if int(g) >= len(dst) {
+				return fmt.Errorf("ops: group id %d out of range %d", g, len(dst))
+			}
 		}
-		if int(g) >= numGroups {
-			return fmt.Errorf("ops: group id %d out of range %d", g, numGroups)
+		av, bv := a.Vals[i], uint64(0)
+		if b != nil {
+			bv = b.Vals[i]
 		}
-		av, bv := a.Vals[i], b.Vals[i]
-		if a.Code != nil && detect {
+		if check {
 			okA := a.Code.IsValid(av)
-			okB := b.Code.IsValid(bv)
+			okB := b == nil || b.Code.IsValid(bv)
 			if !okA || !okB {
 				if log != nil {
 					if !okA {
@@ -450,7 +322,11 @@ func sumDiffRange(a, b *Vec, gids []uint32, dst []uint64, numGroups int, o *Opts
 				continue
 			}
 		}
-		dst[g] += av - bv*k
+		if product {
+			dst[g] += av * bv * k
+		} else {
+			dst[g] += av - bv*k
+		}
 	}
 	return nil
 }

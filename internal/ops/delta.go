@@ -63,8 +63,8 @@ func deltaInto[T an.Unsigned](cs []*scratchClass[T], col *storage.Column, o *Opt
 
 // deltaScan verifies every value of col, decoding into dst unless col is
 // residue-hardened. Morsels record global positions into private logs
-// that runMorsels merges in morsel order, so the log equals the serial
-// one entry for entry.
+// that runMorsels merges in morsel order, so the log is the same entry
+// for entry whatever runner tiles the scan.
 func deltaScan(col, dst *storage.Column, o *Opts) error {
 	blocked := o.flavor() == Blocked
 	scan := func(log *ErrorLog, start, end int) (struct{}, error) {
@@ -81,10 +81,6 @@ func deltaScan(col, dst *storage.Column, o *Opts) error {
 		}
 		return struct{}{}, nil
 	}
-	if p := o.par(col.Len()); p != nil {
-		_, err := runMorsels(p, col.Len(), o, o.log(), nil, scan)
-		return err
-	}
-	_, err := scan(o.log(), 0, col.Len())
+	_, err := runMorsels(o.par(col.Len()), col.Len(), o, o.log(), nil, scan)
 	return err
 }

@@ -29,9 +29,10 @@ type Opts struct {
 	// either way (the packed branch of pred.go); only throughput differs.
 	NoPacked bool
 	// Par runs the kernels morsel-parallel when non-nil (exec.Pool
-	// implements it); nil means serial execution. Parallel kernels give
-	// every morsel a private error log and merge them in morsel order,
-	// so detected-error positions match the serial path exactly.
+	// implements it); nil runs each kernel as one morsel covering its
+	// input. Parallel kernels give every morsel a private error log and
+	// merge them in morsel order, so detected-error positions match the
+	// one-morsel run exactly.
 	Par Parallel
 	// Ctx, when non-nil, bounds the execution: every operator entry
 	// point checks it once, and the morsel runner checks it before
@@ -115,17 +116,13 @@ func Filter(col *storage.Column, lo, hi uint64, o *Opts) (*Sel, error) {
 	if f.empty {
 		return out, nil
 	}
-	if p := o.par(col.Len()); p != nil {
-		parts, err := runMorsels(p, col.Len(), o, o.log(), dropU64, func(log *ErrorLog, start, end int) (*[]uint64, error) {
-			return f.scanMorsel(o, log, start, end), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		out.Pos = o.outU64(parts...)
-		return out, nil
+	parts, err := runMorsels(o.par(col.Len()), col.Len(), o, o.log(), dropU64, func(log *ErrorLog, start, end int) (*[]uint64, error) {
+		return f.scanMorsel(o, log, start, end), nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	out.Pos = o.outU64(f.scanMorsel(o, o.log(), 0, col.Len()))
+	out.Pos = o.outU64(parts...)
 	return out, nil
 }
 
@@ -152,17 +149,13 @@ func FilterSel(col *storage.Column, lo, hi uint64, sel *Sel, o *Opts) (*Sel, err
 	if f.empty {
 		return out, nil
 	}
-	if p := o.par(sel.Len()); p != nil {
-		parts, err := runMorsels(p, sel.Len(), o, o.log(), dropU64, func(log *ErrorLog, start, end int) (*[]uint64, error) {
-			return f.filterSelRange(sel, log, start, end), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		out.Pos = o.outU64(parts...)
-		return out, nil
+	parts, err := runMorsels(o.par(sel.Len()), sel.Len(), o, o.log(), dropU64, func(log *ErrorLog, start, end int) (*[]uint64, error) {
+		return f.filterSelRange(sel, log, start, end), nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	out.Pos = o.outU64(f.filterSelRange(sel, o.log(), 0, sel.Len()))
+	out.Pos = o.outU64(parts...)
 	return out, nil
 }
 

@@ -87,9 +87,10 @@ const fusedBlockWords = fusedBlockRows / 64
 // rows) the 512-byte bitmap undercuts the >=4 KiB position list, and the
 // fixed 64-word sweep of the bitmap kernels is amortized over enough set
 // bits to beat the list's pointer chase; below it, the list's
-// touch-only-survivors property wins. Representations convert lazily:
-// dense blocks promote after the first scan, and a probe stage that
-// drops a bitmap below the threshold demotes it back to a list.
+// touch-only-survivors property wins. A block is promoted once, after
+// its predicates (which scan and refine position lists) and before its
+// first probe; a probe stage that drops a bitmap below the threshold
+// demotes it back to a list.
 const bitmapSelThreshold = fusedBlockRows / 8
 
 // maxFusedStages bounds the stages of one fused kernel (predicates,
@@ -433,9 +434,9 @@ func fusedGroupOut(name string, code *an.Code, numGroups int, detect bool) (*Vec
 	return &Vec{Name: name, Vals: make([]uint64, numGroups), Code: acc}, acc, nil
 }
 
-// fusedGroupCheck domain-checks the final group sums under the widened
+// checkGroupSums domain-checks the final group sums under the widened
 // code - catching flips during the additions themselves (R1(iii)).
-func fusedGroupCheck(out *Vec, acc *an.Code, detect bool, log *ErrorLog) {
+func checkGroupSums(out *Vec, acc *an.Code, detect bool, log *ErrorLog) {
 	if acc == nil || !detect {
 		return
 	}
@@ -566,6 +567,35 @@ type fusedGroupPart struct {
 	sum    uint64 // the scalar sink's total
 }
 
+// mergeSinks merges the per-morsel sinks in morsel order: every local
+// first occurrence maps onto a global dense id via one shared table (the
+// GroupBy merge), and the local sums add into the global accumulator -
+// ring addition, so the totals match one whole-input morsel exactly
+// (Eq. 5). One morsel's first-occurrence ids already are the global
+// ids, so its sink is the result as it is.
+func mergeSinks(parts []fusedGroupPart) fusedGroupPart {
+	if len(parts) == 1 {
+		return parts[0]
+	}
+	var merged fusedGroupPart
+	var global *hashmap.U64
+	for _, part := range parts {
+		merged.sum += part.sum
+		for li, pk := range part.packed {
+			if global == nil {
+				global = hashmap.New(1024)
+			}
+			id, inserted := global.GetOrInsert(pk, uint32(len(merged.groups)))
+			if inserted {
+				merged.groups = append(merged.groups, part.groups[li])
+				merged.sums = append(merged.sums, 0)
+			}
+			merged.sums[id] += part.sums[li]
+		}
+	}
+	return merged
+}
+
 // fusedSink is the aggregate stage of the fused cascade. Without key
 // attributes it is scalar: it adds a·b·k over the staged words (the Q1.x
 // sum-product). Otherwise it packs the per-row attribute components
@@ -606,7 +636,7 @@ func (s *fusedSink) groupOf(bs int, p uint64) uint32 {
 
 // add folds one block's staged words into the sink. Raw code words add
 // and multiply in the 64-bit ring (Eq. 5, 7c), so the sums hold a's code
-// word of the total, verified under the widened code by fusedGroupCheck.
+// word of the total, verified under the widened code by checkGroupSums.
 func (s *fusedSink) add(bs int, pos, av, bv []uint64) {
 	if s.nAttrs == 0 {
 		sum := s.part.sum
@@ -700,31 +730,22 @@ func fusedProbeGroupRange(preds []fusedPred, joins []fusedJoinCol, ms *fusedMeas
 			be = end
 		}
 		var sel []uint64
-		useBitmap := false
-		count := 0
-		if len(preds) == 0 {
-			fillBitmap(words, be-bs)
-			useBitmap, count = true, be-bs
+		useBitmap := len(preds) == 0
+		count := be - bs
+		if useBitmap {
+			fillBitmap(words, count)
 		} else {
+			// The predicates scan and refine a position list; the block
+			// enters the joins as a bitmap when enough rows survive them.
 			sel = preds[0].scan(bs, be, 1, flavor, stageLog(0), *posBuf)
 			stageAt(0).syncKeys()
-			count = len(sel)
-			if count >= bitmapSelThreshold {
+			for pi := 1; pi < len(preds); pi++ {
+				sel = preds[pi].refineList(stageLog(pi), sel)
+				stageAt(pi).syncKeys()
+			}
+			if count = len(sel); count >= bitmapSelThreshold {
 				listToBitmap(words, sel, bs)
 				useBitmap = true
-			}
-			for pi := 1; pi < len(preds); pi++ {
-				if useBitmap {
-					count = preds[pi].refineBitmap(bs, stageLog(pi), words)
-					if count < bitmapSelThreshold {
-						sel = bitmapToList(words, bs, (*posBuf)[:0])
-						useBitmap = false
-					}
-				} else {
-					sel = preds[pi].refineList(stageLog(pi), sel)
-					count = len(sel)
-				}
-				stageAt(pi).syncKeys()
 			}
 		}
 		for ji := range joins {
@@ -889,7 +910,7 @@ func fusedCascade(name string, preds []RangePred, joins []FusedJoin, a, b *stora
 			if err != nil {
 				return nil, nil, err
 			}
-			fusedGroupCheck(out, acc, detect, log)
+			checkGroupSums(out, acc, detect, log)
 			return nil, out, nil
 		}
 	}
@@ -903,61 +924,31 @@ func fusedCascade(name string, preds []RangePred, joins []FusedJoin, a, b *stora
 		plog = borrowLog()
 		defer releaseLog(plog)
 	}
-	var groups [][]uint64
-	var sums []uint64
-	var sum uint64
-	if p := o.par(n); p != nil {
-		parts, err := runMorsels(p, n, o, plog, nil, func(mlog *ErrorLog, start, end int) (fusedGroupPart, error) {
-			return fusedProbeGroupRange(fps, fjs, &ms, nAttrs, flavor, mlog, start, end)
-		})
-		if err != nil {
-			if !errors.Is(err, ErrFusedKeyDomain) {
-				log.Merge(plog) // a stopped scan's detections are the retry's repair list
-			}
-			return nil, nil, err
+	parts, err := runMorsels(o.par(n), n, o, plog, nil, func(mlog *ErrorLog, start, end int) (fusedGroupPart, error) {
+		return fusedProbeGroupRange(fps, fjs, &ms, nAttrs, flavor, mlog, start, end)
+	})
+	if err != nil {
+		if !errors.Is(err, ErrFusedKeyDomain) {
+			log.Merge(plog) // a stopped scan's detections are the retry's repair list
 		}
-		// Merge the per-morsel sinks in morsel order: every local first
-		// occurrence maps onto a global dense id via one shared table
-		// (the GroupBy merge), and the local sums add into the global
-		// accumulator - ring addition, so the totals match the serial
-		// pass exactly (Eq. 5).
-		var global *hashmap.U64
-		if !scalar {
-			global = hashmap.New(1024)
-		}
-		for _, part := range parts {
-			sum += part.sum
-			for li, pk := range part.packed {
-				id, inserted := global.GetOrInsert(pk, uint32(len(groups)))
-				if inserted {
-					groups = append(groups, part.groups[li])
-					sums = append(sums, 0)
-				}
-				sums[id] += part.sums[li]
-			}
-		}
-	} else {
-		part, err := fusedProbeGroupRange(fps, fjs, &ms, nAttrs, flavor, plog, 0, n)
-		if err != nil {
-			return nil, nil, err
-		}
-		groups, sums, sum = part.groups, part.sums, part.sum
+		return nil, nil, err
 	}
+	sink := mergeSinks(parts)
 	if log != nil {
 		log.Merge(plog)
 	}
 	if !scalar {
-		numGroups = len(sums)
+		numGroups = len(sink.sums)
 	}
 
 	out, acc, err := fusedGroupOut(name, ms.sumCode, numGroups, detect)
 	if err != nil {
 		return nil, nil, err
 	}
-	copy(out.Vals, sums)
+	copy(out.Vals, sink.sums)
 	if scalar {
-		out.Vals[0] = sum
+		out.Vals[0] = sink.sum
 	}
-	fusedGroupCheck(out, acc, detect, log)
-	return groups, out, nil
+	checkGroupSums(out, acc, detect, log)
+	return sink.groups, out, nil
 }

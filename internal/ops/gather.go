@@ -20,20 +20,13 @@ func Gather(col *storage.Column, sel *Sel, o *Opts) (*Vec, error) {
 	if err := o.ctxErr(); err != nil {
 		return nil, err
 	}
-	if p := o.par(sel.Len()); p != nil {
-		parts, err := runMorsels(p, sel.Len(), o, o.log(), dropU64, func(log *ErrorLog, start, end int) (*[]uint64, error) {
-			return gatherRange(col, sel, o, log, start, end)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Vec{Name: col.Name(), Vals: o.outU64(parts...), Code: col.LiftedCode()}, nil
-	}
-	vals, err := gatherRange(col, sel, o, o.log(), 0, sel.Len())
+	parts, err := runMorsels(o.par(sel.Len()), sel.Len(), o, o.log(), dropU64, func(log *ErrorLog, start, end int) (*[]uint64, error) {
+		return gatherRange(col, sel, o, log, start, end)
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &Vec{Name: col.Name(), Vals: o.outU64(vals), Code: col.LiftedCode()}, nil
+	return &Vec{Name: col.Name(), Vals: o.outU64(parts...), Code: col.LiftedCode()}, nil
 }
 
 // gatherRange is the morsel kernel of Gather: it fetches the selection
@@ -83,20 +76,13 @@ func GatherAt(col *storage.Column, positions []uint32, o *Opts) (*Vec, error) {
 	if err := o.ctxErr(); err != nil {
 		return nil, err
 	}
-	if p := o.par(len(positions)); p != nil {
-		parts, err := runMorsels(p, len(positions), o, o.log(), dropU64, func(log *ErrorLog, start, end int) (*[]uint64, error) {
-			return gatherAtRange(col, positions, o, log, start, end)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &Vec{Name: col.Name(), Vals: o.outU64(parts...), Code: col.LiftedCode()}, nil
-	}
-	vals, err := gatherAtRange(col, positions, o, o.log(), 0, len(positions))
+	parts, err := runMorsels(o.par(len(positions)), len(positions), o, o.log(), dropU64, func(log *ErrorLog, start, end int) (*[]uint64, error) {
+		return gatherAtRange(col, positions, o, log, start, end)
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &Vec{Name: col.Name(), Vals: o.outU64(vals), Code: col.LiftedCode()}, nil
+	return &Vec{Name: col.Name(), Vals: o.outU64(parts...), Code: col.LiftedCode()}, nil
 }
 
 // gatherAtRange is the morsel kernel of GatherAt.

@@ -84,33 +84,22 @@ func hashProbe(j *fkProbe, sel *Sel, o *Opts) (*Sel, []uint32, error) {
 	if sel != nil {
 		total, out.Hardened = sel.Len(), sel.Hardened
 	}
-	if p := o.par(total); p != nil {
-		parts, err := runMorsels(p, total, o, o.log(), dropProbePart, func(log *ErrorLog, start, end int) (probePart, error) {
-			return j.probeRange(sel, o, log, start, end)
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		posParts := make([]*[]uint64, len(parts))
-		matchParts := make([]*[]uint32, len(parts))
-		for m, part := range parts {
-			posParts[m], matchParts[m] = part.pos, part.matches
-		}
-		out.Pos = o.outU64(posParts...)
-		if !j.wantPos {
-			return out, nil, nil
-		}
-		return out, o.outU32(matchParts...), nil
-	}
-	part, err := j.probeRange(sel, o, o.log(), 0, total)
+	parts, err := runMorsels(o.par(total), total, o, o.log(), dropProbePart, func(log *ErrorLog, start, end int) (probePart, error) {
+		return j.probeRange(sel, o, log, start, end)
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	out.Pos = o.outU64(part.pos)
+	posParts := make([]*[]uint64, len(parts))
+	matchParts := make([]*[]uint32, len(parts))
+	for m, part := range parts {
+		posParts[m], matchParts[m] = part.pos, part.matches
+	}
+	out.Pos = o.outU64(posParts...)
 	if !j.wantPos {
 		return out, nil, nil
 	}
-	return out, o.outU32(part.matches), nil
+	return out, o.outU32(matchParts...), nil
 }
 
 // probePart is one morsel's probe output: surviving probe-side positions

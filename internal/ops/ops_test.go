@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -544,6 +545,160 @@ func TestSumTotalComputationalErrorCheck(t *testing.T) {
 	corrupted := sum.Vals[0] ^ 1<<17
 	if _, ok := sum.Code.Check(corrupted); ok {
 		t.Fatal("corrupted accumulator must be detectable")
+	}
+}
+
+// TestDifferentialAggregates holds the four materializing sums to one
+// row-at-a-time oracle under both runners - one whole-input morsel and
+// 7-row morsels - over plain vectors, hardened words summed without
+// checks (the Late-style input) and hardened words with detection
+// (Continuous), each input with one flipped word per vector. Result
+// words, output name and code, and the error log (entries and their
+// order) must match the oracle; the Continuous sums must decode to the
+// sums of the clean rows. A group id out of range must fail both
+// runners with the same error and the same log.
+func TestDifferentialAggregates(t *testing.T) {
+	const n, numGroups, flipA, flipB = 100, 5, 23, 61
+	ca, cb := code32, an.MustNew(881, 32)
+	plainA, plainB := make([]uint64, n), make([]uint64, n)
+	gids := make([]uint32, n)
+	for i := range gids {
+		plainA[i], plainB[i] = uint64(1000+i*37%500), uint64(i%11)
+		gids[i] = uint32(i % numGroups)
+	}
+	gids[17] = ^uint32(0) // a corrupted group key: the row is skipped
+	vecs := func(hardened bool) (a, b *Vec) {
+		a = &Vec{Name: "a", Vals: append([]uint64(nil), plainA...)}
+		b = &Vec{Name: "b", Vals: append([]uint64(nil), plainB...)}
+		if hardened {
+			a.Code, b.Code = ca, cb
+			for i := range a.Vals {
+				a.Vals[i], b.Vals[i] = ca.Encode(plainA[i]), cb.Encode(plainB[i])
+			}
+		}
+		a.Vals[flipA] ^= 1 << 3
+		b.Vals[flipB] ^= 1 << 2
+		return a, b
+	}
+	// combine is the word one row adds: a, a·b·k or a-b·k.
+	combine := func(op byte, a, b, k uint64) uint64 {
+		switch op {
+		case '*':
+			return a * b * k
+		case '-':
+			return a - b*k
+		}
+		return a
+	}
+	sums := []struct {
+		name    string
+		op      byte
+		grouped bool
+		run     func(a, b *Vec, gids []uint32, o *Opts) (*Vec, error)
+	}{
+		{"sum(a)", 'a', true, func(a, _ *Vec, gids []uint32, o *Opts) (*Vec, error) { return SumGrouped(a, gids, numGroups, o) }},
+		{"sum(a)", 'a', false, func(a, _ *Vec, _ []uint32, o *Opts) (*Vec, error) { return SumTotal(a, o) }},
+		{"sum(a*b)", '*', false, func(a, b *Vec, _ []uint32, o *Opts) (*Vec, error) { return SumProduct(a, b, o) }},
+		{"sum(a-b)", '-', true, func(a, b *Vec, gids []uint32, o *Opts) (*Vec, error) {
+			return SumDiffGrouped(a, b, gids, numGroups, o)
+		}},
+	}
+	runners := map[string]Parallel{"whole": nil, "morsels7": serialMorsels{workers: 4, morsel: 7}}
+	for _, mode := range []struct {
+		name             string
+		hardened, detect bool
+	}{{"plain", false, false}, {"late", true, false}, {"continuous", true, true}} {
+		a, b := vecs(mode.hardened)
+		for _, s := range sums {
+			k := uint64(1)
+			var wantCode *an.Code
+			if mode.hardened {
+				wantCode = an.MustNew(ca.A(), wideSumBits)
+				if s.op == '*' {
+					k = an.InverseMod2N(cb.A(), 64)
+				} else {
+					k = an.DiffFactor(ca, cb)
+				}
+			}
+			groups := 1
+			if s.grouped {
+				groups = numGroups
+			}
+			want, clean := make([]uint64, groups), make([]uint64, groups)
+			wantLog := NewErrorLog()
+			for i := 0; i < n; i++ {
+				g := 0
+				if s.grouped {
+					if gids[i] == ^uint32(0) {
+						continue
+					}
+					g = int(gids[i])
+				}
+				if mode.detect {
+					okA := ca.IsValid(a.Vals[i])
+					okB := s.op == 'a' || cb.IsValid(b.Vals[i])
+					if !okA {
+						wantLog.Record("vec:a", uint64(i))
+					}
+					if !okB {
+						wantLog.Record("vec:b", uint64(i))
+					}
+					if !okA || !okB {
+						continue
+					}
+					clean[g] += combine(s.op, plainA[i], plainB[i], 1)
+				}
+				want[g] += combine(s.op, a.Vals[i], b.Vals[i], k)
+			}
+			if mode.detect && wantLog.Count() == 0 {
+				t.Fatalf("%s: the flipped words went unseen; the fixture is vacuous", s.name)
+			}
+			for rname, par := range runners {
+				id := fmt.Sprintf("%s/%s/%s", mode.name, s.name, rname)
+				log := NewErrorLog()
+				out, err := s.run(a, b, gids, &Opts{Detect: mode.detect, Log: log, Par: par})
+				if err != nil {
+					t.Fatalf("%s: %v", id, err)
+				}
+				if out.Name != s.name || !reflect.DeepEqual(out.Code, wantCode) {
+					t.Fatalf("%s: output %q under %v, want %q under %v", id, out.Name, out.Code, s.name, wantCode)
+				}
+				if !reflect.DeepEqual(out.Vals, want) {
+					t.Fatalf("%s: sums %v, oracle %v", id, out.Vals, want)
+				}
+				if !log.Equal(wantLog) {
+					t.Fatalf("%s: log %v, oracle %v", id, log.Entries(), wantLog.Entries())
+				}
+				for g := range clean {
+					if mode.detect && out.Value(g) != clean[g] {
+						t.Fatalf("%s: group %d decodes to %d, clean rows sum to %d", id, g, out.Value(g), clean[g])
+					}
+				}
+			}
+		}
+
+		// A group id out of range stops both runners at that row.
+		bad := append([]uint32(nil), gids...)
+		bad[50] = numGroups // the first id past the range
+		for _, s := range sums {
+			if !s.grouped {
+				continue
+			}
+			var errs []string
+			var logs []*ErrorLog
+			for _, par := range []Parallel{nil, serialMorsels{workers: 4, morsel: 7}} {
+				log := NewErrorLog()
+				_, err := s.run(a, b, bad, &Opts{Detect: mode.detect, Log: log, Par: par})
+				if err == nil {
+					t.Fatalf("%s/%s: group id %d of %d accepted", mode.name, s.name, bad[50], numGroups)
+				}
+				errs, logs = append(errs, err.Error()), append(logs, log)
+			}
+			if errs[0] != errs[1] || !logs[0].Equal(logs[1]) {
+				t.Fatalf("%s/%s: runners disagree on a bad group id: %q %v vs %q %v",
+					mode.name, s.name, errs[0], logs[0].Entries(), errs[1], logs[1].Entries())
+			}
+		}
 	}
 }
 

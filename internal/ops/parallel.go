@@ -18,23 +18,26 @@ import (
 type Parallel interface {
 	// Workers returns the worker count; 1 means serial.
 	Workers() int
-	// MorselSize returns the values-per-morsel granularity.
+	// MorselSize returns the values-per-morsel granularity; 0 means one
+	// morsel covers the whole input.
 	MorselSize() int
 	// ForEach runs fn per morsel of [0, total) and waits for all.
 	ForEach(total int, fn func(morsel, start, end int))
 }
 
-// par returns the runner for n input rows, or nil for an untiled
-// serial scan. The attached runner is used when morsel-parallelism is
-// worthwhile: it has at least two workers and the input spans more than
-// one morsel (a single morsel gains nothing). Under StopOnDetect a
-// runner must also tile the input along stride boundaries (its morsel
-// size divides StopStride); a scan longer than one stride that no such
-// runner takes is tiled into strides serially, so every scan that can
-// stop goes through runMorsels.
+// par returns the runner for n input rows, nil Opts included, so every
+// kernel entry runs through runMorsels exactly once. The attached runner
+// is used when morsel-parallelism is worthwhile: it has at least two
+// workers and the input spans more than one morsel (a single morsel
+// gains nothing). Under StopOnDetect a runner must also tile the input
+// along stride boundaries (its morsel size divides StopStride); a scan
+// longer than one stride that no such runner takes is tiled into
+// strides serially, so every scan that can stop stops at the same row.
+// Any other scan is one morsel covering the whole input, whose single
+// part each kernel's merge takes as it is.
 func (o *Opts) par(n int) Parallel {
 	if o == nil {
-		return nil
+		return whole{}
 	}
 	if p := o.Par; p != nil && p.Workers() >= 2 && p.MorselSize() > 0 && n > p.MorselSize() &&
 		(!o.StopOnDetect || StopStride%p.MorselSize() == 0) {
@@ -43,7 +46,17 @@ func (o *Opts) par(n int) Parallel {
 	if o.StopOnDetect && n > StopStride {
 		return strides{}
 	}
-	return nil
+	return whole{}
+}
+
+// whole is the runner of an untiled scan: one morsel covering the whole
+// input, an empty one included.
+type whole struct{}
+
+func (whole) Workers() int    { return 1 }
+func (whole) MorselSize() int { return 0 }
+func (whole) ForEach(total int, fn func(m, start, end int)) {
+	fn(0, 0, total)
 }
 
 // StopStride is the row granularity of StopOnDetect: four default
@@ -82,18 +95,20 @@ func morselCount(p Parallel, total int) int {
 }
 
 // runMorsels runs fn once per morsel of [0, total), handing every morsel
-// a private error log, and merges the logs into dst in morsel order.
+// a private error log, and merges the logs into dst in morsel order. A
+// single morsel runs on the caller and logs straight into dst.
 //
 // This is the error-vector merge invariant the parallel engine rests on:
 // each kernel records corruptions with *global* row positions (fn
 // receives the global [start, end) bounds), and because morsels tile the
 // input left to right, concatenating the per-morsel logs by morsel index
-// reproduces exactly the entry sequence the serial kernel would have
-// written. Continuous and ContinuousReencoding therefore report
+// reproduces exactly the entry sequence of one morsel covering the whole
+// input. Continuous and ContinuousReencoding therefore report
 // identical error positions - and identical entry order - no matter how
 // many workers executed the scan. On a morsel error the logs up to and
-// including the failing morsel are merged (mirroring how far the serial
-// scan would have come) and the first error in morsel order is returned.
+// including the failing morsel are merged (mirroring how far one
+// whole-input morsel would have come) and the first error in morsel
+// order is returned.
 //
 // Under StopOnDetect (with a log to stop on) the scan ends at limit,
 // the end of the lowest stride in which a morsel logged a detection:
@@ -111,6 +126,18 @@ func morselCount(p Parallel, total int) int {
 // the shutdown-ordering guarantee the serving layer's drain relies on.
 func runMorsels[T any](p Parallel, total int, o *Opts, dst *ErrorLog, drop func(T), fn func(log *ErrorLog, start, end int) (T, error)) ([]T, error) {
 	count := morselCount(p, total)
+	if count == 1 {
+		// A whole-input morsel pays no bookkeeping. No scan that can
+		// stop gets here: par hands each to a tiling runner.
+		if err := o.ctxErr(); err != nil {
+			return nil, err
+		}
+		out, err := fn(dst, 0, total)
+		if err != nil {
+			return nil, err
+		}
+		return []T{out}, nil
+	}
 	outs := make([]T, count)
 	logs := make([]*ErrorLog, count)
 	errs := make([]error, count)

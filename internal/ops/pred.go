@@ -1,8 +1,6 @@
 package ops
 
 import (
-	"math/bits"
-
 	"ahead/internal/an"
 	"ahead/internal/bitpack"
 	"ahead/internal/storage"
@@ -19,7 +17,7 @@ type RangePred struct {
 // the comparison operands normalised once per operator call for the
 // column's representation, evaluated by Filter (scan per morsel),
 // FilterSel (operands only - it walks a selection) and the fused block
-// pipelines (scan, refineList, refineBitmap).
+// pipelines (scan, refineList).
 //
 // Three representations, one rule each:
 //
@@ -154,25 +152,6 @@ func (f *fusedPred) refineList(log *ErrorLog, pos []uint64) []uint64 {
 	}
 }
 
-// refineBitmap is refineList over a bitmap selection: it clears the bits
-// of the rows failing the predicate (bit i of words[w] selects row
-// bs+64w+i, see the fused kernels' block selection) and returns the
-// survivor count. Only set bits touch the column, so refining an
-// already-sparse bitmap stays cheap.
-func (f *fusedPred) refineBitmap(bs int, log *ErrorLog, words []uint64) int {
-	c := f.col
-	switch c.Width() {
-	case 1:
-		return refineBitmapTyped(c.U8(), f, bs, log, words)
-	case 2:
-		return refineBitmapTyped(c.U16(), f, bs, log, words)
-	case 4:
-		return refineBitmapTyped(c.U32(), f, bs, log, words)
-	default:
-		return refineBitmapTyped(c.U64(), f, bs, log, words)
-	}
-}
-
 // scanTyped is the width-specialized scan loop; base is the global row of
 // data[0]. The Blocked flavor uses predicated emission - the append
 // index advances by a comparison result instead of a taken branch -
@@ -235,16 +214,22 @@ func scanTyped[T an.Unsigned](data []T, f *fusedPred, base, posMul uint64, flavo
 	return out
 }
 
+// refineListTyped compacts pos in place with predicated emission, as
+// scanTyped's Blocked flavor does: every position is written and the
+// write index advances by the comparison result, so a predicate passing
+// about half its rows (Q1.1's quantity behind its discount) costs no
+// mispredicted branch per row.
 func refineListTyped[T an.Unsigned](data []T, f *fusedPred, log *ErrorLog, pos []uint64) []uint64 {
 	lo, span := T(f.lo), T(f.span)
-	out := pos[:0]
+	n := 0
 	if !f.checked {
 		for _, p := range pos {
+			pos[n] = p
 			if data[p]-lo <= span {
-				out = append(out, p)
+				n++
 			}
 		}
-		return out
+		return pos[:n]
 	}
 	inv, mask, dmax := T(f.inv), T(f.mask), T(f.dmax)
 	for _, p := range pos {
@@ -255,41 +240,10 @@ func refineListTyped[T an.Unsigned](data []T, f *fusedPred, log *ErrorLog, pos [
 			}
 			continue
 		}
+		pos[n] = p
 		if d-lo <= span {
-			out = append(out, p)
+			n++
 		}
 	}
-	return out
-}
-
-func refineBitmapTyped[T an.Unsigned](data []T, f *fusedPred, bs int, log *ErrorLog, words []uint64) int {
-	lo, span := T(f.lo), T(f.span)
-	checked, inv, mask, dmax := f.checked, T(f.inv), T(f.mask), T(f.dmax)
-	count := 0
-	for w, word := range words {
-		base := bs + w<<6
-		// Each set row clears its bit by a mask, not by a branch: a
-		// predicate passing about half its rows would mispredict on
-		// every other one.
-		for t := word; t != 0; t &= t - 1 {
-			i := uint(bits.TrailingZeros64(t)) & 63
-			v := data[base+int(i)]
-			var drop uint64
-			if checked {
-				if v = v * inv & mask; v > dmax {
-					if log != nil {
-						log.Record(f.col.Name(), uint64(base)+uint64(i))
-					}
-					drop = 1
-				}
-			}
-			if v-lo > span {
-				drop = 1
-			}
-			word &^= drop << i
-		}
-		words[w] = word
-		count += bits.OnesCount64(word)
-	}
-	return count
+	return pos[:n]
 }

@@ -98,10 +98,10 @@ func allRows(n int) []uint64 {
 // predicate to predOracle: every chooser-reachable code and every plain
 // storage width x {plain, raw-hardened, checked} x {packed mirror, wide}
 // x {Scalar, Blocked} x {Filter, FilterSel over a plain and a hardened
-// selection, fused scan, fused refine over a list, fused refine over a
-// bitmap} x in/at/over-domain bounds, clean and with single-bit flips at
-// block edges, serial and goroutine-per-morsel. Positions and error-log
-// entries (and their order) must be equal.
+// selection, fused scan, fused refine over a list} x in/at/over-domain
+// bounds, clean and with single-bit flips at block edges, serial and
+// goroutine-per-morsel. Positions and error-log entries (and their
+// order) must be equal.
 func TestDifferentialPredicate(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	const n = fusedBlockRows + 333 // two blocks, the second ragged
@@ -131,7 +131,7 @@ func TestDifferentialPredicate(t *testing.T) {
 	}
 
 	// The selection the refining forms start from: two of every three
-	// rows, as a plain list, a hardened list and per-block bitmaps.
+	// rows, as a plain list and a hardened list.
 	var subset []uint64
 	for r := 0; r < n; r++ {
 		if r%3 != 1 {
@@ -213,29 +213,6 @@ func TestDifferentialPredicate(t *testing.T) {
 						log.Reset()
 						list := append([]uint64(nil), subset...)
 						check("fused refine-list", f.refineList(log, list), log, wantSub, wantSubLog)
-
-						log.Reset()
-						got = got[:0]
-						var words [fusedBlockWords]uint64
-						for bs := 0; bs < n; bs += fusedBlockRows {
-							be := min(bs+fusedBlockRows, n)
-							i0 := 0
-							for i0 < len(subset) && subset[i0] < uint64(bs) {
-								i0++
-							}
-							i1 := i0
-							for i1 < len(subset) && subset[i1] < uint64(be) {
-								i1++
-							}
-							listToBitmap(words[:], subset[i0:i1], bs)
-							count := f.refineBitmap(bs, log, words[:])
-							blk := bitmapToList(words[:], bs, nil)
-							if count != len(blk) {
-								t.Fatalf("%s fused refine-bitmap: count %d, %d bits set", id, count, len(blk))
-							}
-							got = append(got, blk...)
-						}
-						check("fused refine-bitmap", got, log, wantSub, wantSubLog)
 					}
 				}
 			}

@@ -54,8 +54,8 @@ type scratchClass[T any] struct {
 
 // Size classes are powers of two from 1<<scratchMinBits to
 // 1<<scratchMaxBits values. Borrows above the top class fall back to the
-// plain allocator and are dropped on release (whole-column serial scans
-// at large scale factors; the morsel path always fits a class).
+// plain allocator and are dropped on release (a whole-input morsel at a
+// large scale factor; a pooled morsel always fits a class).
 const (
 	scratchMinBits = 8
 	scratchMaxBits = 22
@@ -144,8 +144,8 @@ func release[T any](cs []*scratchClass[T], p *[]T) {
 	c.pool.Put(p)
 }
 
-// concat merges borrowed buffers (one, or one per morsel in morsel
-// order) into one exact-size owned slice, releasing every part - the
+// concat merges borrowed buffers (the parts of one runMorsels call, in
+// morsel order) into one exact-size owned slice, releasing every part - the
 // one allocation per operator output the zero-allocation budget
 // documents.
 func concat[T any](cs []*scratchClass[T], parts []*[]T) []T {
@@ -222,8 +222,9 @@ func keep[T any](cs []*scratchClass[T], l *Lease, kept *[]*[]T, parts []*[]T) ([
 	return *dst, true
 }
 
-// outU64 makes the borrowed parts of an operator's uint64 output (one
-// buffer, or one per morsel in morsel order) query-visible: kept in the
+// outU64 makes the borrowed parts of an operator's uint64 output - one
+// per morsel of its runMorsels call, in morsel order, so one for a
+// whole-input morsel - query-visible: kept in the
 // query's lease when o carries one, copied into an owned slice
 // otherwise. Either way the parts are no longer the caller's.
 func (o *Opts) outU64(parts ...*[]uint64) []uint64 {

@@ -130,8 +130,8 @@ func TestOperatorAllocsIndependentOfMorselCount(t *testing.T) {
 	}
 	col := tinyColumn(t, "v", vals)
 
-	measure := func(morsel int) float64 {
-		o := &Opts{Par: serialMorsels{workers: 4, morsel: morsel}}
+	measure := func(par Parallel) float64 {
+		o := &Opts{Par: par}
 		run := func() {
 			sel, err := Filter(col, 8, 40, o)
 			if err != nil {
@@ -142,16 +142,20 @@ func TestOperatorAllocsIndependentOfMorselCount(t *testing.T) {
 		run() // warm the pools
 		return testing.AllocsPerRun(50, run)
 	}
-	few := measure(1 << 13) // 2 morsels
-	many := measure(1 << 8) // 64 morsels
+	serial := measure(nil)                                     // one whole-input morsel
+	few := measure(serialMorsels{workers: 4, morsel: 1 << 13}) // 2 morsels
+	many := measure(serialMorsels{workers: 4, morsel: 1 << 8}) // 64 morsels
 	if raceEnabled {
-		t.Skipf("race instrumentation changes alloc counts (measured %.1f vs %.1f)", few, many)
+		t.Skipf("race instrumentation changes alloc counts (measured %.1f, %.1f vs %.1f)", serial, few, many)
 	}
 	// 62 extra morsels may not cost 62 extra allocations: the only
 	// allowed growth is the three bookkeeping slices scaling in *size*,
 	// not count. Allow a tiny slack for size-class jumps.
 	if many > few+4 {
 		t.Fatalf("allocs grew with morsel count: %.1f (2 morsels) vs %.1f (64 morsels)", few, many)
+	}
+	if serial > 16 {
+		t.Fatalf("serial Filter call allocated %.1f times, budget 16", serial)
 	}
 	if many > 16 {
 		t.Fatalf("parallel Filter call allocated %.1f times, budget 16", many)
@@ -315,8 +319,8 @@ func TestProbeAllocsIndependentOfMorselCount(t *testing.T) {
 	col := intColumn(t, "fk", vals)
 	ht := buildTestHT(100, 101, 102, 103)
 
-	measure := func(morsel int) float64 {
-		o := &Opts{Par: serialMorsels{workers: 4, morsel: morsel}}
+	measure := func(par Parallel) float64 {
+		o := &Opts{Par: par}
 		run := func() {
 			sel, matches, err := HashProbe(col, ht, nil, o)
 			if err != nil {
@@ -327,13 +331,17 @@ func TestProbeAllocsIndependentOfMorselCount(t *testing.T) {
 		run() // warm the pools
 		return testing.AllocsPerRun(50, run)
 	}
-	few := measure(1 << 13) // 2 morsels
-	many := measure(1 << 8) // 64 morsels
+	serial := measure(nil)                                     // one whole-input morsel
+	few := measure(serialMorsels{workers: 4, morsel: 1 << 13}) // 2 morsels
+	many := measure(serialMorsels{workers: 4, morsel: 1 << 8}) // 64 morsels
 	if raceEnabled {
-		t.Skipf("race instrumentation changes alloc counts (measured %.1f vs %.1f)", few, many)
+		t.Skipf("race instrumentation changes alloc counts (measured %.1f, %.1f vs %.1f)", serial, few, many)
 	}
 	if many > few+4 {
 		t.Fatalf("allocs grew with morsel count: %.1f (2 morsels) vs %.1f (64 morsels)", few, many)
+	}
+	if serial > 16 {
+		t.Fatalf("serial HashProbe call allocated %.1f times, budget 16", serial)
 	}
 	if many > 16 {
 		t.Fatalf("parallel HashProbe call allocated %.1f times, budget 16", many)

@@ -352,6 +352,26 @@ func (s *Server) enter() bool {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	serve(s, w, r, true, s.run, func(resp *QueryResponse, ms float64) { resp.ElapsedMS = ms })
+}
+
+// handlePartial serves one shard's contribution to a scatter-gather
+// query: the same admission, deadline, and cancellation pipeline as
+// /query, but the response is a cluster.Partial - group keys and
+// aggregate sums still AN-hardened, decoded and verified only at the
+// router's merge point. Healing is a whole-query concern and not
+// meaningful per shard, so heal requests are rejected here.
+func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
+	serve(s, w, r, false, s.runPartial, func(part *cluster.Partial, ms float64) { part.ElapsedMS = ms })
+}
+
+// serve is the one request pipeline of /query and /partial: decode,
+// refuse a heal request unless heal is set, resolve, deadline, admit,
+// then time run and classify its outcome. stamp writes the run's
+// elapsed time into a successful response.
+func serve[T any](s *Server, w http.ResponseWriter, r *http.Request, heal bool,
+	run func(ctx context.Context, name string, plan exec.QueryFunc, mode exec.Mode, flavor ops.Flavor, req *QueryRequest) (T, error),
+	stamp func(resp T, elapsedMS float64)) {
 	if !s.enter() {
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
@@ -362,6 +382,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if err := decodeRequest(r, &req); err != nil {
 		s.metrics.failed.Add(1)
 		writeError(w, http.StatusBadRequest, "bad request: %v", err)
+		return
+	}
+	if req.Heal && !heal {
+		s.metrics.failed.Add(1)
+		writeError(w, http.StatusBadRequest, "heal is not supported on /partial")
 		return
 	}
 	name, plan, mode, flavor, status, err := s.resolve(&req)
@@ -394,7 +419,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	start := time.Now()
-	resp, runErr := s.run(ctx, name, plan, mode, flavor, &req)
+	resp, runErr := run(ctx, name, plan, mode, flavor, &req)
 	elapsed := time.Since(start)
 	s.metrics.latency.observe(elapsed)
 
@@ -408,94 +433,46 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "query failed: %v", runErr)
 		return
 	}
-	resp.ElapsedMS = float64(elapsed.Microseconds()) / 1e3
+	stamp(resp, float64(elapsed.Microseconds())/1e3)
 	s.metrics.served.Add(1)
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handlePartial serves one shard's contribution to a scatter-gather
-// query: the same admission, deadline, and cancellation pipeline as
-// /query, but the response is a cluster.Partial - group keys and
-// aggregate sums still AN-hardened, decoded and verified only at the
-// router's merge point. Healing is a whole-query concern and not
-// meaningful per shard, so heal requests are rejected here.
-func (s *Server) handlePartial(w http.ResponseWriter, r *http.Request) {
-	if !s.enter() {
-		writeError(w, http.StatusServiceUnavailable, "draining")
-		return
+// runOpts returns the exec options of one request: its context and the
+// server's morsel pool, if any.
+func (s *Server) runOpts(ctx context.Context) []exec.RunOption {
+	opts := []exec.RunOption{exec.WithContext(ctx)}
+	if s.cfg.Pool != nil {
+		opts = append(opts, exec.WithPool(s.cfg.Pool))
 	}
-	defer s.wg.Done()
+	return opts
+}
 
-	var req QueryRequest
-	if err := decodeRequest(r, &req); err != nil {
-		s.metrics.failed.Add(1)
-		writeError(w, http.StatusBadRequest, "bad request: %v", err)
-		return
+// detected counts a run's detections and returns them per column - nil
+// when the log is empty - after noting them for the adaptive controller.
+func (s *Server) detected(log *ops.ErrorLog) (map[string][]uint64, error) {
+	if log.Count() == 0 {
+		return nil, nil
 	}
-	if req.Heal {
-		s.metrics.failed.Add(1)
-		writeError(w, http.StatusBadRequest, "heal is not supported on /partial")
-		return
-	}
-	name, plan, mode, flavor, status, err := s.resolve(&req)
-	if err != nil {
-		s.metrics.failed.Add(1)
-		writeError(w, status, "%v", err)
-		return
-	}
-	d, err := s.deadline(&req)
-	if err != nil {
-		s.metrics.failed.Add(1)
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	defer cancel()
-
-	release, status, err := s.admit(ctx)
-	if err != nil {
-		if status == http.StatusTooManyRequests {
-			s.metrics.shed.Add(1)
-		} else {
-			s.metrics.canceled.Add(1)
+	s.metrics.detected.Add(uint64(log.Count()))
+	out := make(map[string][]uint64)
+	for _, col := range log.Columns() {
+		pos, err := log.Positions(col)
+		if err != nil {
+			return nil, err
 		}
-		writeError(w, status, "%v", err)
-		return
+		out[col] = pos
 	}
-	defer release()
-
-	start := time.Now()
-	part, runErr := s.runPartial(ctx, name, plan, mode, flavor)
-	elapsed := time.Since(start)
-	s.metrics.latency.observe(elapsed)
-
-	if runErr != nil {
-		if errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded) {
-			s.metrics.canceled.Add(1)
-			writeError(w, statusForCtx(ctx.Err()), "query cancelled: %v", runErr)
-			return
-		}
-		s.metrics.failed.Add(1)
-		writeError(w, http.StatusInternalServerError, "query failed: %v", runErr)
-		return
-	}
-	part.ElapsedMS = float64(elapsed.Microseconds()) / 1e3
-	s.metrics.served.Add(1)
-	writeJSON(w, http.StatusOK, part)
+	s.noteDetections(out)
+	return out, nil
 }
 
 // runPartial executes the plan with the pre-softening aggregate state
 // captured and hardens it for the wire. The shard's own error log
 // rides along so in-shard detections reach the merged response.
-func (s *Server) runPartial(ctx context.Context, name string, plan exec.QueryFunc, mode exec.Mode, flavor ops.Flavor) (*cluster.Partial, error) {
-	runOpts := []exec.RunOption{exec.WithContext(ctx)}
-	if s.cfg.Pool != nil {
-		runOpts = append(runOpts, exec.WithPool(s.cfg.Pool))
-	}
+func (s *Server) runPartial(ctx context.Context, name string, plan exec.QueryFunc, mode exec.Mode, flavor ops.Flavor, _ *QueryRequest) (*cluster.Partial, error) {
 	var capture exec.Capture
-	runOpts = append(runOpts, exec.WithCapture(&capture))
-
-	_, log, err := exec.Run(s.cfg.DB, mode, flavor, plan, runOpts...)
+	_, log, err := exec.Run(s.cfg.DB, mode, flavor, plan, append(s.runOpts(ctx), exec.WithCapture(&capture))...)
 	if err != nil {
 		return nil, err
 	}
@@ -504,17 +481,8 @@ func (s *Server) runPartial(ctx context.Context, name string, plan exec.QueryFun
 		return nil, err
 	}
 	part.Replica = s.cfg.Replica
-	if log.Count() > 0 {
-		s.metrics.detected.Add(uint64(log.Count()))
-		part.Detected = make(map[string][]uint64)
-		for _, col := range log.Columns() {
-			pos, perr := log.Positions(col)
-			if perr != nil {
-				return nil, perr
-			}
-			part.Detected[col] = pos
-		}
-		s.noteDetections(part.Detected)
+	if part.Detected, err = s.detected(log); err != nil {
+		return nil, err
 	}
 	return part, nil
 }
@@ -524,14 +492,9 @@ func (s *Server) runPartial(ctx context.Context, name string, plan exec.QueryFun
 // with the per-run error log marshalled per column.
 func (s *Server) run(ctx context.Context, name string, plan exec.QueryFunc, mode exec.Mode, flavor ops.Flavor, req *QueryRequest) (*QueryResponse, error) {
 	resp := &QueryResponse{Query: name, Mode: mode.String(), Flavor: flavor.String()}
-	runOpts := []exec.RunOption{exec.WithContext(ctx)}
-	if s.cfg.Pool != nil {
-		runOpts = append(runOpts, exec.WithPool(s.cfg.Pool))
-	}
-
 	if req.Heal {
 		res, rep, err := exec.RunWithRecovery(s.cfg.DB, mode, flavor, plan,
-			exec.WithDegradedFallback(true), exec.WithRecoveryRunOptions(runOpts...))
+			exec.WithDegradedFallback(true), exec.WithRecoveryRunOptions(s.runOpts(ctx)...))
 		if err != nil {
 			return nil, err
 		}
@@ -552,21 +515,12 @@ func (s *Server) run(ctx context.Context, name string, plan exec.QueryFunc, mode
 		return resp, nil
 	}
 
-	res, log, err := exec.Run(s.cfg.DB, mode, flavor, plan, runOpts...)
+	res, log, err := exec.Run(s.cfg.DB, mode, flavor, plan, s.runOpts(ctx)...)
 	if err != nil {
 		return nil, err
 	}
-	if log.Count() > 0 {
-		s.metrics.detected.Add(uint64(log.Count()))
-		resp.Detected = make(map[string][]uint64)
-		for _, col := range log.Columns() {
-			pos, perr := log.Positions(col)
-			if perr != nil {
-				return nil, perr
-			}
-			resp.Detected[col] = pos
-		}
-		s.noteDetections(resp.Detected)
+	if resp.Detected, err = s.detected(log); err != nil {
+		return nil, err
 	}
 	resp.Keys, resp.Aggs, resp.Rows = res.Keys, res.Aggs, res.Rows()
 	return resp, nil
