@@ -94,7 +94,7 @@ func main() {
 
 	log.Printf("generating SSB at SF %g (seed %d, shard %s, replica %d)...", *sf, *seed, shard, *replica)
 	start := time.Now()
-	suite, data, err := ssb.NewReplicaSuiteWithChooser(*sf, *seed, 1, shard, *replica, chooser)
+	suite, data, err := ssb.NewShardSuite(*sf, *seed, 1, shard, chooser)
 	if err != nil {
 		log.Fatalf("build database: %v", err)
 	}

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"os"
 
+	"ahead/internal/cluster"
 	"ahead/internal/exec"
 	"ahead/internal/ops"
 	"ahead/internal/ssb"
@@ -270,7 +271,7 @@ func figure8(sf float64, seed int64, runs int) error {
 			choose = storage.MinBFWCodeChooser(bfw)
 			label = fmt.Sprintf("%d", bfw)
 		}
-		suite, _, err := ssb.NewSuiteWithChooser(sf, seed, runs, choose)
+		suite, _, err := ssb.NewShardSuite(sf, seed, runs, cluster.ShardSpec{}, choose)
 		if err != nil {
 			return err
 		}

@@ -17,6 +17,7 @@ import (
 	"ahead/internal/ops"
 	"ahead/internal/server"
 	"ahead/internal/ssb"
+	"ahead/internal/storage"
 )
 
 const (
@@ -42,7 +43,7 @@ func buildFixture(t *testing.T) {
 	fixture.once.Do(func() {
 		for i := 0; i < fixtureShards; i++ {
 			suite, data, err := ssb.NewShardSuite(fixtureSF, fixtureSeed, 1,
-				cluster.ShardSpec{Index: i, Count: fixtureShards})
+				cluster.ShardSpec{Index: i, Count: fixtureShards}, storage.LargestCodeChooser)
 			if err != nil {
 				fixture.err = err
 				return
@@ -397,7 +398,7 @@ func TestClusterReplicaTakeover(t *testing.T) {
 		var reps []string
 		for r := 0; r < 2; r++ {
 			// Replicas of one slice share the read-only fixture DB: the
-			// same partition NewReplicaSuite would rebuild.
+			// same partition NewShardSuite would rebuild.
 			srv, err := server.New(server.Config{
 				DB:      fixture.shardDB[i],
 				Shard:   cluster.ShardSpec{Index: i, Count: fixtureShards},

@@ -131,7 +131,7 @@ func TestServePreparedMatchesEngine(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	plan, _ := ssb.LookupQuery("Q1.1")
+	plan := ssb.Queries["Q1.1"]
 	want, log, err := exec.Run(suite.DB, exec.Continuous, ops.Scalar, plan)
 	if err != nil {
 		t.Fatal(err)
@@ -268,7 +268,7 @@ func TestConcurrentSessionsMatchSerialReference(t *testing.T) {
 	}
 	refs := make(map[string]reference)
 	for _, name := range queries {
-		plan, _ := ssb.LookupQuery(name)
+		plan := ssb.Queries[name]
 		res, log, err := exec.Run(suite.DB, exec.Continuous, ops.Scalar, plan)
 		if err != nil {
 			t.Fatal(err)

@@ -7,12 +7,6 @@ import (
 	"ahead/internal/ops"
 )
 
-// LookupQuery returns the prepared plan for one of the 13 SSB flights.
-func LookupQuery(name string) (exec.QueryFunc, bool) {
-	fn, ok := Queries[name]
-	return fn, ok
-}
-
 // Ad-hoc requests: the serving layer accepts a small declarative
 // scan/filter/group form next to the prepared flights. A spec compiles
 // against a DB into an exec.QueryFunc, so one compiled request runs
@@ -123,21 +117,16 @@ func CompileAdHoc(db *exec.DB, s AdHocSpec) (exec.QueryFunc, error) {
 
 // runAdHoc executes a compiled spec under the query's mode.
 func runAdHoc(q *exec.Query, s AdHocSpec, anyCol string) (*ops.Result, error) {
-	var sel *ops.Sel
-	if len(s.Preds) == 0 {
-		var err error
-		if sel, err = allRows(q, s.Table, anyCol); err != nil {
-			return nil, err
-		}
-	} else {
-		ps := make([]pred, len(s.Preds))
+	conds := everyRow(anyCol)
+	if len(s.Preds) > 0 {
+		conds = make([]cond, len(s.Preds))
 		for i, p := range s.Preds {
-			ps[i] = pred{col: p.Col, lo: p.Lo, hi: p.Hi}
+			conds[i] = num(p.Col, p.Lo, p.Hi)
 		}
-		var err error
-		if sel, err = filterTable(q, s.Table, ps); err != nil {
-			return nil, err
-		}
+	}
+	sel, err := filter(q, s.Table, conds)
+	if err != nil {
+		return nil, err
 	}
 
 	if len(s.GroupBy) == 0 {
@@ -145,25 +134,25 @@ func runAdHoc(q *exec.Query, s AdHocSpec, anyCol string) (*ops.Result, error) {
 		case "count":
 			return q.FinishScalar(&ops.Vec{Name: "count", Vals: []uint64{uint64(sel.Len())}})
 		case "sum":
-			vec, err := gatherAdHoc(q, s.Table, s.AggCol, sel)
+			vec, err := gather(q, s.Table, s.AggCol, sel, nil)
 			if err != nil {
 				return nil, err
 			}
-			sum, err := ops.SumTotal(q.PreAggregate(vec), q.Opts())
+			sum, err := ops.SumTotal(vec, q.Opts())
 			if err != nil {
 				return nil, err
 			}
 			return q.FinishScalar(sum)
 		default: // sumproduct, by validation
-			a, err := gatherAdHoc(q, s.Table, s.AggCol, sel)
+			a, err := gather(q, s.Table, s.AggCol, sel, nil)
 			if err != nil {
 				return nil, err
 			}
-			b, err := gatherAdHoc(q, s.Table, s.AggCol2, sel)
+			b, err := gather(q, s.Table, s.AggCol2, sel, nil)
 			if err != nil {
 				return nil, err
 			}
-			sum, err := ops.SumProduct(q.PreAggregate(a), q.PreAggregate(b), q.Opts())
+			sum, err := ops.SumProduct(a, b, q.Opts())
 			if err != nil {
 				return nil, err
 			}
@@ -173,11 +162,9 @@ func runAdHoc(q *exec.Query, s AdHocSpec, anyCol string) (*ops.Result, error) {
 
 	keys := make([]*ops.Vec, len(s.GroupBy))
 	for i, g := range s.GroupBy {
-		vec, err := gatherAdHoc(q, s.Table, g, sel)
-		if err != nil {
+		if keys[i], err = gather(q, s.Table, g, sel, nil); err != nil {
 			return nil, err
 		}
-		keys[i] = q.PreAggregate(vec)
 	}
 	gids, groups, err := ops.GroupBy(keys, q.Opts())
 	if err != nil {
@@ -189,27 +176,13 @@ func runAdHoc(q *exec.Query, s AdHocSpec, anyCol string) (*ops.Result, error) {
 			return nil, err
 		}
 	} else {
-		meas, err := gatherAdHoc(q, s.Table, s.AggCol, sel)
+		meas, err := gather(q, s.Table, s.AggCol, sel, nil)
 		if err != nil {
 			return nil, err
 		}
-		if sums, err = ops.SumGrouped(q.PreAggregate(meas), gids, len(groups), q.Opts()); err != nil {
+		if sums, err = ops.SumGrouped(meas, gids, len(groups), q.Opts()); err != nil {
 			return nil, err
 		}
 	}
 	return q.Finish(groups, sums)
-}
-
-// gatherAdHoc fetches one column of the spec's table at the selection,
-// applying the mode's reencoding like the hand-written plans do.
-func gatherAdHoc(q *exec.Query, table, col string, sel *ops.Sel) (*ops.Vec, error) {
-	c, err := q.Col(table, col)
-	if err != nil {
-		return nil, err
-	}
-	vec, err := ops.Gather(c, sel, q.Opts())
-	if err != nil {
-		return nil, err
-	}
-	return q.Reencode(vec)
 }

@@ -1,7 +1,7 @@
 package ssb
 
 import (
-	"strings"
+	"slices"
 	"testing"
 
 	"ahead/internal/exec"
@@ -73,16 +73,18 @@ func TestAdHocModesAgree(t *testing.T) {
 	}
 }
 
-func TestLookupQuery(t *testing.T) {
+// TestQueryTable pins what the flight table builds: Queries and
+// QueryNames hold the same 13 names, in benchmark order.
+func TestQueryTable(t *testing.T) {
+	if len(QueryNames) != 13 || len(Queries) != len(QueryNames) {
+		t.Fatalf("%d names, %d plans; want 13 of each", len(QueryNames), len(Queries))
+	}
 	for _, name := range QueryNames {
-		if _, ok := LookupQuery(name); !ok {
-			t.Errorf("prepared query %q missing from registry", name)
+		if Queries[name] == nil {
+			t.Errorf("query %q has no plan", name)
 		}
 	}
-	if _, ok := LookupQuery("Q9.9"); ok {
-		t.Error("unknown query must not resolve")
-	}
-	if !strings.HasPrefix(QueryNames[0], "Q1") {
-		t.Error("query names out of order")
+	if !slices.IsSorted(QueryNames) {
+		t.Errorf("query names out of order: %v", QueryNames)
 	}
 }

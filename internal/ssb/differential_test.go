@@ -144,7 +144,11 @@ func TestDifferentialFaultLogs(t *testing.T) {
 				if tc.padding {
 					checkPaddingFlips(t, db, pool, mode, name, tc.bit)
 				} else {
-					checkFaultLogs(t, db, pool, mode, name, tc.bit)
+					for _, log := range checkFaultLogs(t, db, pool, mode, name, tc.bit) {
+						if base, _ := log.PartitionColumns(); len(base) == 0 {
+							t.Fatalf("bit %d %s %v: corruption went undetected; test is vacuous", tc.bit, name, mode)
+						}
+					}
 				}
 			}
 		}
@@ -197,13 +201,14 @@ func checkPaddingFlips(t *testing.T, db *exec.DB, pool *exec.Pool, mode exec.Mod
 }
 
 // checkFaultLogs runs one query under mode on a corrupted database in
-// all four plan configurations and applies TestDifferentialFaultLogs'
-// requirements.
-func checkFaultLogs(t *testing.T, db *exec.DB, pool *exec.Pool, mode exec.Mode, name string, bit uint) {
+// all four plan configurations, applies TestDifferentialFaultLogs'
+// requirements and returns the serial fused and materializing logs.
+func checkFaultLogs(t *testing.T, db *exec.DB, pool *exec.Pool, mode exec.Mode, name string, bit uint) [2]*ops.ErrorLog {
 	t.Helper()
 	plan := Queries[name]
 	var results [2]*ops.Result
 	var positions [2]string
+	var serial [2]*ops.ErrorLog
 	for fi, fused := range []bool{true, false} {
 		var logs [2]*ops.ErrorLog
 		for i, pooled := range []bool{false, true} {
@@ -228,9 +233,7 @@ func checkFaultLogs(t *testing.T, db *exec.DB, pool *exec.Pool, mode exec.Mode, 
 				bit, name, mode, fused, logs[0].Count(), logs[1].Count())
 		}
 		base, _ := logs[0].PartitionColumns()
-		if len(base) == 0 {
-			t.Fatalf("bit %d %s %v fused=%v: corruption went undetected; test is vacuous", bit, name, mode, fused)
-		}
+		serial[fi] = logs[0]
 		for _, col := range base {
 			pos, err := logs[0].Positions(col)
 			if err != nil {
@@ -246,6 +249,63 @@ func checkFaultLogs(t *testing.T, db *exec.DB, pool *exec.Pool, mode exec.Mode, 
 	if positions[0] != positions[1] {
 		t.Fatalf("bit %d %s %v: fused logged base-column positions\n%smaterializing\n%s",
 			bit, name, mode, positions[0], positions[1])
+	}
+	return serial
+}
+
+// TestDifferentialDimensionFaultLogs flips the key column and one
+// filter column of each dimension and applies TestDifferentialFaultLogs'
+// requirements to all 13 flights under every detecting mode: equal
+// results and equal base-column positions from the fused and the
+// materializing plan, byte-identical serial and pooled logs. The
+// flights build their dimensions one after the other, each filtered and
+// then hashed; neither plan shape may detect a flip the other misses.
+// Group attributes are not flipped: the fused cascade checks a row's
+// attribute at its join stage, before later joins drop the row, and
+// drops the row at its first corrupted attribute, so the two shapes
+// log different attribute positions by design.
+func TestDifferentialDimensionFaultLogs(t *testing.T) {
+	data, err := Generate(0.01, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := exec.NewDB(data.Tables(), storage.LargestCodeChooser)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := exec.NewPool(4)
+	defer pool.Close()
+
+	const bit = 3
+	for _, d := range []struct{ table, key, filter string }{
+		{"customer", "c_custkey", "c_region"},
+		{"supplier", "s_suppkey", "s_region"},
+		{"part", "p_partkey", "p_mfgr"},
+		{"date", "d_datekey", "d_yearmonthnum"},
+	} {
+		// The filter flips sit apart from the key flips: a row the
+		// filter drops never reaches the build that checks its key.
+		for ci, col := range []string{d.key, d.filter} {
+			c := db.Hardened(d.table).MustColumn(col)
+			if c.Code() == nil || bit >= c.Code().CodeBits() {
+				t.Fatalf("bit %d: fixture vacuous for %s.%s", bit, d.table, col)
+			}
+			for i := 3 + 2*ci; i < c.Len(); i += 7 {
+				c.Corrupt(i, 1<<bit)
+			}
+		}
+	}
+	for _, mode := range diffModes {
+		detected := 0
+		for _, name := range QueryNames {
+			logs := checkFaultLogs(t, db, pool, mode, name, bit)
+			detected += logs[0].Count() + logs[1].Count()
+		}
+		// Late checks only what reaches an aggregate, and neither a key
+		// nor a filter column does: it must merely agree.
+		if detected == 0 && mode != exec.LateOnetime {
+			t.Fatalf("%v: no dimension flip detected in any flight; test is vacuous", mode)
+		}
 	}
 }
 

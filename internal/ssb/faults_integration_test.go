@@ -23,7 +23,7 @@ func TestEndToEndInjectionDetectionRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _, err := exec.Run(db, exec.Continuous, ops.Blocked, Q21)
+	ref, _, err := exec.Run(db, exec.Continuous, ops.Blocked, Queries["Q2.1"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestEndToEndInjectionDetectionRepair(t *testing.T) {
 	}
 	sort.Ints(injected)
 
-	_, log, err := exec.Run(db, exec.Continuous, ops.Blocked, Q21)
+	_, log, err := exec.Run(db, exec.Continuous, ops.Blocked, Queries["Q2.1"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestEndToEndInjectionDetectionRepair(t *testing.T) {
 	}
 
 	// Early one-time detection finds the same set in its Δ pass.
-	_, logE, err := exec.Run(db, exec.EarlyOnetime, ops.Blocked, Q21)
+	_, logE, err := exec.Run(db, exec.EarlyOnetime, ops.Blocked, Queries["Q2.1"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestEndToEndInjectionDetectionRepair(t *testing.T) {
 	if n != len(injected) {
 		t.Fatalf("repaired %d of %d", n, len(injected))
 	}
-	res, logAfter, err := exec.Run(db, exec.Continuous, ops.Blocked, Q21)
+	res, logAfter, err := exec.Run(db, exec.Continuous, ops.Blocked, Queries["Q2.1"])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"ahead/internal/cluster"
 	"ahead/internal/exec"
 	"ahead/internal/ops"
 	"ahead/internal/storage"
@@ -77,24 +78,7 @@ func (s *Suite) runOpts() []exec.RunOption {
 // physical storage with the Section 6.2 hardening policy (largest known
 // super A per column width).
 func NewSuite(sf float64, seed int64, runs int) (*Suite, *Data, error) {
-	return NewSuiteWithChooser(sf, seed, runs, storage.LargestCodeChooser)
-}
-
-// NewSuiteWithChooser is NewSuite with an explicit hardening policy (the
-// Figure 8 min-bfw sweep passes storage.MinBFWCodeChooser).
-func NewSuiteWithChooser(sf float64, seed int64, runs int, choose storage.CodeChooser) (*Suite, *Data, error) {
-	data, err := Generate(sf, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	db, err := exec.NewDB(data.Tables(), choose)
-	if err != nil {
-		return nil, nil, err
-	}
-	if runs < 1 {
-		runs = 1
-	}
-	return &Suite{DB: db, Runs: runs, Warmup: 1}, data, nil
+	return NewShardSuite(sf, seed, runs, cluster.ShardSpec{}, storage.LargestCodeChooser)
 }
 
 // Measure times one query under one mode and flavor.

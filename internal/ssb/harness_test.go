@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"ahead/internal/cluster"
 	"ahead/internal/exec"
 	"ahead/internal/ops"
 	"ahead/internal/storage"
@@ -84,15 +85,15 @@ func TestSuiteWithMinBFWChooser(t *testing.T) {
 	// The Figure 8 sweep: hardening with the smallest A per minimum
 	// bit-flip weight still yields correct results.
 	for _, bfw := range []int{1, 2, 3} {
-		suite, _, err := NewSuiteWithChooser(0.002, 7, 1, storage.MinBFWCodeChooser(bfw))
+		suite, _, err := NewShardSuite(0.002, 7, 1, cluster.ShardSpec{}, storage.MinBFWCodeChooser(bfw))
 		if err != nil {
 			t.Fatalf("bfw=%d: %v", bfw, err)
 		}
-		ref, _, err := exec.Run(suite.DB, exec.Unprotected, ops.Scalar, Q11)
+		ref, _, err := exec.Run(suite.DB, exec.Unprotected, ops.Scalar, Queries["Q1.1"])
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := exec.Run(suite.DB, exec.Continuous, ops.Scalar, Q11)
+		got, _, err := exec.Run(suite.DB, exec.Continuous, ops.Scalar, Queries["Q1.1"])
 		if err != nil {
 			t.Fatalf("bfw=%d: %v", bfw, err)
 		}

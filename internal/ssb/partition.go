@@ -47,20 +47,18 @@ func Partition(d *Data, shard cluster.ShardSpec) (*Data, error) {
 	}, nil
 }
 
-// NewShardSuite is NewSuite restricted to one shard's partition: the
-// full data set is generated deterministically, the fact table sliced,
-// and the per-mode physical storage (replicas, hardened tables) built
-// over the slice only - a shard pays storage for its own rows plus the
-// replicated dimensions.
-func NewShardSuite(sf float64, seed int64, runs int, shard cluster.ShardSpec) (*Suite, *Data, error) {
-	return NewShardSuiteWithChooser(sf, seed, runs, shard, storage.LargestCodeChooser)
-}
-
-// NewShardSuiteWithChooser is NewShardSuite with an explicit hardening
-// policy - the adaptive-serving path starts every column at the weakest
-// published code (storage.MinBFWCodeChooser(1)) and lets the controller
-// climb from there.
-func NewShardSuiteWithChooser(sf float64, seed int64, runs int, shard cluster.ShardSpec, choose storage.CodeChooser) (*Suite, *Data, error) {
+// NewShardSuite is NewSuite restricted to one shard's partition (the
+// zero ShardSpec: the whole data set) under an explicit hardening policy
+// - the Figure 8 sweep passes storage.MinBFWCodeChooser, and the
+// adaptive-serving path starts every column at the weakest published
+// code and lets the controller climb from there. The full data set is
+// generated deterministically, the fact table sliced, and the per-mode
+// physical storage (replicas, hardened tables) built over the slice
+// only - a shard pays storage for its own rows plus the replicated
+// dimensions. Every replica of a slice runs this identical pipeline, so
+// any replica's AN-encoded partial is byte-interchangeable with its
+// peers' and the router may merge whichever answers first.
+func NewShardSuite(sf float64, seed int64, runs int, shard cluster.ShardSpec, choose storage.CodeChooser) (*Suite, *Data, error) {
 	data, err := Generate(sf, seed)
 	if err != nil {
 		return nil, nil, err
@@ -76,24 +74,4 @@ func NewShardSuiteWithChooser(sf float64, seed int64, runs int, shard cluster.Sh
 		runs = 1
 	}
 	return &Suite{DB: db, Runs: runs, Warmup: 1}, data, nil
-}
-
-// NewReplicaSuite builds one replica of a shard's partition. Every
-// replica of a slice runs the identical deterministic pipeline -
-// same generation, same hash partition, same physical storage - so
-// any replica's AN-encoded partial is byte-interchangeable with its
-// peers' and the router may merge whichever answers first. The
-// replica index carries no data meaning; it exists so callers keep
-// one constructor for both roles.
-func NewReplicaSuite(sf float64, seed int64, runs int, shard cluster.ShardSpec, replica int) (*Suite, *Data, error) {
-	return NewReplicaSuiteWithChooser(sf, seed, runs, shard, replica, storage.LargestCodeChooser)
-}
-
-// NewReplicaSuiteWithChooser is NewReplicaSuite with an explicit
-// hardening policy.
-func NewReplicaSuiteWithChooser(sf float64, seed int64, runs int, shard cluster.ShardSpec, replica int, choose storage.CodeChooser) (*Suite, *Data, error) {
-	if replica < 0 {
-		return nil, nil, fmt.Errorf("ssb: replica index %d must be >= 0", replica)
-	}
-	return NewShardSuiteWithChooser(sf, seed, runs, shard, choose)
 }

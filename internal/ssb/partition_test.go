@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ahead/internal/cluster"
+	"ahead/internal/storage"
 )
 
 // TestReplicaSuiteDeterministic pins the replica contract: every
@@ -13,11 +14,11 @@ import (
 // column-for-column; a different slice must not.
 func TestReplicaSuiteDeterministic(t *testing.T) {
 	shard := cluster.ShardSpec{Index: 1, Count: 3}
-	_, d0, err := NewReplicaSuite(0.005, 7, 1, shard, 0)
+	_, d0, err := NewShardSuite(0.005, 7, 1, shard, storage.LargestCodeChooser)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, d1, err := NewReplicaSuite(0.005, 7, 1, shard, 1)
+	_, d1, err := NewShardSuite(0.005, 7, 1, shard, storage.LargestCodeChooser)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,15 +40,11 @@ func TestReplicaSuiteDeterministic(t *testing.T) {
 		t.Fatal("replicas of one slice must hold byte-identical fact partitions")
 	}
 
-	_, other, err := NewReplicaSuite(0.005, 7, 1, cluster.ShardSpec{Index: 2, Count: 3}, 0)
+	_, other, err := NewShardSuite(0.005, 7, 1, cluster.ShardSpec{Index: 2, Count: 3}, storage.LargestCodeChooser)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sum(other) == sum(d0) && other.Lineorder.Rows() == d0.Lineorder.Rows() {
 		t.Fatal("distinct slices produced the same partition")
-	}
-
-	if _, _, err := NewReplicaSuite(0.005, 7, 1, shard, -1); err == nil {
-		t.Fatal("negative replica index must be rejected")
 	}
 }

@@ -168,7 +168,7 @@ func TestQ11MatchesNaiveEvaluation(t *testing.T) {
 			want += price.Get(i) * disc.Get(i)
 		}
 	}
-	res, _, err := exec.Run(db, exec.Continuous, ops.Scalar, Q11)
+	res, _, err := exec.Run(db, exec.Continuous, ops.Scalar, Queries["Q1.1"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestQ21MatchesNaiveEvaluation(t *testing.T) {
 		k := key{od.Get(i) / 10000, pbrand.Get(p)}
 		want[k] += rev.Get(i)
 	}
-	res, _, err := exec.Run(db, exec.Continuous, ops.Blocked, Q21)
+	res, _, err := exec.Run(db, exec.Continuous, ops.Blocked, Queries["Q2.1"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestDMRVoterCatchesReplicaDivergence(t *testing.T) {
 	for i := 0; i < rev.Len(); i++ {
 		rev.Corrupt(i, 1<<20)
 	}
-	_, _, err = exec.Run(db, exec.DMR, ops.Scalar, Q21)
+	_, _, err = exec.Run(db, exec.DMR, ops.Scalar, Queries["Q2.1"])
 	if err == nil {
 		t.Fatal("DMR voter must flag diverging results")
 	}

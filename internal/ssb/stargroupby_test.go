@@ -8,78 +8,26 @@ import (
 	"ahead/internal/storage"
 )
 
-// selGroupTail is the materializing grouped tail over a fact selection
-// computed before it: semijoin against the date dimension, gather d_year
-// and the measures at the surviving rows, group and sum (measureB empty:
-// the plain sum, otherwise measure-measureB). No flight plans this shape
-// - starGroupBy always starts from the whole fact table and may fuse -
-// so it pins the materializing operators themselves: once a detected
-// corruption makes a gather drop an entry, keys, group ids and measures
-// must stay aligned with sel, a corrupted position contributing zero and
-// a log record instead of skewing its neighbours' groups.
-func selGroupTail(q *exec.Query, sel *ops.Sel, measure, measureB string) (*ops.Result, error) {
-	dateHT, err := buildDim(q, "date", "d_datekey", []pred{{col: "d_year", lo: 1993, hi: 1994}})
-	if err != nil {
-		return nil, err
-	}
-	fk, err := q.Col("lineorder", "lo_orderdate")
-	if err != nil {
-		return nil, err
-	}
-	if sel, err = ops.SemiJoin(fk, dateHT, sel, q.Opts()); err != nil {
-		return nil, err
-	}
-	year, err := gatherDim(q, sel, "lineorder", "lo_orderdate", dateHT, "date", "d_year")
-	if err != nil {
-		return nil, err
-	}
-	gids, groups, err := ops.GroupBy([]*ops.Vec{q.PreAggregate(year)}, q.Opts())
-	if err != nil {
-		return nil, err
-	}
-	meas, err := gatherFact(q, measure, sel)
-	if err != nil {
-		return nil, err
-	}
-	var sums *ops.Vec
-	if measureB == "" {
-		sums, err = ops.SumGrouped(q.PreAggregate(meas), gids, len(groups), q.Opts())
-	} else {
-		measB, errB := gatherFact(q, measureB, sel)
-		if errB != nil {
-			return nil, errB
-		}
-		sums, err = ops.SumDiffGrouped(q.PreAggregate(meas), q.PreAggregate(measB), gids, len(groups), q.Opts())
-	}
-	if err != nil {
-		return nil, err
-	}
-	return q.Finish(groups, sums)
+// selGroupFlights filter lineorder before the joins and group after
+// them: Σ lo_revenue and the Q4.x profit Σ lo_revenue − lo_supplycost
+// by d_year over the rows that pass a lineorder predicate and the 1993
+// and 1994 dates. No SSB flight has this shape - the fused cascade's
+// predicates in front of a grouped sink - so it pins both plan shapes:
+// once a detected corruption makes a materializing gather drop an
+// entry, keys, group ids and measures must stay aligned with the
+// selection, a corrupted position contributing zero and a log record
+// instead of skewing its neighbours' groups.
+var selGroupFlights = []flight{
+	{name: "sel+groupby", dims: []dim{date("d_year", num("d_year", 1993, 1994))},
+		preds: []cond{num("lo_discount", 1, 3)}, sum: "lo_revenue"},
+	{name: "sel+profit", dims: []dim{date("d_year", num("d_year", 1993, 1994))},
+		preds: []cond{num("lo_quantity", 0, 24)}, sum: "lo_revenue", minus: "lo_supplycost"},
 }
 
-// selThenGroupBy filters the fact table on lo_discount, then runs the
-// grouped revenue tail over the selection.
-func selThenGroupBy(q *exec.Query) (*ops.Result, error) {
-	sel, err := filterTable(q, "lineorder", []pred{{col: "lo_discount", lo: 1, hi: 3}})
-	if err != nil {
-		return nil, err
-	}
-	return selGroupTail(q, sel, "lo_revenue", "")
-}
-
-// selThenGroupByProfit is the same shape over the Q4.x profit tail.
-func selThenGroupByProfit(q *exec.Query) (*ops.Result, error) {
-	sel, err := filterTable(q, "lineorder", []pred{{col: "lo_quantity", lo: 0, hi: 24}})
-	if err != nil {
-		return nil, err
-	}
-	return selGroupTail(q, sel, "lo_revenue", "lo_supplycost")
-}
-
-// TestSelectionThenGroupBy runs both selection-then-group-by shapes
-// under every hardened mode x {serial, pooled} and requires the
-// unprotected reference result exactly, with nothing logged on clean
-// data.
+// TestSelectionThenGroupBy runs both selection-then-group-by flights
+// under every hardened mode x {serial, pooled} x {fused, materializing}
+// and requires the unprotected reference result exactly, with nothing
+// logged on clean data.
 func TestSelectionThenGroupBy(t *testing.T) {
 	data, err := Generate(0.01, 7)
 	if err != nil {
@@ -92,33 +40,31 @@ func TestSelectionThenGroupBy(t *testing.T) {
 	pool := exec.NewPool(4)
 	defer pool.Close()
 
-	plans := map[string]exec.QueryFunc{
-		"sel+groupby": selThenGroupBy,
-		"sel+profit":  selThenGroupByProfit,
-	}
-	for name, plan := range plans {
-		ref, _, err := exec.Run(db, exec.Unprotected, ops.Blocked, plan)
+	for _, f := range selGroupFlights {
+		ref, _, err := exec.Run(db, exec.Unprotected, ops.Blocked, f.plan)
 		if err != nil {
-			t.Fatalf("%s unprotected: %v", name, err)
+			t.Fatalf("%s unprotected: %v", f.name, err)
 		}
 		if ref.Rows() == 0 {
-			t.Fatalf("%s: empty reference result; test is vacuous", name)
+			t.Fatalf("%s: empty reference result; test is vacuous", f.name)
 		}
 		for _, mode := range diffModes {
-			for _, pooled := range []bool{false, true} {
-				var opts []exec.RunOption
-				if pooled {
-					opts = append(opts, exec.WithPool(pool))
-				}
-				got, log, err := exec.Run(db, mode, ops.Blocked, plan, opts...)
-				if err != nil {
-					t.Fatalf("%s %v pooled=%v: %v", name, mode, pooled, err)
-				}
-				if !ref.Equal(got) {
-					t.Fatalf("%s %v pooled=%v diverges: %s", name, mode, pooled, firstDivergence(ref, got))
-				}
-				if log.Count() != 0 {
-					t.Fatalf("%s %v pooled=%v: %d errors logged on clean data", name, mode, pooled, log.Count())
+			for _, fused := range []bool{true, false} {
+				for _, pooled := range []bool{false, true} {
+					opts := []exec.RunOption{exec.WithFusion(fused)}
+					if pooled {
+						opts = append(opts, exec.WithPool(pool))
+					}
+					got, log, err := exec.Run(db, mode, ops.Blocked, f.plan, opts...)
+					if err != nil {
+						t.Fatalf("%s %v fused=%v pooled=%v: %v", f.name, mode, fused, pooled, err)
+					}
+					if !ref.Equal(got) {
+						t.Fatalf("%s %v fused=%v pooled=%v diverges: %s", f.name, mode, fused, pooled, firstDivergence(ref, got))
+					}
+					if log.Count() != 0 {
+						t.Fatalf("%s %v fused=%v pooled=%v: %d errors logged on clean data", f.name, mode, fused, pooled, log.Count())
+					}
 				}
 			}
 		}
@@ -126,8 +72,8 @@ func TestSelectionThenGroupBy(t *testing.T) {
 }
 
 // TestSelectionThenGroupByFaults corrupts the measure columns and
-// requires the selection-then-group-by tail to detect and soften -
-// never to fail - under Continuous.
+// requires both selection-then-group-by shapes to detect and soften -
+// never to fail - under Continuous, and to agree on the result.
 func TestSelectionThenGroupByFaults(t *testing.T) {
 	data, err := Generate(0.01, 7)
 	if err != nil {
@@ -143,17 +89,20 @@ func TestSelectionThenGroupByFaults(t *testing.T) {
 			c.Corrupt(i, 1<<9)
 		}
 	}
-	plans := map[string]exec.QueryFunc{
-		"sel+groupby": selThenGroupBy,
-		"sel+profit":  selThenGroupByProfit,
-	}
-	for name, plan := range plans {
-		_, log, err := exec.Run(db, exec.Continuous, ops.Blocked, plan)
-		if err != nil {
-			t.Fatalf("%s: corrupted run must soften, got error: %v", name, err)
+	for _, f := range selGroupFlights {
+		var results [2]*ops.Result
+		for i, fused := range []bool{true, false} {
+			res, log, err := exec.Run(db, exec.Continuous, ops.Blocked, f.plan, exec.WithFusion(fused))
+			if err != nil {
+				t.Fatalf("%s fused=%v: corrupted run must soften, got error: %v", f.name, fused, err)
+			}
+			if log.Count() == 0 {
+				t.Fatalf("%s fused=%v: corruption went undetected", f.name, fused)
+			}
+			results[i] = res
 		}
-		if log.Count() == 0 {
-			t.Fatalf("%s: corruption went undetected", name)
+		if !results[0].Equal(results[1]) {
+			t.Fatalf("%s: fused and materializing results diverge under faults: %s", f.name, firstDivergence(results[1], results[0]))
 		}
 	}
 }
