@@ -6,6 +6,8 @@
 // to node-based maps carries over.
 package hashmap
 
+import "math/bits"
+
 // maxLoadNum/maxLoadDen is the resize threshold (70%).
 const (
 	maxLoadNum = 7
@@ -14,11 +16,12 @@ const (
 
 // U64 maps uint64 keys to uint32 values.
 type U64 struct {
-	keys []uint64
-	vals []uint32
-	used []bool
-	mask uint64
-	size int
+	keys  []uint64
+	vals  []uint32
+	used  []bool
+	mask  uint64
+	shift uint // 64 - log2(capacity): the slot is the hash's top bits
+	size  int
 }
 
 // New returns a table pre-sized for about hint entries.
@@ -27,19 +30,30 @@ func New(hint int) *U64 {
 	for int(cap)*maxLoadNum/maxLoadDen < hint {
 		cap <<= 1
 	}
-	return &U64{
-		keys: make([]uint64, cap),
-		vals: make([]uint32, cap),
-		used: make([]bool, cap),
-		mask: cap - 1,
-	}
+	m := &U64{}
+	m.alloc(cap)
+	return m
 }
 
-// hash is Fibonacci hashing: multiplication by the 64-bit golden ratio
-// spreads consecutive keys - the common case for dictionary codes and
-// surrogate keys - across the table.
-func hash(k uint64) uint64 {
-	return k * 0x9E3779B97F4A7C15
+// alloc gives the table cap empty slots, cap a power of two.
+func (m *U64) alloc(cap uint64) {
+	m.keys = make([]uint64, cap)
+	m.vals = make([]uint32, cap)
+	m.used = make([]bool, cap)
+	m.mask = cap - 1
+	m.shift = uint(64 - bits.TrailingZeros64(cap))
+	m.size = 0
+}
+
+// home is a key's first slot by Fibonacci hashing: multiplication by
+// the 64-bit golden ratio, then the product's top log2(capacity) bits.
+// The top bits depend on every bit of the key, so consecutive keys - the
+// common case for dictionary codes and surrogate keys - and packed
+// composite keys that differ only in their high fields spread across
+// the table alike; the low bits of the product see only the key's low
+// bits.
+func (m *U64) home(k uint64) uint64 {
+	return k * 0x9E3779B97F4A7C15 >> m.shift
 }
 
 // Len returns the number of stored entries.
@@ -53,7 +67,7 @@ func (m *U64) Put(k uint64, v uint32) {
 	if (m.size+1)*maxLoadDen > len(m.keys)*maxLoadNum {
 		m.grow()
 	}
-	i := hash(k) & m.mask
+	i := m.home(k)
 	for m.used[i] {
 		if m.keys[i] == k {
 			m.vals[i] = v
@@ -69,7 +83,7 @@ func (m *U64) Put(k uint64, v uint32) {
 
 // Get returns the value for k.
 func (m *U64) Get(k uint64) (uint32, bool) {
-	i := hash(k) & m.mask
+	i := m.home(k)
 	for m.used[i] {
 		if m.keys[i] == k {
 			return m.vals[i], true
@@ -86,7 +100,7 @@ func (m *U64) GetOrInsert(k uint64, v uint32) (val uint32, inserted bool) {
 	if (m.size+1)*maxLoadDen > len(m.keys)*maxLoadNum {
 		m.grow()
 	}
-	i := hash(k) & m.mask
+	i := m.home(k)
 	for m.used[i] {
 		if m.keys[i] == k {
 			return m.vals[i], false
@@ -112,12 +126,7 @@ func (m *U64) Range(fn func(k uint64, v uint32) bool) {
 
 func (m *U64) grow() {
 	oldKeys, oldVals, oldUsed := m.keys, m.vals, m.used
-	cap := uint64(len(m.keys)) << 1
-	m.keys = make([]uint64, cap)
-	m.vals = make([]uint32, cap)
-	m.used = make([]bool, cap)
-	m.mask = cap - 1
-	m.size = 0
+	m.alloc(uint64(len(m.keys)) << 1)
 	for i, u := range oldUsed {
 		if u {
 			m.Put(oldKeys[i], oldVals[i])

@@ -128,12 +128,14 @@ func TestQuickAgainstStdlibMap(t *testing.T) {
 
 func TestAdversarialCollisions(t *testing.T) {
 	// Keys colliding to the same initial slot exercise the probe chain.
-	m := New(8)
+	// The table is sized so that 20 keys never grow it.
+	m := New(20)
 	base := uint64(0xDEADBEEF)
 	var keys []uint64
-	for i := uint64(0); len(keys) < 20; i++ {
-		k := base + i*uint64(m.Cap())
-		keys = append(keys, k)
+	for k := base; len(keys) < 20; k++ {
+		if m.home(k) == m.home(base) {
+			keys = append(keys, k)
+		}
 	}
 	for i, k := range keys {
 		m.Put(k, uint32(i))
@@ -142,6 +144,37 @@ func TestAdversarialCollisions(t *testing.T) {
 		if v, ok := m.Get(k); !ok || v != uint32(i) {
 			t.Fatalf("collision chain lost key %d", i)
 		}
+	}
+	if m.Cap() != 32 {
+		t.Fatalf("table grew to %d slots; the keys no longer share a home", m.Cap())
+	}
+}
+
+// TestPackedKeysSpread pins the slot choice on the group keys the fused
+// sink packs, a | b<<16 | c<<32: 150 of them (Q3.1's shape, 5 x 5 x 6)
+// in a table sized for 1024 must each sit within a few slots of its
+// home. A slot taken from the low bits of the hash sees only a - five
+// homes for 150 keys, a chain of about 30 slots per home.
+func TestPackedKeysSpread(t *testing.T) {
+	m := New(1024)
+	for a := uint64(0); a < 5; a++ {
+		for b := uint64(0); b < 5; b++ {
+			for c := uint64(0); c < 6; c++ {
+				m.Put(a|b<<16|c<<32, uint32(m.Len()))
+			}
+		}
+	}
+	worst := 0
+	for i, u := range m.used {
+		if !u {
+			continue
+		}
+		if d := int((uint64(i) - m.home(m.keys[i])) & m.mask); d > worst {
+			worst = d
+		}
+	}
+	if m.Len() != 150 || worst > 4 {
+		t.Fatalf("%d keys in %d slots, longest probe distance %d (want <= 4)", m.Len(), m.Cap(), worst)
 	}
 }
 

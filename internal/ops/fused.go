@@ -16,10 +16,10 @@ import (
 // selection vectors, gathered value vectors - to memory only for the next
 // operator to read it straight back. The fused cascade runs the
 // scan->join->aggregate tail of every SSB flight as a single pass: range
-// predicates, a cascade of FK probes (a join with a dimension attribute
-// contributes a group-key component, one without is a semijoin), one
-// measure step and a sink - a scalar sum-product for Q1.x
-// (FusedFilterSemiSumProduct), a per-group sum or difference for
+// predicates, a cascade of FK probes, an attribute step (a join with a
+// dimension attribute contributes a group-key component, one without is
+// a semijoin), one measure step and a sink - a scalar sum-product for
+// Q1.x (FusedFilterSemiSumProduct), a per-group sum or difference for
 // Q2.x-Q4.x (FusedProbeGroupSum[Diff]) - folding Algorithm 1's
 // inverse-based detection into the same pass.
 //
@@ -42,22 +42,27 @@ import (
 // appear in global row order instead of grouping by operator pass, and a
 // row corrupt in several operators logs once per touched column rather
 // than once per operator. ErrorLog.Positions - the repair interface -
-// returns identical position sets, and fused serial and fused parallel
-// runs produce byte-identical logs for any morsel size: the kernel logs
-// per stage, keys every entry by its fact row and merges the stage logs
-// back into row order per block (mergeKeyedStages), so the sequence is
-// chunking-independent.
+// returns the materializing chain's position sets for every base column
+// a flight's dimensions and predicates read: the joins only probe, and
+// group attributes are fetched and checked after the last probe, for the
+// rows that survived every join - every attribute of such a row, as the
+// materializing chain gathers them. (The measures of a row an attribute
+// check drops are read by the materializing chain alone.) Fused serial
+// and fused parallel runs produce byte-identical logs for any morsel
+// size: the kernel logs per stage, keys every entry by its fact row and
+// merges the stage logs back into row order per block
+// (mergeKeyedStages), so the sequence is chunking-independent.
 //
 // Internally the row loop is blocked - this is the engine's
 // vector-at-a-time processing model (DESIGN.md section 5): each block of
 // fusedBlockRows fact rows runs the predicate scan Filter runs per morsel
 // (fusedPred.scan, pred.go) column-at-a-time into a pooled position
 // buffer or block bitmap that stays cache-resident, the join probes run
-// the typed kernels of probe.go over it, and only the per-match tails
-// (attribute fetch, measure step, sink) walk the surviving rows
-// individually. This keeps the typed tight loops (the entire point of
-// the columnar layout) while never materializing a full-size
-// intermediate.
+// the typed membership kernels of probe.go over it, and only the
+// per-match tails (build-position resolve, attribute fetch, measure
+// step, sink) walk the rows that survived every join individually. This
+// keeps the typed tight loops (the entire point of the columnar layout)
+// while never materializing a full-size intermediate.
 //
 // The ContinuousReencoding variant fuses too. Its defining trait is
 // re-hardening every operator *output* under the next-smaller A; in the
@@ -98,11 +103,11 @@ const bitmapSelThreshold = fusedBlockRows / 8
 // the scan) uses five.
 const maxFusedStages = 8
 
-// maxFusedLogs bounds the per-kernel stage-log array: a join logs its FK
-// pass and its attribute pass separately, and the measure step its
-// staging and (under Reencoding) its read-back, so each stays in
-// fact-row order and the keyed merge interleaves them.
-const maxFusedLogs = 2 * maxFusedStages
+// maxFusedLogs bounds the per-kernel stage-log array: a join logs its
+// probe, its position resolve and its attribute fetch separately, and
+// the measure step its staging and (under Reencoding) its read-back, so
+// each stays in fact-row order and the keyed merge interleaves them.
+const maxFusedLogs = 3 * maxFusedStages
 
 // fillBitmap selects the first n rows of a block bitmap and clears the
 // rest (the no-predicate case: every row enters the join cascade).
@@ -460,14 +465,15 @@ type FusedJoin struct {
 // ErrFusedKeyDomain is what the fused probe cascade returns when a
 // decoded group-key component does not fit the 16 bits its per-block
 // staging gives it - a wide attribute, or under Late a corrupted one
-// that decodes to garbage. Nothing of the attempt reaches the caller's
-// log: the plan reruns the tail through the materializing operators,
-// which size group keys by the decoded domain.
+// that decodes to garbage. Attributes are fetched after the last probe,
+// so only a row that survives every join raises it. Nothing of the
+// attempt reaches the caller's log: the plan reruns the tail through the
+// materializing operators, which size group keys by the decoded domain.
 var ErrFusedKeyDomain = errors.New("ops: fused group key component exceeds 16 bits")
 
 // fusedJoinCol is a FusedJoin prepared for the block loop: the FK probe
 // (probe.go) plus the attribute's softening constants and its group-key
-// slot.
+// slot, which also indexes the join's build-position buffer.
 type fusedJoinCol struct {
 	fkProbe
 	attr    fusedCol
@@ -475,44 +481,56 @@ type fusedJoinCol struct {
 	attrIdx int
 }
 
-// fetchAttr is the attribute pass of one join stage over a block's
-// survivors - a bitmap when pos is nil, else a list: fetch the group-key
-// component at the build position the probe left in bp[row-bs], verify
-// and decode it into out[row-bs], and drop what must not survive. It
-// returns the surviving list and count.
+// fetchAttr is the attribute step of one attribute join, run after the
+// block's last probe over the rows pos that survived it: fetch the
+// group-key component at the build position staged in bp[row-bs],
+// verify and decode it into out[row-bs], and mark in drop (bit row-bs)
+// a row that must not reach the sink. It reports whether it marked a
+// row. A row whose position did not resolve (noPos) is skipped; it is
+// marked already.
 //
-// Mode semantics mirror the materializing GatherAt+GroupBy chain: a
-// corrupted attribute is reported at its *build* position - the
-// repairable coordinate - and drops the row (Continuous), or logs into
-// the vec: namespace at the fact row and keeps the decoded value (Late,
-// the PreAggregate Δ folded into the pass).
-func (j *fusedJoinCol) fetchAttr(bs int, words, pos []uint64, bp []uint32, out []uint16, detect bool, kl *keyedLog) ([]uint64, int, error) {
+// Mode semantics mirror the materializing GatherAt+GroupBy chain, which
+// gathers attributes only for final survivors: a corrupted attribute is
+// reported at its *build* position - the repairable coordinate - and
+// marks the row (Continuous), or logs into the vec: namespace at the fact
+// row and keeps the decoded value (Late, the PreAggregate Δ folded into
+// the pass). Marking instead of dropping lets the next attribute join
+// check the same row, so every corrupted attribute a survivor reaches is
+// logged, as the materializing chain logs it.
+func (j *fusedJoinCol) fetchAttr(bs int, pos []uint64, bp []uint32, out []uint16, drop []uint64, detect bool, kl *keyedLog) (bool, error) {
 	c := j.attr.col
 	switch c.Width() {
 	case 1:
-		return fetchAttrTyped(c.U8(), &j.attr, bs, words, pos, bp, out, detect, kl)
+		return fetchAttrTyped(c.U8(), &j.attr, bs, pos, bp, out, drop, detect, kl)
 	case 2:
-		return fetchAttrTyped(c.U16(), &j.attr, bs, words, pos, bp, out, detect, kl)
+		return fetchAttrTyped(c.U16(), &j.attr, bs, pos, bp, out, drop, detect, kl)
 	case 4:
-		return fetchAttrTyped(c.U32(), &j.attr, bs, words, pos, bp, out, detect, kl)
+		return fetchAttrTyped(c.U32(), &j.attr, bs, pos, bp, out, drop, detect, kl)
 	default:
-		return fetchAttrTyped(c.U64(), &j.attr, bs, words, pos, bp, out, detect, kl)
+		return fetchAttrTyped(c.U64(), &j.attr, bs, pos, bp, out, drop, detect, kl)
 	}
 }
 
-func fetchAttrTyped[T an.Unsigned](data []T, a *fusedCol, bs int, words, pos []uint64, bp []uint32, out []uint16, detect bool, kl *keyedLog) ([]uint64, int, error) {
+func fetchAttrTyped[T an.Unsigned](data []T, a *fusedCol, bs int, pos []uint64, bp []uint32, out []uint16, drop []uint64, detect bool, kl *keyedLog) (bool, error) {
 	hard := a.code != nil
 	inv, mask, dmax := T(a.inv), T(a.mask), T(a.dmax)
-	// one reports whether the row at block offset rel survives.
-	one := func(rel int) (bool, error) {
-		v := data[bp[rel]]
+	marked := false
+	for _, p := range pos {
+		rel := int(p) - bs
+		b := bp[rel]
+		if b == noPos {
+			continue
+		}
+		v := data[b]
 		if hard {
 			if v = v * inv & mask; v > dmax {
 				if detect {
-					kl.record(a.col.Name(), uint64(bp[rel]), uint64(bs+rel))
-					return false, nil
+					kl.record(a.col.Name(), uint64(b), p)
+					drop[rel>>6] |= 1 << (uint(rel) & 63)
+					marked = true
+					continue
 				}
-				kl.record(VecLogName(a.col.Name()), uint64(bs+rel), uint64(bs+rel))
+				kl.record(VecLogName(a.col.Name()), p, p)
 			}
 		}
 		k := uint64(v) + a.base
@@ -522,37 +540,25 @@ func fetchAttrTyped[T an.Unsigned](data []T, a *fusedCol, bs int, words, pos []u
 		// The 16-bit bound just checked is what lets the staging buffer
 		// live in the arena's u16 class.
 		out[rel] = uint16(k)
-		return true, nil
 	}
-	count := 0
-	if pos != nil {
-		kept := pos[:0]
-		for _, p := range pos {
-			keep, err := one(int(p) - bs)
-			if err != nil {
-				return nil, 0, err
-			}
-			if keep {
-				kept = append(kept, p)
-			}
+	return marked, nil
+}
+
+// dropMarked compacts a block's survivor list to the rows drop does not
+// mark, clearing their marks: drop is all-zero again afterwards.
+func dropMarked(pos []uint64, bs int, drop []uint64) []uint64 {
+	n := 0
+	for _, p := range pos {
+		rel := uint(int(p) - bs)
+		w, bit := rel>>6, uint64(1)<<(rel&63)
+		if drop[w]&bit != 0 {
+			drop[w] &^= bit
+			continue
 		}
-		return kept, len(kept), nil
+		pos[n] = p
+		n++
 	}
-	for w, word := range words {
-		for t := word; t != 0; t &= t - 1 {
-			b := bits.TrailingZeros64(t)
-			keep, err := one(w<<6 + b)
-			if err != nil {
-				return nil, 0, err
-			}
-			if keep {
-				count++
-			} else {
-				words[w] &^= 1 << uint(b)
-			}
-		}
-	}
-	return nil, count, nil
+	return pos[:n]
 }
 
 // fusedGroupPart is one morsel's share of the sink: per local group - in
@@ -659,22 +665,20 @@ func (s *fusedSink) add(bs int, pos, av, bv []uint64) {
 // fusedProbeGroupRange is the one block loop of the fused kernels, their
 // morsel kernel over fact rows [start, end): per block, the predicates
 // select into a position list or - above bitmapSelThreshold - a block
-// bitmap, the join cascade probes the surviving rows (gathering
-// group-key components as it matches), and the measure step and the
-// sink take what survives, all without materializing an inter-operator
-// position vector. Stage logs are keyed by fact row and k-way merged
-// back per block, so the entry sequence is independent of block and
-// morsel boundaries. ms is the call's measure step; the morsel stages
-// into its own buffers.
+// bitmap, the join cascade probes the surviving rows (a pure membership
+// test per join, but for a table probe's lookup), the attribute step
+// resolves, fetches and checks the group-key components of the rows
+// that survived every probe, and the measure step and the sink take what
+// is left, all without materializing an inter-operator position vector.
+// Stage logs are keyed by fact row and k-way merged back per block, so
+// the entry sequence is independent of block and morsel boundaries. ms
+// is the call's measure step; the morsel stages into its own buffers.
 func fusedProbeGroupRange(preds []fusedPred, joins []fusedJoinCol, ms *fusedMeasures, nAttrs int, flavor Flavor, log *ErrorLog, start, end int) (fusedGroupPart, error) {
 	posBuf := borrowU64(fusedBlockRows)
 	defer releaseU64(posBuf)
 	bmBuf := borrowU64(fusedBlockWords)
 	defer releaseU64(bmBuf)
 	words := (*bmBuf)[:fusedBlockWords]
-	bpBuf := borrowU32(fusedBlockRows)
-	defer releaseU32(bpBuf)
-	bp := (*bpBuf)[:fusedBlockRows]
 	aBuf, bBuf := borrowU64(fusedBlockRows), borrowU64(fusedBlockRows)
 	defer releaseU64(aBuf)
 	defer releaseU64(bBuf)
@@ -682,20 +686,27 @@ func fusedProbeGroupRange(preds []fusedPred, joins []fusedJoinCol, ms *fusedMeas
 	m.aBuf, m.bBuf = (*aBuf)[:fusedBlockRows], (*bBuf)[:fusedBlockRows]
 
 	sink := fusedSink{attrBufs: make([][]uint16, nAttrs), nAttrs: nAttrs, k: m.k}
+	var drop []uint64 // the attribute step's marks, all-zero between blocks
+	var bps [4][]uint32
 	if nAttrs > 0 {
 		sink.ht = hashmap.New(1024)
+		dropBuf := borrowU64(fusedBlockWords)
+		defer releaseU64(dropBuf)
+		drop = (*dropBuf)[:fusedBlockWords]
+		clear(drop)
 	}
-	var attrPtrs [4]*[]uint16
+	// One key buffer and one build-position buffer per attribute join.
 	for c := 0; c < nAttrs; c++ {
-		attrPtrs[c] = borrowU16(fusedBlockRows)
-		sink.attrBufs[c] = (*attrPtrs[c])[:fusedBlockRows]
-		defer releaseU16(attrPtrs[c])
+		keys, pos := borrowU16(fusedBlockRows), borrowU32(fusedBlockRows)
+		defer releaseU16(keys)
+		defer releaseU32(pos)
+		sink.attrBufs[c], bps[c] = (*keys)[:fusedBlockRows], (*pos)[:fusedBlockRows]
 	}
 
-	// Stage logs: one per predicate, two per join (FK pass, attribute
-	// pass), one for the measure step - two under Reencoding (staging,
-	// read-back).
-	nLogs := len(preds) + 2*len(joins) + 1
+	// Stage logs: one per predicate, three per join (probe, position
+	// resolve, attribute fetch), one for the measure step - two under
+	// Reencoding (staging, read-back).
+	nLogs := len(preds) + 3*len(joins) + 1
 	if m.re {
 		nLogs++
 	}
@@ -722,7 +733,7 @@ func fusedProbeGroupRange(preds []fusedPred, joins []fusedJoinCol, ms *fusedMeas
 		}
 		return stages[s].log
 	}
-	measureStage := len(preds) + 2*len(joins)
+	measureStage := len(preds) + 3*len(joins)
 
 	for bs := start; bs < end; bs += fusedBlockRows {
 		be := bs + fusedBlockRows
@@ -753,10 +764,14 @@ func fusedProbeGroupRange(preds []fusedPred, joins []fusedJoinCol, ms *fusedMeas
 				break
 			}
 			j := &joins[ji]
-			fkStage := len(preds) + 2*ji
+			fkStage := len(preds) + 3*ji
 			var fkLog *ErrorLog // Late drops a corrupted FK silently
 			if m.detect {
 				fkLog = stageLog(fkStage)
+			}
+			var bp []uint32 // a table probe stages its build positions here
+			if j.hasAttr {
+				bp = bps[j.attrIdx]
 			}
 			if useBitmap {
 				count = j.probeBitmap(bs, words, bp, fkLog)
@@ -766,26 +781,25 @@ func fusedProbeGroupRange(preds []fusedPred, joins []fusedJoinCol, ms *fusedMeas
 			}
 			// The probe logs at the fact row, so its entries key themselves.
 			stageAt(fkStage).syncKeys()
-			if j.hasAttr && count > 0 {
-				var list []uint64
-				if !useBitmap {
-					list = sel
-				}
-				var err error
-				sel, count, err = j.fetchAttr(bs, words, list, bp, sink.attrBufs[j.attrIdx], m.detect, stageAt(fkStage+1))
-				if err != nil {
-					return fusedGroupPart{}, err
-				}
-			}
 			if useBitmap && count < bitmapSelThreshold {
 				sel = bitmapToList(words, bs, (*posBuf)[:0])
 				useBitmap = false
 			}
 		}
-		if count > 0 {
-			if useBitmap {
-				sel = bitmapToList(words, bs, (*posBuf)[:0])
+		if useBitmap {
+			sel = bitmapToList(words, bs, (*posBuf)[:0])
+		}
+		if nAttrs > 0 && len(sel) > 0 {
+			var logs []keyedLog
+			if log != nil {
+				logs = stages[:nLogs]
 			}
+			var err error
+			if sel, err = fusedAttrs(joins, bps[:nAttrs], sink.attrBufs, drop, bs, sel, m.detect, logs, len(preds)); err != nil {
+				return fusedGroupPart{}, err
+			}
+		}
+		if len(sel) > 0 {
 			av, bv := m.stage(sel, stageAt(measureStage))
 			if m.re {
 				m.recheck(sel, av, bv, stageAt(measureStage+1))
@@ -797,6 +811,46 @@ func fusedProbeGroupRange(preds []fusedPred, joins []fusedJoinCol, ms *fusedMeas
 		}
 	}
 	return sink.part, nil
+}
+
+// fusedAttrs is the attribute step of one block over the rows sel that
+// survived every probe: per attribute join in order, resolve the build
+// positions (dense joins; a table probe staged them as it looked up),
+// then fetch, check and stage the group-key component. A row a step
+// marks is dropped only after every join has checked it. Join ji logs
+// its resolve into stages[predStages+3ji+1] and its fetch into the
+// stage after it; stages is nil when the pass does not log.
+func fusedAttrs(joins []fusedJoinCol, bps [][]uint32, keys [][]uint16, drop []uint64, bs int, sel []uint64, detect bool, stages []keyedLog, predStages int) ([]uint64, error) {
+	marked := false
+	for ji := range joins {
+		j := &joins[ji]
+		if !j.hasAttr {
+			continue
+		}
+		var resolveLog, fetchLog *keyedLog
+		if stages != nil {
+			s := predStages + 3*ji + 1
+			resolveLog, fetchLog = &stages[s], &stages[s+1]
+		}
+		bp := bps[j.attrIdx]
+		if j.keyPos != nil {
+			if !detect {
+				resolveLog = nil // Late drops a corrupted FK silently
+			}
+			if j.resolve(bs, sel, bp, drop, resolveLog) {
+				marked = true
+			}
+		}
+		m, err := j.fetchAttr(bs, sel, bp, keys[j.attrIdx], drop, detect, fetchLog)
+		if err != nil {
+			return nil, err
+		}
+		marked = marked || m
+	}
+	if marked {
+		sel = dropMarked(sel, bs, drop)
+	}
+	return sel, nil
 }
 
 // FusedFilterSemiSumProduct runs the whole Q1.x tail in one pass over the

@@ -18,10 +18,13 @@ import (
 //     bitset - accumulating a hit word and a bad word the caller ANDs
 //     with its selection. A full or mostly-full bitmap word of the fused
 //     cascade and every chunk of a probe without selection take it.
-//   - sparse (probe): one row, branching - the set bits of a thin bitmap
-//     word, a position list, a selection vector.
+//   - one row over a bitset (test): probeWord's body for a single word,
+//     still branch-free - the set bits of a thin bitmap word and a
+//     position list of the fused cascade.
+//   - sparse (probe): one row, branching - a table probe's thin words
+//     and lists, a selection vector, the cascade's position step.
 //
-// Both keep one order: verify, then clamp, then index. The key bitset is
+// All keep one order: verify, then clamp, then index. The key bitset is
 // offset by keyMin (the build side's smallest key when its keys reach
 // maxKeyBitsetBits, else 0; buildKeyBits): a softened key k indexes it
 // at k-keyMin, formed as d-off from the softened word d with the FK
@@ -36,9 +39,15 @@ import (
 // derived from them.
 //
 // Entry points: probeBitmap/probeList (the join stages of the fused
-// cascade, every flight's), probeRange (SemiJoin and HashProbe, row
-// order without a selection, selection order with one). Each switches
-// on the column width once per block or morsel.
+// cascade, every flight's), resolve (its position step), probeRange
+// (SemiJoin and HashProbe, row order without a selection, selection
+// order with one). Each switches on the column width once per block or
+// morsel. In the cascade a join's probe is a membership test: only a
+// table probe - no bitset, so its lookup is the test - looks up while it
+// probes, and stages the build positions of its hits. A dense attribute
+// join resolves its build positions after the block's last probe, for
+// the rows that survived every join (resolve), so no position is loaded
+// for a row a later join drops.
 
 // maxKeyBitsetBits caps the dense key-membership index: a build table
 // whose keys span this many values or more (keyMax-keyMin) keeps plain
@@ -208,6 +217,27 @@ func (c *fkKeys[T]) probe(v T) (uint64, int) {
 	return k, probeHit
 }
 
+// test is probeWord's branch-free body for one word over a bitset: hit
+// is 1 when v holds a valid key the bitset admits, bad is 1 when v is a
+// corrupted word. The cascade's thin bitmap words and position lists
+// take it: a selective join's hits and misses alternate unpredictably,
+// which probe's branches pay for in mispredictions.
+func (c *fkKeys[T]) test(v T) (hit, bad uint64) {
+	if c.hard {
+		d := v * c.inv & c.mask
+		if d > c.dmax {
+			bad = 1
+		}
+		v = d
+	}
+	// clamp <= base+dmax-keyMin: a corrupted word lands on the pad bit.
+	k := uint64(v) - c.off
+	if k > c.clamp {
+		k = c.pad
+	}
+	return c.bits[k>>6] >> (k & 63) & 1, bad
+}
+
 // slot maps a softened word to the index of the lookup structures.
 func (c *fkKeys[T]) slot(d T) uint64 {
 	if c.bits != nil {
@@ -334,9 +364,10 @@ func (c *fkKeys[T]) logBad(log *ErrorLog, base int, bad uint64) {
 
 // probeBitmap probes the set rows of a block bitmap (bit i of words[w]
 // selects row bs+64w+i), clearing the bits of dropped rows, and returns
-// the survivor count. With wantPos the build position of every survivor
-// lands in bp[row-bs]. Corrupted keys are recorded in log when it is
-// non-nil (Continuous) and dropped either way (Late: silently).
+// the survivor count. Over a key bitset it is a pure membership test; a
+// table probe looks every hit up, and with wantPos stages the survivor's
+// build position in bp[row-bs]. Corrupted keys are recorded in log when
+// it is non-nil (Continuous) and dropped either way (Late: silently).
 func (j *fkProbe) probeBitmap(bs int, words []uint64, bp []uint32, log *ErrorLog) int {
 	c := j.fk.col
 	switch c.Width() {
@@ -360,10 +391,18 @@ func probeBitmapTyped[T an.Unsigned](data []T, j *fkProbe, bs int, words []uint6
 		}
 		base := bs + w<<6
 		var hit, bad uint64
-		if bits.OnesCount64(word) >= denseWordBits {
+		switch {
+		case bits.OnesCount64(word) >= denseWordBits:
 			hit, bad = c.probeWord(data[base:min(base+64, len(data))])
 			hit, bad = hit&word, bad&word
-		} else {
+		case c.bits != nil:
+			for t := word; t != 0; t &= t - 1 {
+				b := uint(bits.TrailingZeros64(t))
+				h, x := c.test(data[base+int(b)])
+				hit |= h << b
+				bad |= x << b
+			}
+		default:
 			for t := word; t != 0; t &= t - 1 {
 				b := bits.TrailingZeros64(t)
 				switch _, st := c.probe(data[base+b]); st {
@@ -374,10 +413,10 @@ func probeBitmapTyped[T an.Unsigned](data []T, j *fkProbe, bs int, words []uint6
 				}
 			}
 		}
-		if c.lookup {
+		if c.bits == nil {
 			for t := hit; t != 0; t &= t - 1 {
 				b := bits.TrailingZeros64(t)
-				p, ok := c.buildPos(c.key(data[base+b]))
+				p, ok := c.ht.Get(c.key(data[base+b]))
 				if !ok {
 					hit &^= 1 << uint(b)
 				} else if c.wantPos {
@@ -412,7 +451,18 @@ func (j *fkProbe) probeList(bs int, pos []uint64, bp []uint32, log *ErrorLog) []
 
 func probeListTyped[T an.Unsigned](data []T, j *fkProbe, bs int, pos []uint64, bp []uint32, log *ErrorLog) []uint64 {
 	c := narrowFK[T](j)
-	out := pos[:0]
+	n := 0
+	if c.bits != nil {
+		for _, p := range pos {
+			hit, bad := c.test(data[p])
+			pos[n] = p
+			n += int(hit)
+			if bad != 0 && log != nil {
+				log.Record(c.name, p)
+			}
+		}
+		return pos[:n]
+	}
 	for _, p := range pos {
 		k, st := c.probe(data[p])
 		if st != probeHit {
@@ -421,18 +471,63 @@ func probeListTyped[T an.Unsigned](data []T, j *fkProbe, bs int, pos []uint64, b
 			}
 			continue
 		}
-		if c.lookup {
-			b, ok := c.buildPos(k)
-			if !ok {
-				continue
-			}
-			if c.wantPos {
-				bp[int(p)-bs] = b
-			}
+		b, ok := c.ht.Get(k)
+		if !ok {
+			continue
 		}
-		out = append(out, p)
+		if c.wantPos {
+			bp[int(p)-bs] = b
+		}
+		pos[n] = p
+		n++
 	}
-	return out
+	return pos[:n]
+}
+
+// noPos marks a staged build position its row could not resolve.
+const noPos = ^uint32(0)
+
+// resolve is the position step of a dense attribute join, run over the
+// block's survivors pos after its last probe: it probes each row's FK
+// word again - verify, clamp, test the bitset, exactly as probeBitmap
+// and probeList did - and stages keyPos at the slot in bp[row-bs]. So a
+// word that changed since its probe never indexes beyond keyPos nor
+// reads a slot no key owns: it stages noPos and marks its row in drop
+// (bit row-bs), logged under the FK column at the fact row when kl is
+// non-nil (Continuous), like a probe detection. It reports whether it
+// marked a row.
+func (j *fkProbe) resolve(bs int, pos []uint64, bp []uint32, drop []uint64, kl *keyedLog) bool {
+	c := j.fk.col
+	switch c.Width() {
+	case 1:
+		return resolveTyped(c.U8(), j, bs, pos, bp, drop, kl)
+	case 2:
+		return resolveTyped(c.U16(), j, bs, pos, bp, drop, kl)
+	case 4:
+		return resolveTyped(c.U32(), j, bs, pos, bp, drop, kl)
+	default:
+		return resolveTyped(c.U64(), j, bs, pos, bp, drop, kl)
+	}
+}
+
+func resolveTyped[T an.Unsigned](data []T, j *fkProbe, bs int, pos []uint64, bp []uint32, drop []uint64, kl *keyedLog) bool {
+	c := narrowFK[T](j)
+	marked := false
+	for _, p := range pos {
+		rel := int(p) - bs
+		k, st := c.probe(data[p])
+		if st == probeHit {
+			bp[rel] = c.pos[k]
+			continue
+		}
+		if st == probeBad {
+			kl.record(c.name, p, p)
+		}
+		bp[rel] = noPos
+		drop[rel>>6] |= 1 << (uint(rel) & 63)
+		marked = true
+	}
+	return marked
 }
 
 // probeRange is the morsel kernel of HashProbe and SemiJoin: with sel nil

@@ -235,8 +235,8 @@ func TestFusedKernelZeroAllocs(t *testing.T) {
 
 // TestProbeKernelZeroAllocs pins the typed probe kernels: one warm pass
 // of each - probeRange in row order and in selection order, with the
-// table and with the dense index; a join stage of the cascade over a
-// block bitmap and over a list, position array and attribute fetch
+// table and with the dense index; a join of the cascade over a block
+// bitmap and over a list, its position step and attribute fetch
 // included - borrows, probes and releases without allocating, so a
 // parallel probe costs no per-morsel and a fused pass no per-block
 // garbage.
@@ -263,6 +263,7 @@ func TestProbeKernelZeroAllocs(t *testing.T) {
 	}
 	words, pos := make([]uint64, fusedBlockWords), make([]uint64, 0, fusedBlockRows)
 	bp, staged := make([]uint32, fusedBlockRows), make([]uint16, fusedBlockRows)
+	drop := make([]uint64, fusedBlockWords)
 
 	rangeRun := func(j *fkProbe, sel *Sel, end int) func() {
 		return func() {
@@ -283,15 +284,24 @@ func TestProbeKernelZeroAllocs(t *testing.T) {
 			if n := join.probeBitmap(0, words, bp, nil); n != 2048 {
 				t.Fatalf("bitmap stage kept %d rows", n)
 			}
-			if _, n, err := join.fetchAttr(0, words, nil, bp, staged, true, nil); err != nil || n != 2048 {
-				t.Fatalf("attribute pass kept %d rows: %v", n, err)
+			pos = bitmapToList(words, 0, pos[:0])
+			if join.resolve(0, pos, bp, drop, nil) {
+				t.Fatal("position step marked a row")
+			}
+			if marked, err := join.fetchAttr(0, pos, bp, staged, drop, true, nil); err != nil || marked {
+				t.Fatalf("attribute step marked a row: %v", err)
 			}
 		},
 		"stage/list": func() {
 			pos = append(pos[:0], sel.Pos...)
-			pos = join.probeList(0, pos, bp, nil)
-			if kept, n, err := join.fetchAttr(0, nil, pos, bp, staged, true, nil); err != nil || n != 1024 || len(kept) != n {
-				t.Fatalf("list stage kept %d rows: %v", n, err)
+			if pos = join.probeList(0, pos, bp, nil); len(pos) != 1024 {
+				t.Fatalf("list stage kept %d rows", len(pos))
+			}
+			if join.resolve(0, pos, bp, drop, nil) {
+				t.Fatal("position step marked a row")
+			}
+			if marked, err := join.fetchAttr(0, pos, bp, staged, drop, true, nil); err != nil || marked {
+				t.Fatalf("attribute step marked a row: %v", err)
 			}
 		},
 	} {

@@ -260,10 +260,7 @@ func checkFaultLogs(t *testing.T, db *exec.DB, pool *exec.Pool, mode exec.Mode, 
 // materializing plan, byte-identical serial and pooled logs. The
 // flights build their dimensions one after the other, each filtered and
 // then hashed; neither plan shape may detect a flip the other misses.
-// Group attributes are not flipped: the fused cascade checks a row's
-// attribute at its join stage, before later joins drop the row, and
-// drops the row at its first corrupted attribute, so the two shapes
-// log different attribute positions by design.
+// Group attributes are flipped by TestDifferentialDimensionAttrFaultLogs.
 func TestDifferentialDimensionFaultLogs(t *testing.T) {
 	data, err := Generate(0.01, 7)
 	if err != nil {
@@ -306,6 +303,115 @@ func TestDifferentialDimensionFaultLogs(t *testing.T) {
 		if detected == 0 && mode != exec.LateOnetime {
 			t.Fatalf("%v: no dimension flip detected in any flight; test is vacuous", mode)
 		}
+	}
+}
+
+// TestDifferentialDimensionAttrFaultLogs flips the key column and the
+// group attribute of each dimension (c_nation, s_nation, p_brand1,
+// d_year) and applies TestDifferentialFaultLogs' requirements to all 13
+// flights under every detecting mode: equal results and equal
+// base-column positions from the fused and the materializing plan,
+// byte-identical serial and pooled logs. Both shapes consume the same
+// attribute words - those of rows that survive every join, every
+// attribute of such a row, a row with a corrupted p_brand1 included -
+// so both log the same positions. Then one supervised Q2.1 under
+// Continuous, on a database whose corrupted d_year words are exactly
+// the ones the plan reads, beside the p_brand1 flips, must answer the
+// clean reference, heal every word it logged, and leave no corrupted
+// d_year word for DB.Scrub to find: one log names everything a repair
+// has to mend.
+func TestDifferentialDimensionAttrFaultLogs(t *testing.T) {
+	data, err := Generate(0.01, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := exec.NewDB(data.Tables(), storage.LargestCodeChooser)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := exec.NewPool(4)
+	defer pool.Close()
+
+	const bit = 3
+	flip := func(table, col string, first int, only map[uint64]bool) {
+		c := db.Hardened(table).MustColumn(col)
+		if c.Code() == nil || bit >= c.Code().CodeBits() {
+			t.Fatalf("bit %d: fixture vacuous for %s.%s", bit, table, col)
+		}
+		for i := first; i < c.Len(); i += 7 {
+			if only == nil || only[uint64(i)] {
+				c.Corrupt(i, 1<<bit)
+			}
+		}
+	}
+	dims := []struct{ table, key, attr string }{
+		{"customer", "c_custkey", "c_nation"},
+		{"supplier", "s_suppkey", "s_nation"},
+		{"part", "p_partkey", "p_brand1"},
+		{"date", "d_datekey", "d_year"},
+	}
+	for _, d := range dims {
+		// The attribute flips sit apart from the key flips: a key the
+		// build drops hides its row's attribute from both shapes.
+		flip(d.table, d.key, 3, nil)
+		flip(d.table, d.attr, 5, nil)
+	}
+	var yearsRead []uint64 // the corrupted d_year words Q2.1 reads
+	for _, mode := range diffModes {
+		attrs := 0
+		for _, name := range QueryNames {
+			logs := checkFaultLogs(t, db, pool, mode, name, bit)
+			for _, d := range dims {
+				pos, err := logs[1].Positions(d.attr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				attrs += len(pos)
+				if mode == exec.Continuous && name == "Q2.1" && d.attr == "d_year" {
+					yearsRead = pos
+				}
+			}
+		}
+		// Late checks attributes only in the vec: namespace (its
+		// PreAggregate Δ), so it must merely agree.
+		if attrs == 0 && mode != exec.LateOnetime {
+			t.Fatalf("%v: no attribute flip detected in any flight; test is vacuous", mode)
+		}
+	}
+	if len(yearsRead) == 0 {
+		t.Fatal("Q2.1 reached no flipped d_year word; the recovery check is vacuous")
+	}
+
+	if _, err := db.Scrub(); err != nil {
+		t.Fatal(err)
+	}
+	read := make(map[uint64]bool, len(yearsRead))
+	for _, p := range yearsRead {
+		read[p] = true
+	}
+	flip("part", "p_brand1", 5, nil)
+	flip("date", "d_year", 5, read)
+	ref, _, err := exec.Run(db, exec.Unprotected, ops.Blocked, Queries["Q2.1"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, rep, err := exec.RunWithRecovery(db, exec.Continuous, ops.Blocked, Queries["Q2.1"])
+	if err != nil {
+		t.Fatalf("Q2.1 RunWithRecovery: %v", err)
+	}
+	if !ref.Equal(res) {
+		t.Fatalf("Q2.1 RunWithRecovery diverges from the reference: %s", firstDivergence(ref, res))
+	}
+	if got := rep.Repaired["d_year"]; len(got) != len(yearsRead) || rep.Attempts != 2 {
+		t.Fatalf("Q2.1 RunWithRecovery: %d attempts, repaired d_year %v, want the %d words it reads %v",
+			rep.Attempts, got, len(yearsRead), yearsRead)
+	}
+	healed, err := db.Scrub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := healed["date.d_year"]; n != 0 {
+		t.Fatalf("Scrub found %d corrupted d_year words Q2.1 reads after its supervised run", n)
 	}
 }
 
