@@ -66,17 +66,30 @@ func flightTable(fs []flight) ([]string, map[string]exec.QueryFunc) {
 	return names, plans
 }
 
-// flight is one star query over lineorder: filter and hash every
-// dimension in listed order, then filter lineorder by preds, join it to
-// every dimension, group by the dimensions' attributes and aggregate
-// Σ sum, Σ sum − minus per group, or the scalar Σ sum · times (times
-// set: one dimension, no group attribute - the fused scalar sink takes
-// a single semijoin).
+// flight is one star query over a fact table (lineorder for the SSB
+// flights, any table for an ad-hoc request): filter and hash every
+// dimension in listed order, then filter the table by preds, join it to
+// every dimension, group by the dimensions' attributes and the table's
+// own groupBy columns and aggregate Σ sum, Σ sum − minus or a row count
+// per group - or, without group columns, the scalar Σ sum, Σ sum · times
+// or count (times set: no group column - the fused scalar sink takes a
+// single semijoin).
 type flight struct {
 	name              string
+	table             string // the scanned table; lineorder when empty
 	dims              []dim
-	preds             []cond // numeric ranges over lineorder columns
+	preds             []cond   // numeric ranges over the table's columns
+	groupBy           []string // group columns of the table itself
 	sum, minus, times string
+	count             bool
+}
+
+// fact returns the table the flight scans.
+func (f flight) fact() string {
+	if f.table == "" {
+		return "lineorder"
+	}
+	return f.table
 }
 
 // dim is one dimension join: the table filtered by conds (no conds keep
@@ -236,10 +249,11 @@ func gather(q *exec.Query, table, col string, sel *ops.Sel, at []uint32) (*ops.V
 }
 
 // plan builds every dimension's hash table, then runs the rest as one
-// fused pass over lineorder (ops.FusedFilterSemiSumProduct,
-// ops.FusedProbeGroupSum[Diff]) under every mode. exec.WithFusion(false)
-// forces the operator tail instead, and so does a group-key component
-// wider than the cascade stages (ops.ErrFusedKeyDomain: a wide
+// fused pass over the table (ops.FusedFilterSemiSumProduct,
+// ops.FusedProbeGroupSum[Diff]) under every mode. A flight without
+// dimensions runs the operator tail, since the cascade needs a join;
+// exec.WithFusion(false) forces the tail too, and so does a group-key
+// component wider than the cascade stages (ops.ErrFusedKeyDomain: a wide
 // attribute, or under Late a corrupted one): the cascade has then
 // logged nothing, and the operators size keys by their decoded domain.
 func (f flight) plan(q *exec.Query) (*ops.Result, error) {
@@ -261,7 +275,7 @@ func (f flight) plan(q *exec.Query) (*ops.Result, error) {
 			return nil, err
 		}
 	}
-	if q.FuseOperators() {
+	if q.FuseOperators() && len(f.dims) > 0 {
 		res, err := f.fused(q, hts)
 		if !errors.Is(err, ops.ErrFusedKeyDomain) {
 			return res, err
@@ -276,7 +290,7 @@ func (f flight) plan(q *exec.Query) (*ops.Result, error) {
 func (f flight) fused(q *exec.Query, hts []*hashmap.U64) (*ops.Result, error) {
 	preds := make([]ops.RangePred, len(f.preds))
 	for i, p := range f.preds {
-		col, err := q.Col("lineorder", p.col)
+		col, err := q.Col(f.fact(), p.col)
 		if err != nil {
 			return nil, err
 		}
@@ -284,7 +298,7 @@ func (f flight) fused(q *exec.Query, hts []*hashmap.U64) (*ops.Result, error) {
 	}
 	joins := make([]ops.FusedJoin, len(f.dims))
 	for i, d := range f.dims {
-		fk, err := q.Col("lineorder", d.fk)
+		fk, err := q.Col(f.fact(), d.fk)
 		if err != nil {
 			return nil, err
 		}
@@ -295,12 +309,12 @@ func (f flight) fused(q *exec.Query, hts []*hashmap.U64) (*ops.Result, error) {
 			}
 		}
 	}
-	a, err := q.Col("lineorder", f.sum)
+	a, err := q.Col(f.fact(), f.sum)
 	if err != nil {
 		return nil, err
 	}
 	if f.times != "" {
-		b, err := q.Col("lineorder", f.times)
+		b, err := q.Col(f.fact(), f.times)
 		if err != nil {
 			return nil, err
 		}
@@ -315,7 +329,7 @@ func (f flight) fused(q *exec.Query, hts []*hashmap.U64) (*ops.Result, error) {
 	if f.minus == "" {
 		groups, sums, err = ops.FusedProbeGroupSum(preds, joins, a, q.Opts())
 	} else {
-		b, errB := q.Col("lineorder", f.minus)
+		b, errB := q.Col(f.fact(), f.minus)
 		if errB != nil {
 			return nil, errB
 		}
@@ -328,18 +342,19 @@ func (f flight) fused(q *exec.Query, hts []*hashmap.U64) (*ops.Result, error) {
 }
 
 // tail runs everything after the builds operator at a time: filter,
-// semijoin every dimension, gather the group attributes and group, then
-// gather the measures and aggregate.
+// semijoin every dimension, gather the group attributes and the table's
+// group columns and group, then count, or gather the measures and
+// aggregate.
 func (f flight) tail(q *exec.Query, hts []*hashmap.U64) (*ops.Result, error) {
 	var sel *ops.Sel
 	var err error
 	if len(f.preds) > 0 {
-		if sel, err = filter(q, "lineorder", f.preds); err != nil {
+		if sel, err = filter(q, f.fact(), f.preds); err != nil {
 			return nil, err
 		}
 	}
 	for i, d := range f.dims {
-		fk, err := q.Col("lineorder", d.fk)
+		fk, err := q.Col(f.fact(), d.fk)
 		if err != nil {
 			return nil, err
 		}
@@ -354,7 +369,7 @@ func (f flight) tail(q *exec.Query, hts []*hashmap.U64) (*ops.Result, error) {
 		}
 		// Every row of sel matches: the re-probe yields the build
 		// positions to fetch the attribute at.
-		fk, err := q.Col("lineorder", d.fk)
+		fk, err := q.Col(f.fact(), d.fk)
 		if err != nil {
 			return nil, err
 		}
@@ -368,20 +383,37 @@ func (f flight) tail(q *exec.Query, hts []*hashmap.U64) (*ops.Result, error) {
 		}
 		keys = append(keys, key)
 	}
+	for _, g := range f.groupBy {
+		key, err := gather(q, f.fact(), g, sel, nil)
+		if err != nil {
+			return nil, err
+		}
+		keys = append(keys, key)
+	}
 	var gids []uint32
 	var groups [][]uint64
-	if f.times == "" {
+	if len(keys) > 0 {
 		if gids, groups, err = ops.GroupBy(keys, q.Opts()); err != nil {
 			return nil, err
 		}
 	}
-	a, err := gather(q, "lineorder", f.sum, sel, nil)
+	if f.count {
+		if len(keys) == 0 {
+			return q.FinishScalar(&ops.Vec{Name: "count", Vals: []uint64{uint64(sel.Len())}})
+		}
+		sums, err := ops.CountGrouped(gids, len(groups), nil)
+		if err != nil {
+			return nil, err
+		}
+		return q.Finish(groups, sums)
+	}
+	a, err := gather(q, f.fact(), f.sum, sel, nil)
 	if err != nil {
 		return nil, err
 	}
 	var b *ops.Vec
 	if second := f.times + f.minus; second != "" { // at most one is set
-		if b, err = gather(q, "lineorder", second, sel, nil); err != nil {
+		if b, err = gather(q, f.fact(), second, sel, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -389,6 +421,11 @@ func (f flight) tail(q *exec.Query, hts []*hashmap.U64) (*ops.Result, error) {
 	switch {
 	case f.times != "":
 		if sums, err = ops.SumProduct(a, b, q.Opts()); err != nil {
+			return nil, err
+		}
+		return q.FinishScalar(sums)
+	case len(keys) == 0:
+		if sums, err = ops.SumTotal(a, q.Opts()); err != nil {
 			return nil, err
 		}
 		return q.FinishScalar(sums)
